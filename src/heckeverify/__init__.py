@@ -36,6 +36,7 @@ from .affine_hecke import (
 )
 from .formal_series import (
     FormalSeries,
+    InsufficientPrecision,
     LinearForm,
     NonUnit,
     NonzeroConstantTerm,

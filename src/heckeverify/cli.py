@@ -37,6 +37,10 @@ def run(argv=None):
     parser = _parser()
     try:
         args = parser.parse_args(argv)
+        if args.order < 1:
+            parser.error("--order must be at least 1, got %d" % args.order)
+        if args.guard < 0:
+            parser.error("--guard must be at least 0, got %d" % args.guard)
     except SystemExit as exc:
         return 2 if exc.code else 0
 

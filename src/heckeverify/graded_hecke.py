@@ -17,10 +17,9 @@ lives here too, along with conjugation by it and the graded antispherical
 module where t_s collapses to -1.
 """
 
-from fractions import Fraction
-
 from .formal_series import (
     FormalSeries,
+    InsufficientPrecision,
     diff,
     fs_div_linear,
     fs_exp,
@@ -96,9 +95,18 @@ class GradedElement:
         )
 
     def eq(self, other, order=None):
+        """Coefficientwise ``FormalSeries.eq`` up to ``order``.
+
+        ``order`` defaults to the common trusted order; asking for more
+        than both sides trust raises InsufficientPrecision.
+        """
         cap = min(self.order, other.order)
         if order is not None:
-            cap = min(cap, order)
+            if order > cap:
+                raise InsufficientPrecision(
+                    "comparison to degree %d, but one side is trusted only to %d"
+                    % (order, cap))
+            cap = order
         keys = set(self.coeffs) | set(other.coeffs)
         zero = FormalSeries.zero(self.datum.rank + 1, cap)
         for w in keys:

@@ -114,3 +114,25 @@ def test_carrier_error_gives_exit_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suites", fake_run_suites)
     code, _, _ = run_cli(capsys, "--type", "A", "--rank", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--order", "0"),
+    ("--order", "-1"),
+    ("--guard", "-1"),
+])
+def test_bad_order_or_guard_is_usage_error_before_any_work(monkeypatch, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("suites ran on rejected arguments")
+    monkeypatch.setattr(cli, "run_suites", no_work)
+    code, out, err = run_cli(capsys, "--type", "A", "--rank", "1", *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage" in err and argv[0] in err
+
+
+def test_order_one_and_guard_zero_are_accepted(capsys):
+    code, out, _ = run_cli(capsys, "--type", "A", "--rank", "1", "--order", "1",
+                           "--guard", "0", "--suite", "diagram", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["status"] == "pass"
