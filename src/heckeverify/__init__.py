@@ -20,7 +20,6 @@ from .lattice_algebra import (
     GroupAlgebraElement,
     LaurentScalar,
     demazure_quotient,
-    ga_mul,
     ga_substitute,
     mul_by_scriptG,
 )

@@ -254,9 +254,21 @@ def parity_map(datum):
     return _GeneratorMap(datum, 1, -1, False, lambda i: HeckeElement.Ts(datum, i))
 
 
+def k_side_maps(datum):
+    """The Koszul, duality and parity maps of ``datum``, built once per datum.
+
+    Shared, so their T_w caches fill once; :func:`pipeline_K_h` applies
+    them in this order.
+    """
+    return datum.memo("k_side_maps",
+                      lambda: (koszul_map(datum), duality_map(datum), parity_map(datum)))
+
+
 def pipeline_K_h(datum, h):
     """The composite parity o duality o koszul as a self-map of the algebra."""
-    return parity_map(datum)(duality_map(datum)(koszul_map(datum)(h)))
+    for fmap in k_side_maps(datum):
+        h = fmap(h)
+    return h
 
 
 # -- antispherical module ------------------------------------------------

@@ -13,6 +13,9 @@ from .root_datum import InvalidCartan, WeylTooLarge, build_root_datum, \
     cartan_matrix, read_cartan_file
 from .verify import report_json, report_text, run_suites, SUITES
 
+# The exceptional families have a single rank; --type may spell it or not.
+FIXED_RANK = {"G": 2, "G2": 2, "F": 4, "F4": 4}
+
 
 def _parser():
     p = argparse.ArgumentParser(
@@ -41,6 +44,12 @@ def run(argv=None):
             parser.error("--order must be at least 1, got %d" % args.order)
         if args.guard < 0:
             parser.error("--guard must be at least 0, got %d" % args.guard)
+        fixed = FIXED_RANK.get(args.family.upper()) if args.family else None
+        if fixed is not None:
+            if args.rank not in (None, fixed):
+                parser.error("--type %s has rank %d, got --rank %d"
+                             % (args.family, fixed, args.rank))
+            args.rank = fixed
     except SystemExit as exc:
         return 2 if exc.code else 0
 
@@ -49,11 +58,11 @@ def run(argv=None):
             cartan = read_cartan_file(args.cartan_file)
             desc = {"type": "custom", "rank": len(cartan), "cartan": [list(r) for r in cartan]}
         elif args.family:
-            if args.rank is None and args.family.upper() not in ("G2", "F4"):
+            if args.rank is None:
                 print("--rank is required with --type", file=sys.stderr)
                 return 2
-            cartan = cartan_matrix(args.family, args.rank or 0)
-            desc = {"type": "%s%d" % (args.family.upper(), len(cartan)),
+            cartan = cartan_matrix(args.family, args.rank)
+            desc = {"type": "%s%d" % (args.family[0].upper(), len(cartan)),
                     "rank": len(cartan), "cartan": [list(r) for r in cartan]}
         else:
             print("one of --type or --cartan-file is required", file=sys.stderr)

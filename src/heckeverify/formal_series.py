@@ -463,32 +463,45 @@ def fs_div_linear(f, form):
     return _series(f.nvars, f.order - 1, f.den * lead ** max(top, 0), out)
 
 
+class _WeylSubstitution:
+    """The substitution y_i |-> differential of w(fundamental weight i).
+
+    Built once per (datum, w) by :func:`fs_weyl`.  The image of a
+    y-monomial y^a is the product of the image forms; it is made on first
+    use, from the image of y^a with one power of its last variable
+    removed, and kept for every later series.
+    """
+
+    def __init__(self, datum, w):
+        n = datum.rank
+        self.forms = []
+        for i in range(n):
+            image = apply(w, tuple(1 if j == i else 0 for j in range(n)))
+            self.forms.append({tuple(1 if j == k else 0 for j in range(n + 1)): c
+                               for k, c in enumerate(image) if c})
+        self.images = {(0,) * n: {(0,) * (n + 1): 1}}
+
+    def image_of(self, key):
+        got = self.images.get(key)
+        if got is None:
+            i = max(j for j, p in enumerate(key) if p)
+            got = {}
+            _mul_add(got, self.image_of(key[:i] + (key[i] - 1,) + key[i + 1:]),
+                     self.forms[i])
+            got = {e: c for e, c in got.items() if c}
+            self.images[key] = got
+        return got
+
+
 def fs_weyl(datum, w, f):
     """Algebra map y_i |-> differential of w(fundamental weight i), r fixed.
 
     A linear substitution, so each monomial maps into its own degree: the
-    image of y^a r^k is the product of the image forms, memoized over the
-    y-exponent a, times r^k.
+    image of y^a r^k is the image of y^a, from the (datum, w) table, times
+    r^k.
     """
-    n = datum.rank
-    assert f.nvars == n + 1
-    forms = []
-    for i in range(n):
-        image = apply(w, tuple(1 if j == i else 0 for j in range(n)))
-        forms.append({tuple(1 if j == k else 0 for j in range(n + 1)): c
-                      for k, c in enumerate(image) if c})
-    images = {(0,) * n: {(0,) * (n + 1): 1}}
-
-    def image_of(key):
-        got = images.get(key)
-        if got is None:
-            i = max(j for j, p in enumerate(key) if p)
-            got = {}
-            _mul_add(got, image_of(key[:i] + (key[i] - 1,) + key[i + 1:]), forms[i])
-            got = {e: c for e, c in got.items() if c}
-            images[key] = got
-        return got
-
+    assert f.nvars == datum.rank + 1
+    image_of = datum.memo(("fs_weyl", w), lambda: _WeylSubstitution(datum, w)).image_of
     out = {}
     get = out.get
     for e, c in f.nums.items():

@@ -199,14 +199,52 @@ def todd_eB(datum, order):
     return out
 
 
+class _Conjugation:
+    """a |-> e_B a e_B^{-1} for one e_B, reusing each product t_w e_B^{-1}.
+
+    With a = sum_w f_w t_w,
+
+        e_B a e_B^{-1} = e_B * sum_w f_w (t_w e_B^{-1}),
+
+    so both outer factors are series multiplying a normal form on the
+    left, and t_w e_B^{-1} is formed once per w.
+    """
+
+    def __init__(self, datum, eB):
+        self.datum = datum
+        self.eB = eB
+        self.eB_inv = fs_inv(eB)
+        self._right = {}
+
+    def _t_eB_inv(self, w):
+        img = self._right.get(w)
+        if img is None:
+            img = self._right[w] = gh_mul(
+                GradedElement.t(self.datum, w, self.eB.order),
+                GradedElement.series(self.datum, self.eB_inv))
+        return img
+
+    def __call__(self, a):
+        out = GradedElement.zero(self.datum, min(a.order, self.eB.order))
+        for w, f in a.coeffs.items():
+            out = out + self._t_eB_inv(w).scale_left(f)
+        return out.scale_left(self.eB)
+
+
 def conj_eB(a, eB=None):
-    """e_B * a * e_B^{-1}, full noncommutative conjugation."""
+    """e_B * a * e_B^{-1}, full noncommutative conjugation.
+
+    Without ``eB``, e_B is the Todd series at the order of ``a``; it, its
+    inverse and the products t_w e_B^{-1} are built once per (datum,
+    order) and shared by every later call.
+    """
     datum = a.datum
     if eB is None:
-        eB = todd_eB(datum, a.order)
-    left = GradedElement.series(datum, eB)
-    right = GradedElement.series(datum, fs_inv(eB))
-    return gh_mul(left, gh_mul(a, right))
+        conj = datum.memo(("conj_eB", a.order),
+                          lambda: _Conjugation(datum, todd_eB(datum, a.order)))
+    else:
+        conj = _Conjugation(datum, eB)
+    return conj(a)
 
 
 class GradedAsphElement:

@@ -227,10 +227,6 @@ class GroupAlgebraElement:
         return " + ".join(parts)
 
 
-def ga_mul(a, b):
-    return a * b
-
-
 def demazure_quotient(datum, x, i):
     """(theta_x - theta_{s_i x}) / (1 - theta_{-alpha_i}), in closed form.
 

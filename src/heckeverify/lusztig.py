@@ -24,9 +24,17 @@ The two diagram routes are
     pipeline_H: h |-> fourier( L_l(h) )
 
 and the verifier checks they agree modulo degree > order.
+
+Everything these routes reuse that depends only on the root datum and the
+working order is built once: the unit factors and both Lusztig maps with
+their T_s and T_w caches live in the :class:`Context` that
+:func:`context` returns; e_B, e_B^{-1} and the t_w e_B^{-1} products
+(:func:`conj_eB`), the three K-side maps (:func:`k_side_maps`) and the
+Weyl substitution tables (:func:`fs_weyl`) live beside it in the datum's
+store (:meth:`RootDatum.memo`), which is freed with the datum.
 """
 
-from .affine_hecke import HeckeElement, duality_map, koszul_map, parity_map
+from .affine_hecke import pipeline_K_h
 from .formal_series import (
     FormalSeries,
     LinearForm,
@@ -41,8 +49,8 @@ from .graded_hecke import (
     conj_eB,
     fourier_map,
     gh_mul,
-    todd_eB,
 )
+from .root_datum import apply
 
 DEFAULT_GUARD = 2
 
@@ -70,13 +78,9 @@ def unit_factor(datum, i, order, r_coeff=2):
     return num * fs_inv(den)
 
 
-def _ts_image(datum, i, order, side, r_coeff=2):
-    """Image of T_s under L_r (side='r') or L_l (side='l').
-
-    ``r_coeff`` is 2; any other value corrupts the unit factor and exists
-    only for the verifier's negative controls.
-    """
-    u = GradedElement.series(datum, unit_factor(datum, i, order, r_coeff))
+def _ts_image(datum, i, order, side, u):
+    """Image of T_s under L_r (side='r') or L_l (side='l'), given u(alpha_i)."""
+    u = GradedElement.series(datum, u)
     ts1 = GradedElement.ts(datum, i, order) + GradedElement.one(datum, order)
     if side == "r":
         img = gh_mul(ts1, u)
@@ -86,20 +90,23 @@ def _ts_image(datum, i, order, side, r_coeff=2):
 
 
 class _LusztigMap:
-    """Evaluate a Lusztig morphism on normal forms, caching T_w images."""
+    """Evaluate a Lusztig morphism on normal forms, caching T_s and T_w images.
 
-    def __init__(self, datum, order, side, r_coeff=2):
+    ``unit`` maps a simple index i to the unit factor u(alpha_i).
+    """
+
+    def __init__(self, datum, order, side, unit):
         self.datum = datum
         self.order = order
         self.side = side
-        self.r_coeff = r_coeff
+        self.unit = unit
         self._ts = {}
         self._tw = {}
 
     def _image_of_ts(self, i):
         img = self._ts.get(i)
         if img is None:
-            img = _ts_image(self.datum, i, self.order, self.side, self.r_coeff)
+            img = _ts_image(self.datum, i, self.order, self.side, self.unit(i))
             self._ts[i] = img
         return img
 
@@ -120,14 +127,44 @@ class _LusztigMap:
         return out
 
 
+class Context:
+    """The Lusztig side of one (root datum, working order), built once.
+
+    Holds the unit factors u(alpha_i), shared by both maps, and the two
+    Lusztig maps with their T_s and T_w caches.  Values are filled on
+    first use and never change afterwards.  :func:`context` returns the
+    shared instance; ``r_coeff`` other than 2 corrupts the unit factors
+    and is only for a negative control's private instance.
+    """
+
+    def __init__(self, datum, order, r_coeff=2):
+        self.datum = datum
+        self.order = order
+        self.r_coeff = r_coeff
+        self._units = {}
+        self.lusztig_r = _LusztigMap(datum, order, "r", self.unit)
+        self.lusztig_l = _LusztigMap(datum, order, "l", self.unit)
+
+    def unit(self, i):
+        u = self._units.get(i)
+        if u is None:
+            u = self._units[i] = unit_factor(self.datum, i, self.order, self.r_coeff)
+        return u
+
+
+def context(datum, order):
+    """The shared :class:`Context` of ``datum`` at working order ``order``."""
+    return datum.memo(("context", order), lambda: Context(datum, order))
+
+
 def lusztig_r(h, order):
     """Right Lusztig morphism at the given working order."""
-    return _LusztigMap(h.datum, order, "r")(h)
+    return context(h.datum, order).lusztig_r(h)
 
 
 def lusztig_l(h, order):
     """Left Lusztig morphism at the given working order."""
-    return _LusztigMap(h.datum, order, "l")(h)
+    return context(h.datum, order).lusztig_l(h)
 
 
 def pipeline_K(h, order, guard=DEFAULT_GUARD, conjugate=True):
@@ -136,14 +173,9 @@ def pipeline_K(h, order, guard=DEFAULT_GUARD, conjugate=True):
     Internally works at order + guard and truncates back.  ``conjugate``
     exists only for the verifier's dropped-conjugation negative control.
     """
-    datum = h.datum
-    work = order + guard
-    kd = koszul_map(datum)(h)
-    kd = duality_map(datum)(kd)
-    kd = parity_map(datum)(kd)
-    img = lusztig_r(kd, work)
+    img = lusztig_r(pipeline_K_h(h.datum, h), order + guard)
     if conjugate:
-        img = conj_eB(img, todd_eB(datum, work))
+        img = conj_eB(img)
     return img.truncate(order)
 
 
@@ -172,13 +204,11 @@ def difference_times_scriptG(datum, i, x, order):
     """
     n = datum.rank
     s = datum.simple(i)
-    from .root_datum import apply as w_apply
-
     a_form = diff(datum.simple_roots[i])
     shifted = LinearForm(list(a_form.coeffs[:-1]) + [2])
     one_hi = FormalSeries.one(n + 1, order + 1)
     ex = fs_exp(FormalSeries.from_linear(diff(x), order + 1))
-    esx = fs_exp(FormalSeries.from_linear(diff(w_apply(s, x)), order + 1))
+    esx = fs_exp(FormalSeries.from_linear(diff(apply(s, x)), order + 1))
     quotient = fs_div_linear(ex - esx, a_form)
     den = fs_div_linear(fs_exp(FormalSeries.from_linear(a_form, order + 1)) - one_hi, a_form)
     last = fs_exp(FormalSeries.from_linear(shifted, order)) - FormalSeries.one(n + 1, order)

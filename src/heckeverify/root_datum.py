@@ -72,8 +72,10 @@ def _identity_matrix(n):
 class RootDatum:
     """Root datum of a semisimple simply connected group, rank n.
 
-    Built by :func:`build_root_datum`; immutable afterwards and safe to
-    share across threads.
+    Built by :func:`build_root_datum`; immutable afterwards apart from
+    :meth:`memo`, a store of derived values filled on first use.  Threads
+    may share a datum: two first uses of one key may each build the value,
+    and the copies are equal.
     """
 
     def __init__(self, cartan, weyl_bound=10**6):
@@ -100,6 +102,7 @@ class RootDatum:
         self._simple_matrices = tuple(self._reflection_matrix(i) for i in range(n))
         self._enumerate_weyl(weyl_bound)
         self._compute_positive_roots()
+        self._memo = {}
 
     def _reflection_matrix(self, i):
         n = self.rank
@@ -176,6 +179,19 @@ class RootDatum:
                     f = aug[r][col]
                     aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
         return tuple(aug[i][n] for i in range(n))
+
+    def memo(self, key, build):
+        """The value stored under ``key``, made by ``build()`` on first use.
+
+        Values that depend only on the datum (and on what ``key`` names)
+        are built once per datum and shared by every caller, who must not
+        mutate them.  The store hangs off the datum itself, so it is freed
+        with the datum even though the values refer back to it.
+        """
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     # -- group operations ------------------------------------------------
 

@@ -12,6 +12,7 @@ polynomial coefficients rationals of height at most 8.
 """
 
 import json
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,20 +21,25 @@ from .affine_hecke import (
     AsphElement,
     HeckeElement,
     asph_act_left,
-    duality_map,
     h_mul,
-    koszul_map,
-    parity_map,
+    k_side_maps,
 )
-from .formal_series import FormalSeries, diff, fs_inv, fs_weyl
+from .formal_series import (
+    FormalSeries,
+    LinearForm,
+    diff,
+    fs_exp,
+    fs_set_r_zero,
+    fs_weyl,
+)
 from .graded_hecke import (
     GradedAsphElement,
     GradedElement,
+    conj_eB,
     demazure_series,
     fourier_map,
     g_asph_act,
     gh_mul,
-    todd_eB,
 )
 from .lattice_algebra import (
     GroupAlgebraElement,
@@ -44,16 +50,17 @@ from .lattice_algebra import (
     mul_by_scriptG,
 )
 from .lusztig import (
-    _LusztigMap,
+    Context,
+    context,
     difference_times_scriptG,
     lusztig_l,
-    lusztig_r,
     pipeline_H,
     pipeline_K,
     series_of_group_algebra,
     transport,
     unit_factor,
 )
+from .root_datum import apply, build_root_datum
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -91,6 +98,16 @@ def _run(name, datum_desc, order, guard, seed, body):
         status = "error"
     elapsed = (time.perf_counter() - t0) * 1000.0
     return CheckReport(name, status, datum_desc, order, guard, seed, elapsed, witness)
+
+
+def _private_copy(datum):
+    """A fresh datum equal to ``datum``, for a negative control.
+
+    Everything a corrupted run builds and caches hangs off the copy and is
+    freed with it, so a control never reads or writes the shared context
+    of ``datum``, and no clean check can see what a control built.
+    """
+    return build_root_datum(datum.cartan)
 
 
 # -- random sampling -------------------------------------------------------
@@ -169,10 +186,11 @@ def check_presentation(datum, seed=0, order=6, datum_desc=None,
     script-G reformulation.  Graded side: t_s^2 = 1, braid relations, and
     the divided-difference commutation rule, at the given order.
     """
-    import random
     rng = random.Random(seed)
     n = datum.rank
     desc = datum_desc or {}
+    if _bernstein_sign != 1:
+        datum = _private_copy(datum)
 
     def body():
         one = HeckeElement.one(datum)
@@ -200,7 +218,6 @@ def check_presentation(datum, seed=0, order=6, datum_desc=None,
             s = datum.simple(i)
             lhs = h_mul(HeckeElement.Ts(datum, i), HeckeElement.theta(datum, x),
                         _bernstein_sign)
-            from .root_datum import apply
             sx = apply(s, x)
             rhs = HeckeElement.theta(datum, sx) * HeckeElement.Ts(datum, i) + \
                 HeckeElement(datum, {datum.identity: demazure_quotient(datum, x, i).scale(
@@ -248,15 +265,17 @@ def check_morphisms(datum, order=6, seed=0, guard=2, datum_desc=None,
                     _unit_r_coeff=2):
     """Relation images vanish under both Lusztig morphisms; the four
     involutive maps are multiplicative."""
-    import random
     rng = random.Random(seed)
     n = datum.rank
     desc = datum_desc or {}
     work = order + guard
+    if _unit_r_coeff != 2:
+        datum = _private_copy(datum)
 
     def body():
-        for side, lmap in (("r", _LusztigMap(datum, work, "r", _unit_r_coeff)),
-                           ("l", _LusztigMap(datum, work, "l", _unit_r_coeff))):
+        ctx = (context(datum, work) if _unit_r_coeff == 2
+               else Context(datum, work, _unit_r_coeff))
+        for side, lmap in (("r", ctx.lusztig_r), ("l", ctx.lusztig_l)):
             one = GradedElement.one(datum, work)
             for i in range(n):
                 ts = lmap(HeckeElement.Ts(datum, i))
@@ -280,7 +299,6 @@ def check_morphisms(datum, order=6, seed=0, guard=2, datum_desc=None,
             for _ in range(50):
                 x = rand_weight(rng, n)
                 i = rng.randrange(n)
-                from .root_datum import apply
                 sx = apply(datum.simple(i), x)
                 lhs = gh_mul(lmap(HeckeElement.Ts(datum, i)), lmap(HeckeElement.theta(datum, x)))
                 rhs = gh_mul(lmap(HeckeElement.theta(datum, sx)), lmap(HeckeElement.Ts(datum, i))) + \
@@ -290,9 +308,7 @@ def check_morphisms(datum, order=6, seed=0, guard=2, datum_desc=None,
                 if not lhs.eq(rhs, order):
                     return "L_%s image of Bernstein relation fails at x=%r, i=%d" % (side, x, i)
         # multiplicativity of the four involutive maps
-        for name, fmap in (("koszul", koszul_map(datum)),
-                           ("duality", duality_map(datum)),
-                           ("parity", parity_map(datum))):
+        for name, fmap in zip(("koszul", "duality", "parity"), k_side_maps(datum)):
             for _ in range(50):
                 a = rand_hecke(rng, datum)
                 b = rand_hecke(rng, datum)
@@ -312,9 +328,10 @@ def check_diagram(datum, order=6, seed=0, guard=2, datum_desc=None,
                   _conjugate=True):
     """The two routes around the main diagram agree on generators and on
     random degree-two products, modulo degree > order."""
-    import random
     rng = random.Random(seed)
     desc = datum_desc or {}
+    if not _conjugate:
+        datum = _private_copy(datum)
 
     def body():
         gens = hecke_generators(datum)
@@ -337,7 +354,7 @@ def check_diagram(datum, order=6, seed=0, guard=2, datum_desc=None,
 def check_display_identity(datum, order=6, simple_index=None, guard=2,
                            datum_desc=None, _flip_rho=False):
     """Standalone graded-algebra identity equivalent to the diagram on
-    1 + T_s, computed without the pipeline machinery:
+    1 + T_s, computed without the Lusztig or K-side maps:
 
         u_minus(alpha) (1 - t_s)
           = 1 - exp(-rho. - 2r) e_B ((t_s+1) u_plus(alpha) - 1) e_B^{-1} exp(rho.)
@@ -345,14 +362,15 @@ def check_display_identity(datum, order=6, simple_index=None, guard=2,
     with u_plus/minus the unit factors with r-coefficient +-2.  Also checks
     the r = 0 specialization of both sides.
     """
-    from .formal_series import LinearForm, fs_exp, fs_set_r_zero
     desc = datum_desc or {}
     n = datum.rank
     work = order + guard
     indices = range(n) if simple_index is None else [simple_index]
+    if _flip_rho:
+        datum = _private_copy(datum)
 
     def body():
-        eB = todd_eB(datum, work)
+        ctx = context(datum, work)
         rho_form = diff(datum.rho)
         rho_sign = -1 if _flip_rho else 1
         exp_rho = fs_exp(FormalSeries.from_linear(
@@ -362,12 +380,11 @@ def check_display_identity(datum, order=6, simple_index=None, guard=2,
         one = GradedElement.one(datum, work)
         for i in indices:
             u_minus = unit_factor(datum, i, work, r_coeff=-2)
-            u_plus = unit_factor(datum, i, work, r_coeff=2)
+            u_plus = ctx.unit(i)
             ts = GradedElement.ts(datum, i, work)
             lhs = gh_mul(GradedElement.series(datum, u_minus), one - ts)
             inner = gh_mul(ts + one, GradedElement.series(datum, u_plus)) - one
-            conj = gh_mul(GradedElement.series(datum, eB),
-                          gh_mul(inner, GradedElement.series(datum, fs_inv(eB))))
+            conj = conj_eB(inner)
             rhs = one - gh_mul(
                 GradedElement.series(datum, exp_neg_rho_2r),
                 gh_mul(conj, GradedElement.series(datum, exp_rho)))
@@ -394,11 +411,12 @@ def check_modules(datum, order=6, seed=0, guard=2, datum_desc=None,
     transport(h . m) = L_l(h) . transport(m), and the action of
     L_l(1 + T_s) on exp(x-dot) . 1 against its closed form.
     """
-    import random
     rng = random.Random(seed)
     n = datum.rank
     desc = datum_desc or {}
     work = order + guard
+    if _sign_value != -1:
+        datum = _private_copy(datum)
 
     def body():
         one = HeckeElement.one(datum)

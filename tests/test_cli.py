@@ -3,6 +3,7 @@ import json
 import pytest
 
 from heckeverify import cli
+from heckeverify.root_datum import cartan_matrix
 from heckeverify.verify import CheckReport
 
 
@@ -136,3 +137,60 @@ def test_order_one_and_guard_zero_are_accepted(capsys):
                            "--guard", "0", "--suite", "diagram", "--format", "json")
     assert code == 0
     assert json.loads(out)["checks"][0]["status"] == "pass"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("--type", "G2"), "G2"),
+    (("--type", "g2", "--rank", "2"), "G2"),
+    (("--type", "G", "--rank", "2"), "G2"),
+    (("--type", "F4"), "F4"),
+    (("--type", "F", "--rank", "4"), "F4"),
+    (("--type", "C", "--rank", "3"), "C3"),
+])
+def test_datum_type_names_family_and_rank(monkeypatch, capsys, argv, name):
+    monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: [])
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["datum"]["type"] == name
+    assert doc["datum"]["rank"] == int(name[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ("--type", "G2", "--rank", "5"),
+    ("--type", "G", "--rank", "3"),
+    ("--type", "F4", "--rank", "2"),
+])
+def test_rank_contradicting_the_family_is_usage_error(monkeypatch, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("suites ran on rejected arguments")
+    monkeypatch.setattr(cli, "run_suites", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage" in err and "--rank" in err
+
+
+def test_nonsymmetric_cartan_file_matches_its_family(tmp_path, capsys):
+    # The transpose of the B2 matrix is the C2 matrix, so every check must
+    # come out as it does for --type C --rank 2.
+    b2 = cartan_matrix("B", 2)
+    path = tmp_path / "b2t.txt"
+    path.write_text("2\n" + "\n".join(" ".join(str(b2[j][i]) for j in range(2))
+                                      for i in range(2)) + "\n")
+    common = ("--order", "3", "--suite", "presentation", "--suite", "diagram",
+              "--suite", "display", "--suite", "modules", "--format", "json")
+
+    def checks(*argv):
+        code, out, _ = run_cli(capsys, *argv, *common)
+        assert code == 0
+        doc = json.loads(out)
+        for chk in doc["checks"]:
+            chk.pop("elapsed_ms")
+        return doc
+
+    custom = checks("--cartan-file", str(path))
+    family = checks("--type", "C", "--rank", "2")
+    assert custom["datum"]["cartan"] == family["datum"]["cartan"] == [[2, -2], [-1, 2]]
+    assert custom["checks"] == family["checks"]
+    assert [c["status"] for c in family["checks"]] == ["pass"] * 4

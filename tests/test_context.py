@@ -1,0 +1,167 @@
+"""Soundness of the per-(datum, order) context and the per-datum store.
+
+Values built once and shared must not change what any check computes:
+not across controls and clean runs, not across orders, not by a caller
+mutating a shared value, and the store must die with its datum.
+"""
+
+import gc
+import json
+import pathlib
+import weakref
+
+import pytest
+
+from heckeverify import affine_hecke, graded_hecke, lusztig
+from heckeverify.affine_hecke import HeckeElement, h_mul
+from heckeverify.lusztig import context, pipeline_H, pipeline_K
+from heckeverify.root_datum import RootDatum, build_root_datum, cartan_matrix
+from heckeverify.verify import (
+    check_diagram,
+    check_display_identity,
+    check_modules,
+    check_morphisms,
+    check_presentation,
+    hecke_generators,
+    run_suites,
+)
+
+CONTROLS = json.loads(
+    (pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "golden"
+     / "controls.json").read_text())
+
+ORDER = 5
+
+
+def _snapshot(value):
+    """The reprs of everything reachable from a stored value, as nested data."""
+    if isinstance(value, dict):
+        return {repr(k): _snapshot(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_snapshot(v) for v in value]
+    if (hasattr(value, "__dict__") and not isinstance(value, RootDatum)
+            and type(value).__module__.startswith("heckeverify.")):
+        return {k: _snapshot(v) for k, v in vars(value).items()}
+    return repr(value)
+
+
+def _controls():
+    """(control name, clean run, corrupted run) on B2 at order 5, seed 0."""
+    return [
+        ("_bernstein_sign=-1",
+         lambda d: check_presentation(d, seed=0, order=ORDER),
+         lambda d: check_presentation(d, seed=0, order=ORDER, _bernstein_sign=-1)),
+        ("_unit_r_coeff=3",
+         lambda d: check_morphisms(d, order=ORDER, seed=0),
+         lambda d: check_morphisms(d, order=ORDER, seed=0, _unit_r_coeff=3)),
+        ("_conjugate=False",
+         lambda d: check_diagram(d, order=ORDER, seed=0),
+         lambda d: check_diagram(d, order=ORDER, seed=0, _conjugate=False)),
+        ("_flip_rho=True",
+         lambda d: check_display_identity(d, order=ORDER),
+         lambda d: check_display_identity(d, order=ORDER, _flip_rho=True)),
+        ("_sign_value=1",
+         lambda d: check_modules(d, order=ORDER, seed=0),
+         lambda d: check_modules(d, order=ORDER, seed=0, _sign_value=1)),
+    ]
+
+
+def test_controls_and_clean_runs_share_a_datum():
+    datum = build_root_datum(cartan_matrix("B", 2))
+    golden = {c["control"]: c for c in CONTROLS}
+
+    def control(name, corrupted):
+        want = golden[name]
+        store = _snapshot(datum._memo)
+        rep = corrupted(datum)
+        assert (rep.name, rep.status, rep.witness) == (
+            want["check"], "fail", want["witness"]), name
+        # a control builds on its own copy of the datum: the shared store
+        # neither grows nor changes
+        assert _snapshot(datum._memo) == store, name
+
+    for name, clean, corrupted in _controls():
+        control(name, corrupted)
+        rep = clean(datum)
+        assert rep.status == "pass", (name, rep.witness)
+        control(name, corrupted)
+
+
+def test_controls_leave_the_store_of_a_fresh_datum_empty():
+    for name, _, corrupted in _controls():
+        datum = build_root_datum(cartan_matrix("B", 2))
+        assert corrupted(datum).status == "fail", name
+        assert datum._memo == {}, name
+
+
+def _cases(datum):
+    gens = hecke_generators(datum)
+    return [h for _, h in gens] + [h_mul(gens[-1][1], g) for _, g in gens]
+
+
+def test_pipelines_across_orders_equal_a_fresh_datum():
+    datum = build_root_datum(cartan_matrix("B", 2))
+    for order in (3, 5, 3):
+        fresh = build_root_datum(cartan_matrix("B", 2))
+        for h, h_fresh in zip(_cases(datum), _cases(fresh)):
+            for route in (pipeline_K, pipeline_H):
+                got, want = route(h, order), route(h_fresh, order)
+                assert got.order == want.order == order
+                assert repr(got) == repr(want)
+
+
+def _assert_kept(before, after, path="store"):
+    """Every value in ``before`` is unchanged in ``after``; caches may grow."""
+    if isinstance(before, dict):
+        for k, v in before.items():
+            assert k in after, "%s[%s] disappeared" % (path, k)
+            _assert_kept(v, after[k], "%s[%s]" % (path, k))
+    elif isinstance(before, list):
+        assert len(before) == len(after), path
+        for i, (u, v) in enumerate(zip(before, after)):
+            _assert_kept(u, v, "%s[%d]" % (path, i))
+    else:
+        assert before == after, path
+
+
+def test_no_caller_mutates_a_shared_value():
+    datum = build_root_datum(cartan_matrix("A", 2))
+    run_suites(datum, ["all"], order=3)
+    before = _snapshot(datum._memo)
+    assert ("context", 5) in datum._memo and ("conj_eB", 5) in datum._memo
+    reps = run_suites(datum, ["all"], order=3, seed=1)
+    assert all(rep.status == "pass" for rep in reps)
+    _assert_kept(before, _snapshot(datum._memo))
+
+
+def test_store_dies_with_its_datum():
+    datum = build_root_datum(cartan_matrix("A", 2))
+    pipeline_K(HeckeElement.Ts(datum, 0), 3)
+    refs = [weakref.ref(datum), weakref.ref(context(datum, 5)),
+            weakref.ref(datum._memo[("conj_eB", 5)])]
+    del datum
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count calls of the builders the context is meant to run once."""
+    counts = {}
+    for module, name in ((graded_hecke, "todd_eB"), (lusztig, "unit_factor"),
+                         (affine_hecke, "koszul_map"), (affine_hecke, "duality_map"),
+                         (affine_hecke, "parity_map")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_each_constant_is_built_once_per_datum_and_order(calls):
+    datum = build_root_datum(cartan_matrix("B", 2))
+    assert context(datum, 5) is context(datum, 5)
+    for _ in range(2):
+        assert check_diagram(datum, order=3, seed=0).status == "pass"
+    assert calls == {"todd_eB": 1, "unit_factor": 2, "koszul_map": 1,
+                     "duality_map": 1, "parity_map": 1}

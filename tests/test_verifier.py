@@ -28,6 +28,22 @@ def test_each_suite_passes_on_rank_one(suite):
     assert rep.name == suite
 
 
+# G2 at order 3, B3 and C3 at order 2: non-simply-laced and rank three,
+# where the row/column convention of the Cartan matrix matters.  The
+# morphisms suite is left out: on G2 at order 3 it takes about a minute.
+OTHER_TYPES = [("G", 2, 3), ("B", 3, 2), ("C", 3, 2)]
+OTHER_DATA = {(family, rank): build_root_datum(cartan_matrix(family, rank))
+              for family, rank, _ in OTHER_TYPES}
+
+
+@pytest.mark.parametrize("suite", ["presentation", "diagram", "display", "modules"])
+@pytest.mark.parametrize("family, rank, order", OTHER_TYPES)
+def test_suite_passes_on_other_types(family, rank, order, suite):
+    datum = OTHER_DATA[(family, rank)]
+    (rep,) = run_suites(datum, [suite], order=order, guard=2, seed=0)
+    assert rep.status == "pass", rep.witness
+
+
 def test_run_all_is_every_suite_sorted():
     reps = run_suites(A1, ["all"], order=4, guard=2, seed=0, datum_desc=DESC)
     assert [rep.name for rep in reps] == sorted(SUITES)
