@@ -27,7 +27,10 @@ from .lattice_algebra import (
     LaurentScalar,
     LS_ONE,
     LS_V2,
-    demazure_quotient,
+    add_product,
+    add_scaled,
+    demazure_terms,
+    from_plain,
 )
 
 LS_V2M1 = LaurentScalar({2: 1, 0: -1})        # v^2 - 1
@@ -126,12 +129,30 @@ class HeckeElement:
         return " + ".join(parts)
 
 
-def _demazure_linear(datum, ga, i):
-    """Dem_s extended linearly over Z[v,v^-1] coefficients."""
-    out = GroupAlgebraElement()
+def _slot(plain, key):
+    """The accumulator dict stored under ``key`` (a Weyl element or a weight)."""
+    acc = plain.get(key)
+    if acc is None:
+        acc = plain[key] = {}
+    return acc
+
+
+def _from_plain(datum, plain):
+    """The HeckeElement of {w: plain-form coefficient}, zeros dropped."""
+    return HeckeElement(datum, {w: from_plain(acc) for w, acc in plain.items()})
+
+
+def _demazure_linear(datum, ga, i, acc, scalar):
+    """acc += scalar * Dem_s(ga): Dem_s extended linearly, on the plain form."""
+    factor = tuple(scalar.coeffs.items())
     for x, c in ga.coeffs.items():
-        out = out + demazure_quotient(datum, x, i).scale(c)
-    return out
+        terms = [(k1 + k2, c1 * c2) for k1, c1 in c.coeffs.items() for k2, c2 in factor]
+        for y, sign in demazure_terms(datum, x, i):
+            slot = _slot(acc, y)
+            get = slot.get
+            for k, v in terms:
+                slot[k] = get(k, 0) + sign * v
+    return acc
 
 
 def _left_mul_ts(datum, i, elem, bernstein_sign=1):
@@ -141,47 +162,37 @@ def _left_mul_ts(datum, i, elem, bernstein_sign=1):
     flip the sign of the (v^2-1) term.
     """
     s = datum.simple(i)
+    dem_scalar = LS_V2M1 if bernstein_sign >= 0 else -LS_V2M1
     out = {}
-
-    def add(w, c):
-        if not c:
-            return
-        prev = out.get(w)
-        new = c if prev is None else prev + c
-        if new:
-            out[w] = new
-        else:
-            out.pop(w, None)
-
     for w, c in elem.coeffs.items():
-        sc = c.weyl_apply(s)
-        dem = _demazure_linear(datum, c, i).scale(LS_V2M1)
-        if bernstein_sign < 0:
-            dem = -dem
+        sc = c.weyl_apply(s).coeffs.items()
         sw = datum.left_mul(i, w)
         if sw.length == w.length + 1:
-            add(sw, sc)
+            add_scaled(_slot(out, sw), sc)
         else:
-            add(w, sc.scale(LS_V2M1))
-            add(sw, sc.scale(LS_V2))
-        add(w, dem)
-    return HeckeElement(datum, out)
+            add_scaled(_slot(out, w), sc, LS_V2M1)
+            add_scaled(_slot(out, sw), sc, LS_V2)
+        _demazure_linear(datum, c, i, _slot(out, w), dem_scalar)
+    return _from_plain(datum, out)
+
+
+def _product_terms(a, b, bernstein_sign):
+    """The triples (u, a_w, c) with a * b = sum a_w c T_u, c T_u a term of T_w b."""
+    datum = a.datum
+    for w, aw in a.coeffs.items():
+        tw_b = b
+        for i in reversed(w.word):
+            tw_b = _left_mul_ts(datum, i, tw_b, bernstein_sign)
+        for u, c in tw_b.coeffs.items():
+            yield u, aw, c
 
 
 def h_mul(a, b, bernstein_sign=1):
     """Product in normal form."""
-    datum = a.datum
-    out = HeckeElement.zero(datum)
-    cache = {}
-    for w, aw in a.coeffs.items():
-        tw_b = cache.get(w)
-        if tw_b is None:
-            tw_b = b
-            for i in reversed(w.word):
-                tw_b = _left_mul_ts(datum, i, tw_b, bernstein_sign)
-            cache[w] = tw_b
-        out = out + tw_b.scale_left(aw)
-    return out
+    out = {}
+    for u, aw, c in _product_terms(a, b, bernstein_sign):
+        add_product(_slot(out, u), aw, c)
+    return _from_plain(a.datum, out)
 
 
 def ts_inverse(datum, i):
@@ -210,23 +221,36 @@ class _GeneratorMap:
         self.sign = sign
         self.negate_weights = negate_weights
         self.ts_image = ts_image  # callable i -> HeckeElement
-        self._tw_cache = {}
+        self._ts = {}
+        self._tw = {datum.identity: HeckeElement.one(datum)}
+
+    def _image_of_ts(self, i):
+        img = self._ts.get(i)
+        if img is None:
+            img = self._ts[i] = self.ts_image(i)
+        return img
 
     def _image_of_tw(self, w):
-        img = self._tw_cache.get(w)
+        """Image of T_w as image(T_{w s_i}) * image(T_{s_i}), i the last letter.
+
+        The stored reduced words are prefix-closed (the Weyl group is
+        enumerated by right multiplication), so w s_i carries the word of w
+        without its last letter and this is the letter-by-letter product.
+        """
+        img = self._tw.get(w)
         if img is None:
-            img = HeckeElement.one(self.datum)
-            for i in w.word:
-                img = h_mul(img, self.ts_image(i))
-            self._tw_cache[w] = img
+            i = w.word[-1]
+            prefix = self.datum.mul(w, self.datum.simple(i))
+            img = self._tw[w] = h_mul(self._image_of_tw(prefix), self._image_of_ts(i))
         return img
 
     def __call__(self, elem):
-        out = HeckeElement.zero(self.datum)
+        out = {}
         for w, c in elem.coeffs.items():
             cimg = c.substitute(self.vexp_image, self.sign, self.negate_weights)
-            out = out + self._image_of_tw(w).scale_left(cimg)
-        return out
+            for u, cu in self._image_of_tw(w).coeffs.items():
+                add_product(_slot(out, u), cimg, cu)
+        return _from_plain(self.datum, out)
 
 
 def koszul_map(datum):
@@ -315,11 +339,7 @@ def asph_act_left(a, m, sign_value=-1):
     """
     datum = a.datum
     lifted = HeckeElement(datum, {datum.identity: m.value})
-    prod = h_mul(a, lifted)
-    total = GroupAlgebraElement()
-    for w, c in prod.coeffs.items():
-        if sign_value == -1 and w.length % 2:
-            total = total - c
-        else:
-            total = total + c
-    return AsphElement(datum, total)
+    total = {}
+    for w, aw, c in _product_terms(a, lifted, 1):
+        add_product(total, aw, c, -1 if sign_value == -1 and w.length % 2 else 1)
+    return AsphElement(datum, from_plain(total))

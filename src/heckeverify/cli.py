@@ -7,8 +7,10 @@ every check passed, 1 if any failed, 2 on usage or carrier errors.
 """
 
 import argparse
+import os
 import sys
 
+from .formal_series import MAX_ORDER
 from .root_datum import InvalidCartan, WeylTooLarge, build_root_datum, \
     cartan_matrix, read_cartan_file
 from .verify import report_json, report_text, run_suites, SUITES
@@ -44,6 +46,14 @@ def run(argv=None):
             parser.error("--order must be at least 1, got %d" % args.order)
         if args.guard < 0:
             parser.error("--guard must be at least 0, got %d" % args.guard)
+        if args.order + args.guard >= MAX_ORDER:
+            parser.error("--order plus --guard must be below %d, got %d"
+                         % (MAX_ORDER, args.order + args.guard))
+        if args.out:
+            folder = os.path.dirname(os.path.abspath(args.out))
+            if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+                parser.error("--out %s: directory %s is missing or not writable"
+                             % (args.out, folder))
         fixed = FIXED_RANK.get(args.family.upper()) if args.family else None
         if fixed is not None:
             if args.rank not in (None, fixed):

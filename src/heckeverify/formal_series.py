@@ -8,13 +8,24 @@ series carries an ``order``: coefficients are trusted for total degree <=
 order and discarded above it.
 
 Representation: one positive ``int`` denominator ``den`` shared by every
-coefficient, plus a dict ``nums`` from exponent tuple to nonzero ``int``
-numerator.  It is kept canonical: gcd(den, *nums) == 1, and den == 1 for
-the zero series, so two series are equal exactly when their orders, dens
-and nums are equal.  All arithmetic runs on the integer numerators;
-``fractions.Fraction`` appears only at the boundaries: the constructor,
-``repr``, ``constant_term`` and the read-only ``coeffs`` mapping from
-exponent to Fraction.  ``eq`` compares by cross-multiplication.
+coefficient, plus a dict ``terms`` from packed monomial key to nonzero
+``int`` numerator.  A key packs the exponent tuple into FIELD_BITS-bit
+fields, y_1 highest and r lowest, with the total degree in a field above
+them all:
+
+    key(e) = deg(e) << (FIELD_BITS * nvars) | e_1 << ... | e_r,
+
+so multiplying monomials is adding keys, the degree of a term is one
+shift, and keys sort as (degree, exponent tuple).  No field can carry
+into the next because no order above MAX_ORDER is accepted, and every
+stored exponent and degree is at most the order.  The series is kept
+canonical: gcd(den, *terms) == 1, and den == 1 for the zero series, so two
+series are equal exactly when their orders, dens and terms are equal.
+All arithmetic runs on the integer numerators; exponent tuples and
+``fractions.Fraction`` appear only at the boundaries: the constructor,
+``repr``, ``constant_term``, error messages, ``nums`` (exponent tuple to
+numerator) and the read-only ``coeffs`` mapping from exponent tuple to
+Fraction.  ``eq`` compares by cross-multiplication.
 
 Precision bookkeeping is deliberately pessimistic and mechanical:
 
@@ -40,9 +51,12 @@ upstream.  The Weyl action is a linear substitution, which keeps degrees.
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 
 from .root_datum import apply
+
+FIELD_BITS = 8                          # one byte: _pack and _unpack go through bytes
+MAX_ORDER = (1 << FIELD_BITS) - 1
+_FIELD = MAX_ORDER                      # mask of one field
 
 
 class NonzeroConstantTerm(ValueError):
@@ -59,6 +73,34 @@ class NotDivisible(ArithmeticError):
 
 class InsufficientPrecision(ValueError):
     """A comparison asked for degrees above the order a series trusts."""
+
+
+class OrderTooLarge(ValueError):
+    """An order above MAX_ORDER would overflow the packed exponent fields."""
+
+
+def _check_order(order):
+    if order > MAX_ORDER:
+        raise OrderTooLarge("order %d does not fit the %d-bit exponent fields "
+                            "(at most %d)" % (order, FIELD_BITS, MAX_ORDER))
+
+
+def _pack(exp, nvars):
+    """The key of an exponent tuple of length ``nvars`` and degree <= MAX_ORDER."""
+    exp = tuple(exp)
+    if len(exp) != nvars or min(exp, default=0) < 0:
+        raise ValueError("exponent %r is not %d nonnegative integers" % (exp, nvars))
+    return int.from_bytes(bytes((sum(exp),) + exp), "big")
+
+
+def _unpack(key, nvars):
+    """The exponent tuple of a key (FIELD_BITS is one byte per field)."""
+    return tuple(key.to_bytes(nvars + 1, "big")[1:])
+
+
+def _unit(nvars, i):
+    """The key of the i-th variable; adding it raises that exponent by one."""
+    return (1 << FIELD_BITS * nvars) | (1 << FIELD_BITS * (nvars - 1 - i))
 
 
 def _exact(c):
@@ -100,57 +142,64 @@ def diff(x):
 
 
 class _Coefficients(Mapping):
-    """Read-only view {exponent: Fraction} of a series' numerators."""
+    """Read-only view {exponent tuple: Fraction} of a series' numerators."""
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_terms", "_den", "_nvars")
 
-    def __init__(self, nums, den):
-        self._nums = nums
+    def __init__(self, terms, den, nvars):
+        self._terms = terms
         self._den = den
+        self._nvars = nvars
 
     def __getitem__(self, exp):
-        return Fraction(self._nums[exp], self._den)
+        try:
+            key = _pack(exp, self._nvars)
+        except (TypeError, ValueError):
+            raise KeyError(exp) from None
+        return Fraction(self._terms[key], self._den)
 
     def __iter__(self):
-        return iter(self._nums)
+        nvars = self._nvars
+        return (_unpack(key, nvars) for key in self._terms)
 
     def __len__(self):
-        return len(self._nums)
+        return len(self._terms)
 
     def __repr__(self):
         return repr(dict(self))
 
 
-def _series(nvars, order, den, nums):
-    """The canonical series nums/den: zero numerators dropped, fraction reduced.
+def _series(nvars, order, den, terms):
+    """The canonical series terms/den: zero numerators dropped, fraction reduced.
 
-    Takes ownership of ``nums``; ``den`` may be any nonzero int.
+    Takes ownership of ``terms``; ``den`` may be any nonzero int.
     """
-    if 0 in nums.values():
-        nums = {e: c for e, c in nums.items() if c}
+    if 0 in terms.values():
+        terms = {e: c for e, c in terms.items() if c}
     if den < 0:
         den = -den
-        nums = {e: -c for e, c in nums.items()}
-    if not nums:
+        terms = {e: -c for e, c in terms.items()}
+    if not terms:
         den = 1
     elif den != 1:
-        g = gcd(den, *nums.values())
+        g = gcd(den, *terms.values())
         if g != 1:
             den //= g
-            nums = {e: c // g for e, c in nums.items()}
+            terms = {e: c // g for e, c in terms.items()}
     res = FormalSeries.__new__(FormalSeries)
     res.nvars = nvars
     res.order = order
     res.den = den
-    res.nums = nums
+    res.terms = terms
     return res
 
 
-def _components(nums, order):
+def _components(terms, order, nvars):
     """The homogeneous components of degree 0..order, as a list of dicts."""
     comps = [{} for _ in range(order + 1)]
-    for e, c in nums.items():
-        d = sum(e)
+    shift = FIELD_BITS * nvars
+    for e, c in terms.items():
+        d = e >> shift
         if d <= order:
             comps[d][e] = c
     return comps
@@ -162,16 +211,17 @@ def _mul_add(acc, a, b, factor=1):
     for e1, c1 in a.items():
         c1 *= factor
         for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             acc[e] = get(e, 0) + c1 * c2
 
 
 class FormalSeries:
     """Sparse truncated power series: int numerators over one denominator."""
 
-    __slots__ = ("nvars", "order", "den", "nums")
+    __slots__ = ("nvars", "order", "den", "terms")
 
     def __init__(self, nvars, order, coeffs=None):
+        _check_order(order)
         self.nvars = nvars      # n + 1 including the r slot
         self.order = order
         exact = {}
@@ -179,10 +229,10 @@ class FormalSeries:
             for exp, c in coeffs.items():
                 c = _exact(c)
                 if c and sum(exp) <= order:
-                    exact[tuple(exp)] = c
+                    exact[_pack(exp, nvars)] = c
         self.den = lcm(*(c.denominator for c in exact.values()))
-        self.nums = {e: c.numerator * (self.den // c.denominator)
-                     for e, c in exact.items()}
+        self.terms = {e: c.numerator * (self.den // c.denominator)
+                      for e, c in exact.items()}
 
     # -- constructors ----------------------------------------------------
 
@@ -196,7 +246,8 @@ class FormalSeries:
 
     @classmethod
     def one(cls, nvars, order):
-        return _series(nvars, order, 1, {(0,) * nvars: 1} if order >= 0 else {})
+        _check_order(order)
+        return _series(nvars, order, 1, {0: 1} if order >= 0 else {})
 
     @classmethod
     def variable(cls, nvars, order, index, coeff=1):
@@ -219,45 +270,52 @@ class FormalSeries:
     # -- basic structure -------------------------------------------------
 
     @property
+    def nums(self):
+        """Dict from exponent tuple to int numerator (a decoded copy)."""
+        nvars = self.nvars
+        return {_unpack(e, nvars): c for e, c in self.terms.items()}
+
+    @property
     def coeffs(self):
         """Read-only mapping from exponent tuple to Fraction coefficient."""
-        return _Coefficients(self.nums, self.den)
+        return _Coefficients(self.terms, self.den, self.nvars)
 
     def is_zero(self):
-        return not self.nums
+        return not self.terms
 
     def constant_term(self):
-        return Fraction(self.nums.get((0,) * self.nvars, 0), self.den)
+        return Fraction(self.terms.get(0, 0), self.den)
 
     def truncate(self, order):
         """Lower (never raise) the trusted order."""
         if order >= self.order:
             return self
+        limit = (order + 1) << FIELD_BITS * self.nvars
         return _series(self.nvars, order, self.den,
-                       {e: c for e, c in self.nums.items() if sum(e) <= order})
+                       {e: c for e, c in self.terms.items() if e < limit})
 
     def __add__(self, other):
         order = min(self.order, other.order)
         a, b = self.truncate(order), other.truncate(order)
         g = gcd(a.den, b.den)
         fa, fb = b.den // g, a.den // g
-        out = {e: c * fa for e, c in a.nums.items()}
+        out = {e: c * fa for e, c in a.terms.items()}
         get = out.get
-        for e, c in b.nums.items():
+        for e, c in b.terms.items():
             out[e] = get(e, 0) + c * fb
         return _series(self.nvars, order, a.den * fa, out)
 
     def __neg__(self):
         return _series(self.nvars, self.order, self.den,
-                       {e: -c for e, c in self.nums.items()})
+                       {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         order = min(self.order, other.order)
-        left = _components(self.nums, order)
-        right = _components(other.nums, order)
+        left = _components(self.terms, order, self.nvars)
+        right = _components(other.terms, order, self.nvars)
         out = {}
         for d1, a in enumerate(left):
             if a:
@@ -272,17 +330,18 @@ class FormalSeries:
             return FormalSeries.zero(self.nvars, self.order)
         num = value.numerator
         return _series(self.nvars, self.order, self.den * value.denominator,
-                       {e: c * num for e, c in self.nums.items()})
+                       {e: c * num for e, c in self.terms.items()})
 
     def mul_monomial(self, exp, coeff=1):
         """Multiply by a single exact monomial; the order RISES by its degree."""
         coeff = _exact(coeff)
         num = coeff.numerator
         exp = tuple(exp)
-        return _series(self.nvars, self.order + sum(exp),
-                       self.den * coeff.denominator,
-                       {tuple(map(add, e, exp)): c * num
-                        for e, c in self.nums.items()} if num else {})
+        order = self.order + sum(exp)
+        _check_order(order)
+        key = _pack(exp, self.nvars)
+        return _series(self.nvars, order, self.den * coeff.denominator,
+                       {e + key: c * num for e, c in self.terms.items()} if num else {})
 
     def eq(self, other, order=None):
         """Equality of all coefficients up to ``order``.
@@ -298,30 +357,51 @@ class FormalSeries:
                     % (order, cap))
             cap = order
         a, b = self.truncate(cap), other.truncate(cap)
-        return a.nums.keys() == b.nums.keys() and all(
-            c * b.den == b.nums[e] * a.den for e, c in a.nums.items())
+        return a.terms.keys() == b.terms.keys() and all(
+            c * b.den == b.terms[e] * a.den for e, c in a.terms.items())
 
     def __eq__(self, other):
         return (
             isinstance(other, FormalSeries)
+            and self.nvars == other.nvars
             and self.order == other.order
             and self.den == other.den
-            and self.nums == other.nums
+            and self.terms == other.terms
         )
 
     def __repr__(self):
-        if not self.nums:
+        if not self.terms:
             return "O(%d)" % (self.order + 1)
         names = ["y%d" % (i + 1) for i in range(self.nvars - 1)] + ["r"]
         parts = []
-        for e in sorted(self.nums, key=lambda t: (sum(t), t)):
-            c = Fraction(self.nums[e], self.den)
+        for key in sorted(self.terms):          # by (degree, exponent tuple)
+            c = Fraction(self.terms[key], self.den)
             mono = "*".join(
                 n if p == 1 else "%s^%d" % (n, p)
-                for n, p in zip(names, e) if p
+                for n, p in zip(names, _unpack(key, self.nvars)) if p
             )
             parts.append(str(c) if not mono else "%s*%s" % (c, mono))
         return " + ".join(parts) + " + O(%d)" % (self.order + 1)
+
+
+def fs_combination(nvars, order, pairs):
+    """sum of c * f over (int c, series f) in ``pairs``, at most at ``order``.
+
+    One pass over a common denominator, so the sum is reduced once
+    instead of once per term.
+    """
+    pairs = list(pairs)
+    order = min([order] + [f.order for _, f in pairs])
+    den = lcm(*(f.den for _, f in pairs))
+    limit = (order + 1) << FIELD_BITS * nvars
+    out = {}
+    get = out.get
+    for c, f in pairs:
+        c *= den // f.den
+        for e, v in f.terms.items():
+            if e < limit:
+                out[e] = get(e, 0) + c * v
+    return _series(nvars, order, den, out)
 
 
 # -- analytic operations --------------------------------------------------
@@ -335,11 +415,11 @@ def fs_exp(f):
 
         G_d = sum_j j N_j G_{d-j} den^(j-1) (d-1)!/(d-j)!
     """
-    if f.nums.get((0,) * f.nvars):
+    if f.terms.get(0):
         raise NonzeroConstantTerm("exp needs zero constant term, got %s" % f.constant_term())
     order, den = f.order, f.den
-    parts = _components(f.nums, order)
-    g = [{(0,) * f.nvars: 1}] if order >= 0 else []
+    parts = _components(f.terms, order, f.nvars)
+    g = [{0: 1}] if order >= 0 else []
     fact = 1
     for d in range(1, order + 1):
         acc = {}
@@ -371,12 +451,11 @@ def fs_inv(f):
     so 1/f = den sum_d Q_d c^(order-d) / c^(order+1).
     """
     order = f.order
-    zero = (0,) * f.nvars
-    c = f.nums.get(zero)
+    c = f.terms.get(0)
     if not c:
         raise NonUnit("inverse needs nonzero constant term")
-    parts = _components(f.nums, order)
-    q = [{zero: 1}]
+    parts = _components(f.terms, order, f.nvars)
+    q = [{0: 1}]
     for d in range(1, order + 1):
         acc = {}
         power = -1                      # -c^(j-1)
@@ -397,7 +476,8 @@ def fs_inv(f):
 def _homogeneous_div(comp, form, pivot):
     """a^D * comp / form for ``comp`` homogeneous of degree D, as int numerators.
 
-    ``form`` is a list of int coefficients and a = form[pivot].  Writing
+    ``comp`` is keyed by packed monomials, ``form`` is a list of int
+    coefficients, one per variable, and a = form[pivot].  Writing
     form = a y_p + M with M free of the pivot y_p, the quotient Q = sum_k
     Q_k y_p^k satisfies P_{k+1} = a Q_k + M Q_{k+1} on the y_p^(k+1) part
     of comp.  Solving from the top power down with R_k = a^(D-k) Q_k,
@@ -406,13 +486,17 @@ def _homogeneous_div(comp, form, pivot):
 
     needs no division, and R_{-1} = 0 is the divisibility condition.
     """
+    nvars = len(form)
     lead = form[pivot]
-    rest = [(i, c) for i, c in enumerate(form) if c and i != pivot]
-    degree = sum(next(iter(comp)))
-    top = max(e[pivot] for e in comp)
-    layers = [{} for _ in range(top + 1)]
-    for e, c in comp.items():
-        layers[e[pivot]][e] = c
+    down = _unit(nvars, pivot)
+    rest = [(_unit(nvars, i), c) for i, c in enumerate(form) if c and i != pivot]
+    degree = next(iter(comp)) >> FIELD_BITS * nvars
+    shift = FIELD_BITS * (nvars - 1 - pivot)
+    powers = [(e >> shift) & _FIELD for e in comp]
+    layers = [{} for _ in range(max(powers) + 1)]
+    for (e, c), p in zip(comp.items(), powers):
+        layers[p][e] = c
+    top = len(layers) - 1
     quo = {}
     carry = {}                          # M R_{k+1}, at pivot power k + 1
     for k in range(top - 1, -2, -1):
@@ -424,7 +508,7 @@ def _homogeneous_div(comp, form, pivot):
         if k < 0:
             left = [e for e, c in layer.items() if c]
             if left:
-                raise NotDivisible("nonzero remainder at %s" % (min(left),))
+                raise NotDivisible("nonzero remainder at %s" % (_unpack(min(left), nvars),))
             break
         carry = {}
         put = carry.get
@@ -432,10 +516,10 @@ def _homogeneous_div(comp, form, pivot):
         for e, c in layer.items():
             if not c:
                 continue
-            e = e[:pivot] + (e[pivot] - 1,) + e[pivot + 1:]
+            e -= down
             quo[e] = c * weight
-            for i, fc in rest:
-                me = e[:i] + (e[i] + 1,) + e[i + 1:]
+            for unit, fc in rest:
+                me = e + unit
                 carry[me] = put(me, 0) + c * fc
     return quo
 
@@ -448,7 +532,7 @@ def fs_div_linear(f, form):
     ints = [c.numerator * (fden // c.denominator) for c in form.coeffs]
     pivot = next(i for i, c in enumerate(ints) if c)
     lead = ints[pivot]
-    comps = _components(f.nums, f.order)
+    comps = _components(f.terms, f.order, f.nvars)
     if comps and comps[0]:
         raise NotDivisible("nonzero constant term %s" % f.constant_term())
     # component d of the quotient comes from component d + 1 of f; each is
@@ -467,27 +551,28 @@ class _WeylSubstitution:
     """The substitution y_i |-> differential of w(fundamental weight i).
 
     Built once per (datum, w) by :func:`fs_weyl`.  The image of a
-    y-monomial y^a is the product of the image forms; it is made on first
-    use, from the image of y^a with one power of its last variable
-    removed, and kept for every later series.
+    y-monomial y^a (a key with no r) is the product of the image forms; it
+    is made on first use, from the image of y^a with one power of its last
+    variable removed, and kept for every later series.
     """
 
     def __init__(self, datum, w):
         n = datum.rank
+        self.nvars = n + 1
+        self.units = [_unit(n + 1, i) for i in range(n)]
         self.forms = []
         for i in range(n):
             image = apply(w, tuple(1 if j == i else 0 for j in range(n)))
-            self.forms.append({tuple(1 if j == k else 0 for j in range(n + 1)): c
-                               for k, c in enumerate(image) if c})
-        self.images = {(0,) * n: {(0,) * (n + 1): 1}}
+            self.forms.append({self.units[k]: c for k, c in enumerate(image) if c})
+        self.images = {0: {0: 1}}
 
     def image_of(self, key):
         got = self.images.get(key)
         if got is None:
-            i = max(j for j, p in enumerate(key) if p)
+            exp = _unpack(key, self.nvars)
+            i = max(j for j, p in enumerate(exp) if p)
             got = {}
-            _mul_add(got, self.image_of(key[:i] + (key[i] - 1,) + key[i + 1:]),
-                     self.forms[i])
+            _mul_add(got, self.image_of(key - self.units[i]), self.forms[i])
             got = {e: c for e, c in got.items() if c}
             self.images[key] = got
         return got
@@ -498,27 +583,29 @@ def fs_weyl(datum, w, f):
 
     A linear substitution, so each monomial maps into its own degree: the
     image of y^a r^k is the image of y^a, from the (datum, w) table, times
-    r^k.
+    r^k, whose key is k in the r field plus k in the degree field.
     """
     assert f.nvars == datum.rank + 1
     image_of = datum.memo(("fs_weyl", w), lambda: _WeylSubstitution(datum, w)).image_of
+    shift = FIELD_BITS * f.nvars
     out = {}
     get = out.get
-    for e, c in f.nums.items():
-        k = (e[-1],)
-        for m, cm in image_of(e[:-1]).items():
-            m = m[:-1] + k
+    for e, c in f.terms.items():
+        k = e & _FIELD
+        r_part = k << shift | k
+        for m, cm in image_of(e - r_part).items():
+            m += r_part
             out[m] = get(m, 0) + c * cm
     return _series(f.nvars, f.order, f.den, out)
 
 
 def fs_negate_r(f):
-    """r |-> -r: negate coefficients of odd r-degree."""
+    """r |-> -r: negate coefficients of odd r-degree (the low bit of the key)."""
     return _series(f.nvars, f.order, f.den,
-                   {e: (-c if e[-1] % 2 else c) for e, c in f.nums.items()})
+                   {e: (-c if e & 1 else c) for e, c in f.terms.items()})
 
 
 def fs_set_r_zero(f):
     """Specialize r = 0 (drop every monomial with positive r-degree)."""
     return _series(f.nvars, f.order, f.den,
-                   {e: c for e, c in f.nums.items() if e[-1] == 0})
+                   {e: c for e, c in f.terms.items() if not e & _FIELD})

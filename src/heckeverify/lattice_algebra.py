@@ -14,7 +14,14 @@ convention error immediately.
 The telescoping quotient (theta_x - theta_{sx}) / (1 - theta_{-alpha}) is
 computed in closed form and double-checked by multiplying back; there is no
 polynomial division anywhere.
+
+Products and longer sums accumulate in the plain form {x: {k: int}} (the
+coefficient of v^k theta_x), with :func:`add_product` and
+:func:`add_scaled`, and :func:`from_plain` builds the LaurentScalar and
+GroupAlgebraElement values once at the end, dropping zeros there.
 """
+
+from operator import add
 
 from .root_datum import apply
 
@@ -81,21 +88,6 @@ class LaurentScalar:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def substitute(self, vexp_image=1, sign=1):
-        """Ring map determined by v |-> sign * v^vexp_image (sign = +-1)."""
-        out = {}
-        for exp, c in self.coeffs.items():
-            e = exp * vexp_image
-            s = sign ** (exp % 2) if sign == -1 else 1
-            new = out.get(e, 0) + s * c
-            if new:
-                out[e] = new
-            else:
-                out.pop(e, None)
-        res = LaurentScalar()
-        res.coeffs = out
-        return res
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -110,7 +102,6 @@ class LaurentScalar:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-LS_ZERO = LaurentScalar()
 LS_ONE = LaurentScalar({0: 1})
 LS_V = LaurentScalar({1: 1})
 LS_V2 = LaurentScalar({2: 1})
@@ -147,16 +138,8 @@ class GroupAlgebraElement:
         return bool(self.coeffs)
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for x, c in other.coeffs.items():
-            new = out.get(x, LS_ZERO) + c
-            if new:
-                out[x] = new
-            else:
-                out.pop(x, None)
-        res = GroupAlgebraElement()
-        res.coeffs = out
-        return res
+        return from_plain(add_scaled(add_scaled({}, self.coeffs.items()),
+                                     other.coeffs.items()))
 
     def __neg__(self):
         res = GroupAlgebraElement()
@@ -167,25 +150,10 @@ class GroupAlgebraElement:
         return self + (-other)
 
     def __mul__(self, other):
-        out = {}
-        for x, cx in self.coeffs.items():
-            for y, cy in other.coeffs.items():
-                z = tuple(a + b for a, b in zip(x, y))
-                new = out.get(z, LS_ZERO) + cx * cy
-                if new:
-                    out[z] = new
-                else:
-                    out.pop(z, None)
-        res = GroupAlgebraElement()
-        res.coeffs = out
-        return res
+        return from_plain(add_product({}, self, other))
 
     def scale(self, scalar):
-        if not scalar:
-            return GroupAlgebraElement()
-        res = GroupAlgebraElement()
-        res.coeffs = {x: c * scalar for x, c in self.coeffs.items()}
-        return res
+        return from_plain(add_scaled({}, self.coeffs.items(), scalar))
 
     def __eq__(self, other):
         return isinstance(other, GroupAlgebraElement) and self.coeffs == other.coeffs
@@ -194,29 +162,20 @@ class GroupAlgebraElement:
         return hash(frozenset(self.coeffs.items()))
 
     def weyl_apply(self, w):
-        """theta_x |-> theta_{w x} on every term."""
-        out = {}
-        for x, c in self.coeffs.items():
-            y = apply(w, x)
-            prev = out.get(y)
-            out[y] = c if prev is None else prev + c
-        return GroupAlgebraElement({x: c for x, c in out.items() if c})
+        """theta_x |-> theta_{w x} on every term (w permutes the weights)."""
+        res = GroupAlgebraElement()
+        res.coeffs = {apply(w, x): c for x, c in self.coeffs.items()}
+        return res
 
     def substitute(self, vexp_image=1, sign=1, negate_weights=False):
         """Endomorphism from v |-> sign*v^vexp_image, theta_x |-> theta_{+-x}."""
         out = {}
         for x, c in self.coeffs.items():
-            y = tuple(-a for a in x) if negate_weights else x
-            img = c.substitute(vexp_image, sign)
-            prev = out.get(y)
-            new = img if prev is None else prev + img
-            if new:
-                out[y] = new
-            else:
-                out.pop(y, None)
-        res = GroupAlgebraElement()
-        res.coeffs = out
-        return res
+            slot = out.setdefault(tuple(-a for a in x) if negate_weights else x, {})
+            for k, v in c.coeffs.items():
+                e = k * vexp_image
+                slot[e] = slot.get(e, 0) + (-v if sign == -1 and k % 2 else v)
+        return from_plain(out)
 
     def __repr__(self):
         if not self.coeffs:
@@ -227,27 +186,75 @@ class GroupAlgebraElement:
         return " + ".join(parts)
 
 
-def demazure_quotient(datum, x, i):
-    """(theta_x - theta_{s_i x}) / (1 - theta_{-alpha_i}), in closed form.
+def add_product(acc, a, b, sign=1):
+    """acc += sign * a * b, for ``acc`` in the plain form {x: {k: int}}.
+
+    ``acc`` may hold zeros until :func:`from_plain` drops them.
+    """
+    right = [(y, tuple(cy.coeffs.items())) for y, cy in b.coeffs.items()]
+    for x, cx in a.coeffs.items():
+        left = [(k, sign * c) for k, c in cx.coeffs.items()]
+        for y, cy in right:
+            z = tuple(map(add, x, y))
+            slot = acc.get(z)
+            if slot is None:
+                slot = acc[z] = {}
+            get = slot.get
+            for k1, c1 in left:
+                for k2, c2 in cy:
+                    k = k1 + k2
+                    slot[k] = get(k, 0) + c1 * c2
+    return acc
+
+
+def add_scaled(acc, terms, scalar=LS_ONE):
+    """acc += scalar * sum c theta_x over the (x, LaurentScalar c) in ``terms``."""
+    factor = tuple(scalar.coeffs.items())
+    for x, cx in terms:
+        slot = acc.get(x)
+        if slot is None:
+            slot = acc[x] = {}
+        get = slot.get
+        for k1, c1 in cx.coeffs.items():
+            for k2, c2 in factor:
+                k = k1 + k2
+                slot[k] = get(k, 0) + c1 * c2
+    return acc
+
+
+def from_plain(acc):
+    """The GroupAlgebraElement of a plain-form sum, with every zero dropped."""
+    out = {}
+    for x, slot in acc.items():
+        slot = {k: c for k, c in slot.items() if c}
+        if slot:
+            scalar = LaurentScalar()
+            scalar.coeffs = slot
+            out[x] = scalar
+    res = GroupAlgebraElement()
+    res.coeffs = out
+    return res
+
+
+def demazure_terms(datum, x, i):
+    """The terms (y, +-1) of :func:`demazure_quotient`, distinct weights y.
 
     With m = <x, alpha_i^vee> the telescoping sum is
       m > 0:  sum_{k=0}^{m-1} theta_{x - k alpha_i}
       m = 0:  0
       m < 0:  -sum_{k=1}^{-m} theta_{x + k alpha_i}
     """
-    x = tuple(x)
     m = x[i]
     alpha = datum.simple_roots[i]
-    terms = {}
     if m > 0:
-        for k in range(m):
-            y = tuple(a - k * b for a, b in zip(x, alpha))
-            terms[y] = terms.get(y, LS_ZERO) + LS_ONE
-    elif m < 0:
-        for k in range(1, -m + 1):
-            y = tuple(a + k * b for a, b in zip(x, alpha))
-            terms[y] = terms.get(y, LS_ZERO) - LS_ONE
-    return GroupAlgebraElement({y: c for y, c in terms.items() if c})
+        return [(tuple(a - k * b for a, b in zip(x, alpha)), 1) for k in range(m)]
+    return [(tuple(a + k * b for a, b in zip(x, alpha)), -1) for k in range(1, -m + 1)]
+
+
+def demazure_quotient(datum, x, i):
+    """(theta_x - theta_{s_i x}) / (1 - theta_{-alpha_i}), in closed form."""
+    return GroupAlgebraElement({y: LaurentScalar({0: sign})
+                                for y, sign in demazure_terms(datum, tuple(x), i)})
 
 
 def mul_by_scriptG(datum, x, i):

@@ -39,6 +39,7 @@ from .formal_series import (
     FormalSeries,
     LinearForm,
     diff,
+    fs_combination,
     fs_div_linear,
     fs_exp,
     fs_inv,
@@ -57,14 +58,13 @@ DEFAULT_GUARD = 2
 
 def series_of_group_algebra(datum, ga, order):
     """Image of an element of Z[v,v^-1][X]:  v^k theta_x |-> exp(x-dot + k r)."""
-    n = datum.rank
-    out = FormalSeries.zero(n + 1, order)
+    terms = []
     for x, laurent in ga.coeffs.items():
-        base = diff(x)
+        base = list(diff(x).coeffs[:-1])
         for k, c in laurent.coeffs.items():
-            form = LinearForm(list(base.coeffs[:-1]) + [k])
-            out = out + fs_exp(FormalSeries.from_linear(form, order)).scale(c)
-    return out
+            form = LinearForm(base + [k])
+            terms.append((c, fs_exp(FormalSeries.from_linear(form, order))))
+    return fs_combination(datum.rank + 1, order, terms)
 
 
 def unit_factor(datum, i, order, r_coeff=2):
@@ -101,7 +101,7 @@ class _LusztigMap:
         self.side = side
         self.unit = unit
         self._ts = {}
-        self._tw = {}
+        self._tw = {datum.identity: GradedElement.one(datum, order)}
 
     def _image_of_ts(self, i):
         img = self._ts.get(i)
@@ -111,12 +111,12 @@ class _LusztigMap:
         return img
 
     def _image_of_tw(self, w):
+        """Image of T_w from the image of its prefix, as in ``_GeneratorMap``."""
         img = self._tw.get(w)
         if img is None:
-            img = GradedElement.one(self.datum, self.order)
-            for i in w.word:
-                img = gh_mul(img, self._image_of_ts(i))
-            self._tw[w] = img
+            i = w.word[-1]
+            prefix = self.datum.mul(w, self.datum.simple(i))
+            img = self._tw[w] = gh_mul(self._image_of_tw(prefix), self._image_of_ts(i))
         return img
 
     def __call__(self, h):

@@ -194,3 +194,38 @@ def test_nonsymmetric_cartan_file_matches_its_family(tmp_path, capsys):
     assert custom["datum"]["cartan"] == family["datum"]["cartan"] == [[2, -2], [-1, 2]]
     assert custom["checks"] == family["checks"]
     assert [c["status"] for c in family["checks"]] == ["pass"] * 4
+
+
+def _refuse_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("suites ran on rejected arguments")
+    monkeypatch.setattr(cli, "run_suites", no_work)
+
+
+@pytest.mark.parametrize("where", ["missing", "under_a_file", "not_writable"])
+def test_unwritable_out_is_usage_error_before_any_work(monkeypatch, capsys, tmp_path, where):
+    _refuse_work(monkeypatch)
+    if where == "missing":
+        target = tmp_path / "no_such_dir" / "report.json"
+    elif where == "under_a_file":
+        (tmp_path / "plain").write_text("")
+        target = tmp_path / "plain" / "report.json"
+    else:
+        target = tmp_path / "report.json"
+        real_access = cli.os.access
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: (
+            False if str(path) == str(tmp_path) else real_access(path, mode)))
+    code, out, err = run_cli(capsys, "--type", "A", "--rank", "1", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert "usage" in err and "--out" in err
+    assert not target.exists()
+
+
+def test_order_beyond_the_exponent_field_is_usage_error(monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    code, out, err = run_cli(capsys, "--type", "A", "--rank", "1",
+                             "--order", "250", "--guard", "10")
+    assert code == 2
+    assert out == ""
+    assert "usage" in err and "--order" in err

@@ -89,6 +89,16 @@ def test_length_changes_by_one_under_left_multiplication():
                 assert abs(d.left_mul(i, w).length - w.length) == 1
 
 
+def test_stored_words_are_prefix_closed():
+    # The generator and Lusztig maps build the image of T_w from that of
+    # w s_i, i the last letter of w's word; this is the word they rely on.
+    for fam, rank in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
+        d = build_root_datum(cartan_matrix(fam, rank))
+        for w in d.weyl[1:]:
+            prefix = d.mul(w, d.simple(w.word[-1]))
+            assert prefix.word == w.word[:-1]
+
+
 def test_inverse_roundtrip():
     d = build_root_datum(cartan_matrix("A", 2))
     rng = random.Random(7)

@@ -15,10 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from heckeverify.formal_series import (
+    MAX_ORDER,
     FormalSeries,
     InsufficientPrecision,
     LinearForm,
     NotDivisible,
+    OrderTooLarge,
+    fs_combination,
     fs_div_linear,
     fs_exp,
     fs_inv,
@@ -181,6 +184,18 @@ def test_eq_matches_reference_and_refuses_untrusted_degrees(data, nvars):
         a.eq(b, cap + 1)
 
 
+@KERNEL
+@given(st.data(), nvars_st, st.integers(0, 5), st.lists(st.integers(-5, 5), max_size=4))
+def test_combination_matches_reference(data, nvars, order, scalars):
+    raws = [data.draw(raw_series(nvars)) for _ in scalars]
+    got = fs_combination(nvars, order, [(c, build(nvars, raw))
+                                        for c, raw in zip(scalars, raws)])
+    want = ref(order, {})
+    for c, raw in zip(scalars, raws):
+        want = ref_add(want, ref_scale(ref(*raw), c))
+    assert as_ref(got) == want
+
+
 # -- analytic operations ----------------------------------------------------
 
 @KERNEL
@@ -311,3 +326,63 @@ def test_negative_denominators_are_normalized():
     q = fs_div_linear(FormalSeries(2, 2, {(1, 0): 1, (1, 1): 1}), LinearForm([-1, 0]))
     assert_canonical(q)
     assert dict(q.coeffs) == {(0, 0): -1, (0, 1): -1}
+
+
+# -- packed monomial keys -----------------------------------------------------
+
+@KERNEL
+@given(st.data(), nvars_st)
+def test_nums_and_coeffs_are_keyed_by_exponent_tuples(data, nvars):
+    raw = data.draw(raw_series(nvars))
+    s = build(nvars, raw)
+    order, coeffs = ref(*raw)
+    assert set(s.nums) == set(s.coeffs) == set(coeffs)
+    assert all(type(e) is tuple for e in s.nums)
+    assert dict(s.coeffs) == coeffs
+    for e in coeffs:
+        assert s.coeffs[e] == Fraction(s.nums[e], s.den)
+    assert FormalSeries(nvars, order, dict(s.coeffs)) == s
+    assert (0,) * (nvars + 1) not in s.coeffs and (-1,) + (0,) * (nvars - 1) not in s.coeffs
+
+
+def test_exponents_at_the_field_limit_round_trip():
+    top = {(MAX_ORDER, 0, 0): 1, (0, MAX_ORDER, 0): 2, (0, 0, MAX_ORDER): 3,
+           (1, MAX_ORDER - 2, 1): 4}
+    f = FormalSeries(3, MAX_ORDER, top)
+    assert f.nums == top
+    assert (f * FormalSeries.one(3, MAX_ORDER)).nums == top
+    assert fs_negate_r(f).nums == {**top, (0, 0, MAX_ORDER): -3, (1, MAX_ORDER - 2, 1): -4}
+    assert fs_set_r_zero(f).nums == {(MAX_ORDER, 0, 0): 1, (0, MAX_ORDER, 0): 2}
+    # a pair above the order is never formed, so no field can carry
+    g = FormalSeries(3, MAX_ORDER, {(MAX_ORDER - 1, 0, 0): 1})
+    assert (g * g).is_zero()
+
+
+def test_order_beyond_the_exponent_field_is_refused():
+    FormalSeries(3, MAX_ORDER)
+    FormalSeries.one(3, MAX_ORDER)
+    with pytest.raises(OrderTooLarge):
+        FormalSeries(3, MAX_ORDER + 1)
+    with pytest.raises(OrderTooLarge):
+        FormalSeries.one(3, MAX_ORDER + 1)
+    with pytest.raises(OrderTooLarge):
+        FormalSeries.variable(3, MAX_ORDER + 1, 0)
+    assert issubclass(OrderTooLarge, ValueError)
+
+
+def test_mul_monomial_beyond_the_exponent_field_is_refused():
+    f = FormalSeries.one(3, MAX_ORDER - 2)
+    assert f.mul_monomial((1, 0, 1)).nums == {(1, 0, 1): 1}
+    with pytest.raises(OrderTooLarge):
+        f.mul_monomial((1, 1, 1))
+    with pytest.raises(OrderTooLarge):
+        FormalSeries.zero(2, MAX_ORDER).mul_monomial((0, 1), 0)
+
+
+def test_malformed_exponents_are_refused():
+    with pytest.raises(ValueError):
+        FormalSeries(2, 3, {(-1, 2): 1})
+    with pytest.raises(ValueError):
+        FormalSeries(2, 3, {(1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        FormalSeries.one(2, 3).mul_monomial((2, -1))
