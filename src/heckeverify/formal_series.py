@@ -194,6 +194,9 @@ def _series(nvars, order, den, terms):
     return res
 
 
+_ONE_TERMS = {0: 1}                     # key 0 is the constant monomial
+
+
 def _components(terms, order, nvars):
     """The homogeneous components of degree 0..order, as a list of dicts."""
     comps = [{} for _ in range(order + 1)]
@@ -313,6 +316,11 @@ class FormalSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        # products by the exact unit are common: L(T_e), series(1), K_e
+        if other.den == 1 and other.terms == _ONE_TERMS:
+            return self.truncate(other.order)
+        if self.den == 1 and self.terms == _ONE_TERMS:
+            return other.truncate(self.order)
         order = min(self.order, other.order)
         left = _components(self.terms, order, self.nvars)
         right = _components(other.terms, order, self.nvars)

@@ -130,10 +130,14 @@ def root_diff(datum, i):
     return diff(datum.simple_roots[i])
 
 
-def demazure_series(datum, f, i):
-    """(f - s_i(f)) / alpha_i-dot; order drops by one, always divisible."""
-    s = datum.simple(i)
-    return fs_div_linear(f - fs_weyl(datum, s, f), root_diff(datum, i))
+def demazure_series(datum, f, i, sf=None):
+    """(f - s_i(f)) / alpha_i-dot; order drops by one, always divisible.
+
+    ``sf`` is s_i(f) when the caller already has it.
+    """
+    if sf is None:
+        sf = fs_weyl(datum, datum.simple(i), f)
+    return fs_div_linear(f - sf, root_diff(datum, i))
 
 
 def _left_mul_ts(datum, i, elem):
@@ -149,10 +153,10 @@ def _left_mul_ts(datum, i, elem):
         out[w] = f if prev is None else prev + f
 
     for w, f in elem.coeffs.items():
-        sw = datum.left_mul(i, w)
-        add(sw, fs_weyl(datum, s, f))
+        sf = fs_weyl(datum, s, f)
+        add(datum.left_mul(i, w), sf)
         # 2r * partial restores the order spent by the division
-        add(w, demazure_series(datum, f, i).mul_monomial(r_exp, 2))
+        add(w, demazure_series(datum, f, i, sf).mul_monomial(r_exp, 2))
     return GradedElement(datum, elem.order, out)
 
 
@@ -160,14 +164,10 @@ def gh_mul(a, b):
     datum = a.datum
     order = min(a.order, b.order)
     out = GradedElement.zero(datum, order)
-    cache = {}
     for w, aw in a.coeffs.items():
-        tw_b = cache.get(w)
-        if tw_b is None:
-            tw_b = b
-            for i in reversed(w.word):
-                tw_b = _left_mul_ts(datum, i, tw_b)
-            cache[w] = tw_b
+        tw_b = b
+        for i in reversed(w.word):
+            tw_b = _left_mul_ts(datum, i, tw_b)
         out = out + tw_b.scale_left(aw)
     return out
 
@@ -200,43 +200,44 @@ def todd_eB(datum, order):
 
 
 class _Conjugation:
-    """a |-> e_B a e_B^{-1} for one e_B, reusing each product t_w e_B^{-1}.
+    """a |-> e_B a e_B^{-1} for one e_B, reusing each e_B t_w e_B^{-1}.
 
-    With a = sum_w f_w t_w,
+    Series commute with e_B, so with a = sum_w f_w t_w,
 
-        e_B a e_B^{-1} = e_B * sum_w f_w (t_w e_B^{-1}),
+        e_B a e_B^{-1} = sum_w f_w (e_B t_w e_B^{-1}),
 
-    so both outer factors are series multiplying a normal form on the
-    left, and t_w e_B^{-1} is formed once per w.
+    and the conjugate of each t_w is formed once per w.
     """
 
     def __init__(self, datum, eB):
         self.datum = datum
         self.eB = eB
         self.eB_inv = fs_inv(eB)
-        self._right = {}
+        self._images = {}
 
-    def _t_eB_inv(self, w):
-        img = self._right.get(w)
+    def _image(self, w):
+        """e_B t_w e_B^{-1}."""
+        img = self._images.get(w)
         if img is None:
-            img = self._right[w] = gh_mul(
+            img = self._images[w] = gh_mul(
                 GradedElement.t(self.datum, w, self.eB.order),
-                GradedElement.series(self.datum, self.eB_inv))
+                GradedElement.series(self.datum, self.eB_inv)).scale_left(self.eB)
         return img
 
     def __call__(self, a):
         out = GradedElement.zero(self.datum, min(a.order, self.eB.order))
         for w, f in a.coeffs.items():
-            out = out + self._t_eB_inv(w).scale_left(f)
-        return out.scale_left(self.eB)
+            out = out + self._image(w).scale_left(f)
+        return out
 
 
 def conj_eB(a, eB=None):
     """e_B * a * e_B^{-1}, full noncommutative conjugation.
 
     Without ``eB``, e_B is the Todd series at the order of ``a``; it, its
-    inverse and the products t_w e_B^{-1} are built once per (datum,
-    order) and shared by every later call.
+    inverse and the conjugates e_B t_w e_B^{-1} are built once per (datum,
+    order) and shared by every later call.  An explicit ``eB`` gets a
+    throwaway conjugation and leaves the datum's store alone.
     """
     datum = a.datum
     if eB is None:

@@ -26,12 +26,16 @@ The two diagram routes are
 and the verifier checks they agree modulo degree > order.
 
 Everything these routes reuse that depends only on the root datum and the
-working order is built once: the unit factors and both Lusztig maps with
-their T_s and T_w caches live in the :class:`Context` that
-:func:`context` returns; e_B, e_B^{-1} and the t_w e_B^{-1} products
-(:func:`conj_eB`), the three K-side maps (:func:`k_side_maps`) and the
-Weyl substitution tables (:func:`fs_weyl`) live beside it in the datum's
-store (:meth:`RootDatum.memo`), which is freed with the datum.
+working order is built once: the unit factors, both Lusztig maps with
+their T_s and T_w caches, and the K-route images
+K_w = e_B L_r(T_w) e_B^{-1} live in the :class:`Context` that
+:func:`context` returns; e_B, e_B^{-1} and the conjugates
+e_B t_w e_B^{-1} (:func:`conj_eB`), the three K-side maps
+(:func:`k_side_maps`) and the Weyl substitution tables (:func:`fs_weyl`)
+live beside it in the datum's store (:meth:`RootDatum.memo`), which is
+freed with the datum.  Series commute with e_B, so pipeline_K evaluates
+as sum_w series(x_w) K_w on the normal form x = sum_w x_w T_w, and no
+case runs a conjugation of its own.
 """
 
 from .affine_hecke import pipeline_K_h
@@ -120,21 +124,27 @@ class _LusztigMap:
         return img
 
     def __call__(self, h):
-        out = GradedElement.zero(self.datum, self.order)
-        for w, aw in h.coeffs.items():
-            f = series_of_group_algebra(self.datum, aw, self.order)
-            out = out + self._image_of_tw(w).scale_left(f)
-        return out
+        return _on_normal_form(self.datum, self.order, h, self._image_of_tw)
+
+
+def _on_normal_form(datum, order, h, image_of_tw):
+    """sum_w series(h_w) * image_of_tw(w), for h = sum_w h_w T_w."""
+    out = GradedElement.zero(datum, order)
+    for w, aw in h.coeffs.items():
+        f = series_of_group_algebra(datum, aw, order)
+        out = out + image_of_tw(w).scale_left(f)
+    return out
 
 
 class Context:
     """The Lusztig side of one (root datum, working order), built once.
 
-    Holds the unit factors u(alpha_i), shared by both maps, and the two
-    Lusztig maps with their T_s and T_w caches.  Values are filled on
-    first use and never change afterwards.  :func:`context` returns the
-    shared instance; ``r_coeff`` other than 2 corrupts the unit factors
-    and is only for a negative control's private instance.
+    Holds the unit factors u(alpha_i), shared by both maps, the two
+    Lusztig maps with their T_s and T_w caches, and the K-route image
+    K_w = e_B L_r(T_w) e_B^{-1} of each T_w.  Values are filled on first
+    use and never change afterwards.  :func:`context` returns the shared
+    instance; ``r_coeff`` other than 2 corrupts the unit factors and is
+    only for a negative control's private instance.
     """
 
     def __init__(self, datum, order, r_coeff=2):
@@ -142,6 +152,7 @@ class Context:
         self.order = order
         self.r_coeff = r_coeff
         self._units = {}
+        self._k_route = {}
         self.lusztig_r = _LusztigMap(datum, order, "r", self.unit)
         self.lusztig_l = _LusztigMap(datum, order, "l", self.unit)
 
@@ -150,6 +161,16 @@ class Context:
         if u is None:
             u = self._units[i] = unit_factor(self.datum, i, self.order, self.r_coeff)
         return u
+
+    def _k_route_image(self, w):
+        img = self._k_route.get(w)
+        if img is None:
+            img = self._k_route[w] = conj_eB(self.lusztig_r._image_of_tw(w))
+        return img
+
+    def k_route(self, h):
+        """e_B L_r(h) e_B^{-1}, as sum_w series(h_w) K_w: series commute with e_B."""
+        return _on_normal_form(self.datum, self.order, h, self._k_route_image)
 
 
 def context(datum, order):
@@ -173,9 +194,11 @@ def pipeline_K(h, order, guard=DEFAULT_GUARD, conjugate=True):
     Internally works at order + guard and truncates back.  ``conjugate``
     exists only for the verifier's dropped-conjugation negative control.
     """
-    img = lusztig_r(pipeline_K_h(h.datum, h), order + guard)
+    x = pipeline_K_h(h.datum, h)
     if conjugate:
-        img = conj_eB(img)
+        img = context(h.datum, order + guard).k_route(x)
+    else:
+        img = lusztig_r(x, order + guard)
     return img.truncate(order)
 
 

@@ -158,10 +158,21 @@ def calls(monkeypatch):
     return counts
 
 
-def test_each_constant_is_built_once_per_datum_and_order(calls):
+def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
     datum = build_root_datum(cartan_matrix("B", 2))
     assert context(datum, 5) is context(datum, 5)
+    # K_w = e_B L_r(T_w) e_B^{-1} is the only conjugation the K-route runs
+    conjugated = []
+    conj_eB = lusztig.conj_eB
+    monkeypatch.setattr(lusztig, "conj_eB", lambda a: conjugated.append(a) or conj_eB(a))
+    runs = []
     for _ in range(2):
         assert check_diagram(datum, order=3, seed=0).status == "pass"
+        runs.append(len(conjugated))
     assert calls == {"todd_eB": 1, "unit_factor": 2, "koszul_map": 1,
                      "duality_map": 1, "parity_map": 1}
+    ctx, conj = context(datum, 5), datum._memo[("conj_eB", 5)]
+    assert 0 < runs[0] == runs[1] == len(ctx._k_route) <= len(datum.weyl)
+    assert [a.order for a in conjugated] == [5] * runs[0]
+    # each e_B t_w e_B^{-1} is built once, for the w that some L_r(T_w) reaches
+    assert set(conj._images) == {w for a in conjugated for w in a.coeffs}

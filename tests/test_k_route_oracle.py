@@ -1,0 +1,102 @@
+"""The K-route and the conjugation by e_B against their literal products.
+
+``pipeline_K`` evaluates e_B L_r(x) e_B^{-1} from cached images
+e_B L_r(T_w) e_B^{-1}, and ``conj_eB`` from cached conjugates
+e_B t_w e_B^{-1}.  The oracle here multiplies the three factors out with
+``gh_mul`` on a second copy of the datum, so it shares no cache with the
+code under test, and the results must be equal in canonical form.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from heckeverify.affine_hecke import HeckeElement, pipeline_K_h
+from heckeverify.formal_series import FormalSeries, fs_inv
+from heckeverify.graded_hecke import GradedElement, conj_eB, gh_mul, todd_eB
+from heckeverify.lusztig import DEFAULT_GUARD, lusztig_r, pipeline_K
+from heckeverify.root_datum import build_root_datum, cartan_matrix
+from heckeverify.verify import hecke_generators, rand_graded, rand_group_algebra
+
+CASES = [("A", 4), ("B", 4), ("G", 3)]
+
+
+def canonical(a):
+    """An element as {Weyl key: series}, comparable across datum copies."""
+    return {w.key: f for w, f in a.coeffs.items()}
+
+
+def literal_conjugate(a, eB):
+    """gh_mul(gh_mul(e_B, a), e_B^{-1}), multiplied out."""
+    datum = a.datum
+    return gh_mul(gh_mul(GradedElement.series(datum, eB), a),
+                  GradedElement.series(datum, fs_inv(eB)))
+
+
+def two_term_hecke(rng, datum):
+    w1, w2 = rng.sample(datum.weyl, 2)
+    return HeckeElement(datum, {w1: rand_group_algebra(rng, datum.rank),
+                                w2: rand_group_algebra(rng, datum.rank)})
+
+
+def hecke_cases(datum, seed):
+    rng = random.Random(seed)
+    return ([h for _, h in hecke_generators(datum)]
+            + [two_term_hecke(rng, datum) for _ in range(20)])
+
+
+@pytest.mark.parametrize("family,order", CASES)
+def test_k_route_is_the_literal_conjugate(family, order):
+    cartan = cartan_matrix(family, 2)
+    datum, oracle = build_root_datum(cartan), build_root_datum(cartan)
+    work = order + DEFAULT_GUARD
+    eB = todd_eB(oracle, work)
+    for h, g in zip(hecke_cases(datum, 5), hecke_cases(oracle, 5)):
+        got = pipeline_K(h, order)
+        expected = literal_conjugate(lusztig_r(pipeline_K_h(oracle, g), work), eB)
+        assert canonical(got) == canonical(expected.truncate(order)), g
+
+
+def random_unit(rng, nvars, order):
+    coeffs = {(0,) * nvars: Fraction(rng.randint(1, 5), rng.randint(1, 5))}
+    for _ in range(4):
+        e = [0] * nvars
+        for _ in range(rng.randint(1, order)):
+            e[rng.randrange(nvars)] += 1
+        coeffs[tuple(e)] = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    return FormalSeries(nvars, order, coeffs)
+
+
+@pytest.mark.parametrize("family,order", CASES)
+def test_conj_eB_is_the_literal_conjugate(family, order):
+    cartan = cartan_matrix(family, 2)
+    datum, oracle = build_root_datum(cartan), build_root_datum(cartan)
+    eB = todd_eB(oracle, order)
+    rng, rng_oracle = random.Random(11), random.Random(11)
+    for _ in range(10):
+        a, b = rand_graded(rng, datum, order), rand_graded(rng_oracle, oracle, order)
+        assert canonical(conj_eB(a)) == canonical(literal_conjugate(b, eB))
+        unit = random_unit(rng, datum.rank + 1, order)
+        assert unit == random_unit(rng_oracle, datum.rank + 1, order)
+        assert canonical(conj_eB(a, unit)) == canonical(literal_conjugate(b, unit))
+
+
+def test_explicit_eB_leaves_the_store_alone():
+    datum = build_root_datum(cartan_matrix("B", 2))
+    rng = random.Random(3)
+    elements = [rand_graded(rng, datum, 4) for _ in range(5)]
+    unit = random_unit(rng, datum.rank + 1, 4)
+    for a in elements:
+        conj_eB(a)
+    conjugation = datum._memo[("conj_eB", 4)]
+    before, images = dict(datum._memo), dict(conjugation._images)
+    for a in elements:
+        conj_eB(a, unit)
+    assert datum._memo.keys() == before.keys()
+    assert all(datum._memo[key] is value for key, value in before.items())
+    assert conjugation._images == images
+    # on a fresh datum it stores only the substitution tables of fs_weyl
+    fresh = build_root_datum(datum.cartan)
+    conj_eB(rand_graded(random.Random(3), fresh, 4), unit)
+    assert all(key[0] == "fs_weyl" for key in fresh._memo)

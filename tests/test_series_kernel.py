@@ -143,6 +143,20 @@ def test_add_sub_neg_mul_match_reference(data, nvars):
 
 
 @KERNEL
+@given(st.data(), nvars_st, st.integers(0, 6))
+def test_mul_by_the_unit_matches_the_general_product(data, nvars, k):
+    ra = data.draw(raw_series(nvars))
+    a, one = build(nvars, ra), FormalSeries.one(nvars, k)
+    expected = ref_mul(ref(*ra), ref_one(nvars, k))
+    # the constant 2 takes the general path; halving it back is exact
+    general = (a * FormalSeries.const(nvars, k, 2)).scale(Fraction(1, 2))
+    for product in (a * one, one * a):
+        assert as_ref(product) == expected
+        assert product == general == FormalSeries(nvars, *expected)
+        assert product.order == min(a.order, k)
+
+
+@KERNEL
 @given(st.data(), nvars_st, rationals)
 def test_scale_matches_reference(data, nvars, k):
     raw = data.draw(raw_series(nvars))
