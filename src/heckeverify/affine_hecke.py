@@ -210,9 +210,11 @@ class _GeneratorMap:
     """Ring endomorphism given by images of v, theta_x and each T_s.
 
     Coefficients map through :meth:`GroupAlgebraElement.substitute`; T_w
-    maps multiplicatively along its stored reduced word.  Whether this is
-    actually well defined is checked by the morphism-property tests, not
-    assumed here.
+    maps multiplicatively along its stored reduced word.  That this is an
+    algebra homomorphism is not assumed here: the ``morphisms`` suite
+    checks that the generator images satisfy every defining relation
+    (:func:`heckeverify.verify.k_relations`) and that normal forms map to
+    the products of generator images, which together prove it.
     """
 
     def __init__(self, datum, vexp_image, sign, negate_weights, ts_image):

@@ -160,16 +160,24 @@ def _left_mul_ts(datum, i, elem):
     return GradedElement(datum, elem.order, out)
 
 
+def add_scaled_terms(acc, f, elem):
+    """acc[u] += f * g for every term g t_u of ``elem``; untruncated."""
+    for u, g in elem.coeffs.items():
+        fg = f * g
+        prev = acc.get(u)
+        acc[u] = fg if prev is None else prev + fg
+    return acc
+
+
 def gh_mul(a, b):
     datum = a.datum
-    order = min(a.order, b.order)
-    out = GradedElement.zero(datum, order)
+    acc = {}
     for w, aw in a.coeffs.items():
         tw_b = b
         for i in reversed(w.word):
             tw_b = _left_mul_ts(datum, i, tw_b)
-        out = out + tw_b.scale_left(aw)
-    return out
+        add_scaled_terms(acc, aw, tw_b)
+    return GradedElement(datum, min(a.order, b.order), acc)
 
 
 def fourier_map(a):
@@ -225,10 +233,10 @@ class _Conjugation:
         return img
 
     def __call__(self, a):
-        out = GradedElement.zero(self.datum, min(a.order, self.eB.order))
+        acc = {}
         for w, f in a.coeffs.items():
-            out = out + self._image(w).scale_left(f)
-        return out
+            add_scaled_terms(acc, f, self._image(w))
+        return GradedElement(self.datum, min(a.order, self.eB.order), acc)
 
 
 def conj_eB(a, eB=None):

@@ -51,6 +51,7 @@ from .formal_series import (
 from .graded_hecke import (
     GradedAsphElement,
     GradedElement,
+    add_scaled_terms,
     conj_eB,
     fourier_map,
     gh_mul,
@@ -129,11 +130,10 @@ class _LusztigMap:
 
 def _on_normal_form(datum, order, h, image_of_tw):
     """sum_w series(h_w) * image_of_tw(w), for h = sum_w h_w T_w."""
-    out = GradedElement.zero(datum, order)
+    acc = {}
     for w, aw in h.coeffs.items():
-        f = series_of_group_algebra(datum, aw, order)
-        out = out + image_of_tw(w).scale_left(f)
-    return out
+        add_scaled_terms(acc, series_of_group_algebra(datum, aw, order), image_of_tw(w))
+    return GradedElement(datum, order, acc)
 
 
 class Context:

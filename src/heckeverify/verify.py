@@ -12,12 +12,14 @@ polynomial coefficients rationals of height at most 8.
 """
 
 import json
+import operator
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine_hecke import (
+    LS_V2M1,
     AsphElement,
     HeckeElement,
     asph_act_left,
@@ -46,6 +48,7 @@ from .lattice_algebra import (
     LaurentScalar,
     LS_ONE,
     LS_V,
+    LS_V2,
     demazure_quotient,
     mul_by_scriptG,
 )
@@ -162,17 +165,167 @@ def rand_graded(rng, datum, order):
     return out if out.coeffs else GradedElement.one(datum, order)
 
 
+def _fundamental_weights(n):
+    """(label, x) for x = +omega_j, -omega_j, j = 1..n, in that order."""
+    out = []
+    for j in range(n):
+        e_j = tuple(1 if k == j else 0 for k in range(n))
+        out.append(("th(+w%d)" % (j + 1), e_j))
+        out.append(("th(-w%d)" % (j + 1), tuple(-a for a in e_j)))
+    return out
+
+
 def hecke_generators(datum):
     """v.1, theta_{+-fundamental weights}, T_{s_i}."""
     n = datum.rank
     gens = [("v", HeckeElement.scalar(datum, LS_V))]
-    for i in range(n):
-        e_i = tuple(1 if j == i else 0 for j in range(n))
-        gens.append(("th(+w%d)" % (i + 1), HeckeElement.theta(datum, e_i)))
-        gens.append(("th(-w%d)" % (i + 1), HeckeElement.theta(datum, tuple(-a for a in e_i))))
-    for i in range(n):
-        gens.append(("T(s%d)" % (i + 1), HeckeElement.Ts(datum, i)))
+    gens += [(label, HeckeElement.theta(datum, x)) for label, x in _fundamental_weights(n)]
+    gens += [("T(s%d)" % (i + 1), HeckeElement.Ts(datum, i)) for i in range(n)]
     return gens
+
+
+# -- relations of the two presentations -------------------------------------
+#
+# A relation list is (factors, relations): ``factors`` maps a name to an
+# element, and a relation is (label, lhs, rhs), each side a list of
+# products, each product a tuple of factor names.  A map given on
+# generators is an algebra homomorphism exactly when the images of the
+# generators satisfy the defining relations (Bernstein presentation;
+# Lusztig, "Affine Hecke algebras and their graded version", J. AMS 2,
+# 1989) and the map is evaluated on normal forms as a product of those
+# images (:func:`_construction_failure`).
+
+def _braid_relations(datum, ts):
+    """(label, lhs, rhs): the braid relation for each pair i < j.
+
+    ``ts[i]`` is the factor name of the i-th simple generator.
+    """
+    out = []
+    for i in range(datum.rank):
+        for j in range(i + 1, datum.rank):
+            m = datum.braid_order(i, j)
+            lhs = tuple(ts[i if k % 2 == 0 else j] for k in range(m))
+            rhs = tuple(ts[j if k % 2 == 0 else i] for k in range(m))
+            out.append(("braid relation for (s%d,s%d)" % (i + 1, j + 1), [lhs], [rhs]))
+    return out
+
+
+def k_relations(datum):
+    """The defining relations of the affine Hecke algebra.
+
+    The quadratic relation T_s^2 = (v^2-1) T_s + v^2 for each s, the braid
+    relation for each pair, and the Bernstein relation
+    T_s theta_x = theta_{sx} T_s + (v^2-1) Dem_s(theta_x) for every s and
+    x = +-omega_j.  The twisted Leibniz rule
+    Dem_s(ab) = Dem_s(a) b + s(a) Dem_s(b) carries the Bernstein relation
+    from the theta_{+-omega_j} to every theta_x.
+    """
+    n = datum.rank
+    ts = ["T(s%d)" % (i + 1) for i in range(n)]
+    factors = {"v^2": HeckeElement.scalar(datum, LS_V2),
+               "v^2-1": HeckeElement.scalar(datum, LS_V2M1)}
+    for i in range(n):
+        factors[ts[i]] = HeckeElement.Ts(datum, i)
+    relations = [("quadratic relation for s%d" % (i + 1),
+                  [(ts[i], ts[i])], [("v^2-1", ts[i]), ("v^2",)]) for i in range(n)]
+    relations += _braid_relations(datum, ts)
+    for i in range(n):
+        s = datum.simple(i)
+        for label, x in _fundamental_weights(n):
+            sx = apply(s, x)
+            dem = "(v^2-1)Dem_s%d(%s)" % (i + 1, label)
+            factors[label] = HeckeElement.theta(datum, x)
+            factors["th%r" % (sx,)] = HeckeElement.theta(datum, sx)
+            factors[dem] = HeckeElement(datum, {
+                datum.identity: demazure_quotient(datum, x, i).scale(LS_V2M1)})
+            relations.append(("Bernstein relation for s%d and %s" % (i + 1, label),
+                              [(ts[i], label)], [("th%r" % (sx,), ts[i]), (dem,)]))
+    return factors, relations
+
+
+def graded_relations(datum, order):
+    """The defining relations of the graded algebra at ``order``.
+
+    t_s^2 = 1 for each s, the braid relation for each pair, and the
+    commutation rule t_s phi = s(phi) t_s + 2r Dem_s(phi) for every s and
+    phi = y_j or r; the twisted Leibniz rule carries it to every series.
+    """
+    n = datum.rank
+    ts = ["t(s%d)" % (i + 1) for i in range(n)]
+    factors = {"1": GradedElement.one(datum, order)}
+    for i in range(n):
+        factors[ts[i]] = GradedElement.ts(datum, i, order)
+    relations = [("t_s^2 = 1 for s%d" % (i + 1), [(ts[i], ts[i])], [("1",)])
+                 for i in range(n)]
+    relations += _braid_relations(datum, ts)
+    r_exp = (0,) * n + (1,)
+    variables = ["y%d" % (j + 1) for j in range(n)] + ["r"]
+    for i in range(n):
+        s = datum.simple(i)
+        for j, phi in enumerate(variables):
+            f = FormalSeries.variable(n + 1, order, j)
+            s_phi, dem = "s%d(%s)" % (i + 1, phi), "2r Dem_s%d(%s)" % (i + 1, phi)
+            factors[phi] = GradedElement.series(datum, f)
+            factors[s_phi] = GradedElement.series(datum, fs_weyl(datum, s, f))
+            factors[dem] = GradedElement.series(
+                datum, demazure_series(datum, f, i).mul_monomial(r_exp, 2))
+            relations.append(("commutation rule for s%d and %s" % (i + 1, phi),
+                              [(ts[i], phi)], [(s_phi, ts[i]), (dem,)]))
+    return factors, relations
+
+
+def _relation_failure(relation_list, image, mul, equal):
+    """(label, lhs - rhs) of the first relation whose images differ, or None.
+
+    Each factor is mapped once by ``image``; products are taken left to
+    right with ``mul``.
+    """
+    factors, relations = relation_list
+    images = {name: image(h) for name, h in factors.items()}
+
+    def side(products):
+        total = None
+        for names in products:
+            p = images[names[0]]
+            for name in names[1:]:
+                p = mul(p, images[name])
+            total = p if total is None else total + p
+        return total
+
+    for label, lhs, rhs in relations:
+        a, b = side(lhs), side(rhs)
+        if not equal(a, b):
+            return label, a - b
+    return None
+
+
+def _construction_failure(datum, image, term, c, mul, equal):
+    """Where ``image`` is not the product of generator images on normal forms.
+
+    ``term(w, coeff=None)`` is coeff T_w (T_w for None).  For every w,
+    image(T_w) must equal the product of the image(T_s) along w.word,
+    recomputed left to right, and image(c T_w) must equal
+    image(c) image(T_w).  Returns a description of the first failure, or
+    None.  Relations alone cannot see a fault here: they only use the
+    images of generators.
+    """
+    ts = [image(term(datum.simple(i))) for i in range(datum.rank)]
+    image_c = image(term(datum.identity, c))
+    products = {(): term(datum.identity)}
+
+    def along(word):
+        p = products.get(word)
+        if p is None:
+            p = products[word] = mul(along(word[:-1]), ts[word[-1]])
+        return p
+
+    for w in datum.weyl:
+        image_w = image(term(w))
+        if not equal(image_w, along(w.word)):
+            return "image of T(%r) is not the product along its word" % (w,)
+        if not equal(image(term(w, c)), mul(image_c, image_w)):
+            return "image of c*T(%r) is not image(c)*image(T(%r)), c = %r" % (w, w, c)
+    return None
 
 
 # -- suites ---------------------------------------------------------------
@@ -182,9 +335,11 @@ def check_presentation(datum, seed=0, order=6, datum_desc=None,
     """Exact relation battery for both algebras.
 
     K side: quadratic relation, braid relations, the Bernstein commutation
-    rule against an independently assembled right-hand side, and the
-    script-G reformulation.  Graded side: t_s^2 = 1, braid relations, and
-    the divided-difference commutation rule, at the given order.
+    rule against an independently assembled right-hand side, the
+    script-G reformulation, and the relation list :func:`k_relations` that
+    the morphism check evaluates under each K-side map.  Graded side:
+    t_s^2 = 1, braid relations, and the divided-difference commutation
+    rule, at the given order.
     """
     rng = random.Random(seed)
     n = datum.rank
@@ -231,6 +386,11 @@ def check_presentation(datum, seed=0, order=6, datum_desc=None,
             rhs2 = HeckeElement(datum, {datum.identity: mul_by_scriptG(datum, x, i)})
             if lhs2 != rhs2:
                 return "script-G reformulation fails at x=%r, i=%d" % (x, i)
+        failed = _relation_failure(
+            k_relations(datum), lambda h: h,
+            lambda a, b: h_mul(a, b, _bernstein_sign), operator.eq)
+        if failed:
+            return "%s fails in the Hecke algebra: lhs - rhs = %r" % failed
         # graded side
         for i in range(n):
             ts = GradedElement.ts(datum, i, order)
@@ -263,14 +423,34 @@ def check_presentation(datum, seed=0, order=6, datum_desc=None,
 
 def check_morphisms(datum, order=6, seed=0, guard=2, datum_desc=None,
                     _unit_r_coeff=2):
-    """Relation images vanish under both Lusztig morphisms; the four
-    involutive maps are multiplicative."""
+    """Relation images vanish under both Lusztig morphisms, and the four
+    involutive maps are algebra homomorphisms.
+
+    L_r and L_l: the quadratic and braid relations, and the Bernstein
+    relation at 50 random weights and at every x = +-omega_j, modulo
+    degree > order.  The Koszul, duality and parity maps: every relation
+    of :func:`k_relations`, exactly.  The Fourier map: every relation of
+    :func:`graded_relations`.  Each of the four maps is also checked to be
+    the product of its generator images on normal forms
+    (:func:`_construction_failure`).  Relations plus construction make the
+    verdict on the four maps complete, not sampled: a map given on
+    generators that satisfies the defining relations is a homomorphism.
+    """
     rng = random.Random(seed)
     n = datum.rank
     desc = datum_desc or {}
     work = order + guard
     if _unit_r_coeff != 2:
         datum = _private_copy(datum)
+
+    def k_term(w, c=None):
+        return HeckeElement(datum, {w: GroupAlgebraElement.one(n) if c is None else c})
+
+    def g_term(w, c=None):
+        return GradedElement(datum, work, {w: FormalSeries.one(n + 1, work) if c is None else c})
+
+    def g_equal(a, b):
+        return a.eq(b, order)
 
     def body():
         ctx = (context(datum, work) if _unit_r_coeff == 2
@@ -296,9 +476,9 @@ def check_morphisms(datum, order=6, seed=0, guard=2, datum_desc=None,
                     if not a.eq(b, order):
                         return "L_%s image of braid relation fails for (s%d,s%d)" % (
                             side, i + 1, j + 1)
-            for _ in range(50):
-                x = rand_weight(rng, n)
-                i = rng.randrange(n)
+            cases = [(rand_weight(rng, n), rng.randrange(n)) for _ in range(50)]
+            cases += [(x, i) for _, x in _fundamental_weights(n) for i in range(n)]
+            for x, i in cases:
                 sx = apply(datum.simple(i), x)
                 lhs = gh_mul(lmap(HeckeElement.Ts(datum, i)), lmap(HeckeElement.theta(datum, x)))
                 rhs = gh_mul(lmap(HeckeElement.theta(datum, sx)), lmap(HeckeElement.Ts(datum, i))) + \
@@ -307,18 +487,24 @@ def check_morphisms(datum, order=6, seed=0, guard=2, datum_desc=None,
                             LaurentScalar({2: 1, 0: -1}))}))
                 if not lhs.eq(rhs, order):
                     return "L_%s image of Bernstein relation fails at x=%r, i=%d" % (side, x, i)
-        # multiplicativity of the four involutive maps
+        # the four involutive maps: relations, then construction
+        k_rels = k_relations(datum)
+        v_theta = GroupAlgebraElement.theta((1,) + (0,) * (n - 1), LS_V)
         for name, fmap in zip(("koszul", "duality", "parity"), k_side_maps(datum)):
-            for _ in range(50):
-                a = rand_hecke(rng, datum)
-                b = rand_hecke(rng, datum)
-                if fmap(h_mul(a, b)) != h_mul(fmap(a), fmap(b)):
-                    return "%s map not multiplicative on %r, %r" % (name, a, b)
-        for _ in range(50):
-            a = rand_graded(rng, datum, work)
-            b = rand_graded(rng, datum, work)
-            if not fourier_map(gh_mul(a, b)).eq(gh_mul(fourier_map(a), fourier_map(b)), order):
-                return "fourier map not multiplicative"
+            failed = _relation_failure(k_rels, fmap, h_mul, operator.eq)
+            if failed:
+                return "%s image of %s fails: lhs - rhs = %r" % ((name,) + failed)
+            failed = _construction_failure(datum, fmap, k_term, v_theta, h_mul, operator.eq)
+            if failed:
+                return "%s map: %s" % (name, failed)
+        failed = _relation_failure(graded_relations(datum, work), fourier_map, gh_mul, g_equal)
+        if failed:
+            return "fourier image of %s fails: lhs - rhs = %r" % (
+                failed[0], failed[1].truncate(order))
+        y1_plus_r = FormalSeries.from_linear(LinearForm([1] + [0] * (n - 1) + [1]), work)
+        failed = _construction_failure(datum, fourier_map, g_term, y1_plus_r, gh_mul, g_equal)
+        if failed:
+            return "fourier map: %s" % failed
         return None
 
     return _run("morphisms", desc, order, guard, seed, body)

@@ -64,7 +64,7 @@ def test_criterion_1_presentation():
 def test_criterion_2_morphisms():
     t0 = time.perf_counter()
     reps = [check_morphisms(DATA[k], order=6, datum_desc={"type": k})
-            for k in ("A1", "A2")]
+            for k in ("A1", "A2", "B2", "A3")]
     report("morphisms", collect(reps), time.perf_counter() - t0, 60)
 
 

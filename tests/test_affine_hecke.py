@@ -13,6 +13,8 @@ from heckeverify.affine_hecke import (
     pipeline_K_h,
     ts_inverse,
 )
+from heckeverify import verify
+from heckeverify.graded_hecke import fourier_map, gh_mul
 from heckeverify.lattice_algebra import (
     GroupAlgebraElement,
     LaurentScalar,
@@ -143,7 +145,9 @@ def test_koszul_ts_normal_form_a1():
     assert img == h_mul(want, want)
 
 
-@pytest.mark.parametrize("datum", [A1, A2])
+# The random-pair battery that check_morphisms ran before its relation
+# check; kept as an independent cross-check of both.
+@pytest.mark.parametrize("datum", [A1, A2, B2])
 def test_maps_are_ring_morphisms(datum):
     rng = random.Random(6)
     maps = [koszul_map(datum), duality_map(datum), parity_map(datum)]
@@ -152,6 +156,15 @@ def test_maps_are_ring_morphisms(datum):
         b = rand_hecke(rng, datum)
         for f in maps:
             assert f(h_mul(a, b)) == h_mul(f(a), f(b))
+
+
+@pytest.mark.parametrize("datum", [A2, B2])
+def test_fourier_map_is_a_ring_morphism(datum):
+    rng = random.Random(7)
+    for _ in range(20):
+        a = verify.rand_graded(rng, datum, 6)
+        b = verify.rand_graded(rng, datum, 6)
+        assert fourier_map(gh_mul(a, b)).eq(gh_mul(fourier_map(a), fourier_map(b)), 6)
 
 
 def test_duality_parity_are_involutions():

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import heckeverify
 from heckeverify import cli
 from heckeverify.root_datum import cartan_matrix
 from heckeverify.verify import CheckReport
@@ -229,3 +234,15 @@ def test_order_beyond_the_exponent_field_is_usage_error(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert "usage" in err and "--order" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(pathlib.Path(heckeverify.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckeverify", "--type", "A", "--rank", "1",
+         "--order", "2", "--suite", "diagram", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [c["status"] for c in json.loads(proc.stdout)["checks"]] == ["pass"]

@@ -2,6 +2,17 @@ import json
 
 import pytest
 
+from heckeverify import verify
+from heckeverify.affine_hecke import (
+    HeckeElement,
+    _GeneratorMap,
+    h_mul,
+    k_side_maps,
+    ts_inverse,
+)
+from heckeverify.formal_series import fs_negate_r
+from heckeverify.graded_hecke import GradedElement
+from heckeverify.lattice_algebra import GroupAlgebraElement, LS_V2
 from heckeverify.root_datum import build_root_datum, cartan_matrix
 from heckeverify.verify import (
     check_diagram,
@@ -29,14 +40,13 @@ def test_each_suite_passes_on_rank_one(suite):
 
 
 # G2 at order 3, B3 and C3 at order 2: non-simply-laced and rank three,
-# where the row/column convention of the Cartan matrix matters.  The
-# morphisms suite is left out: on G2 at order 3 it takes about a minute.
+# where the row/column convention of the Cartan matrix matters.
 OTHER_TYPES = [("G", 2, 3), ("B", 3, 2), ("C", 3, 2)]
 OTHER_DATA = {(family, rank): build_root_datum(cartan_matrix(family, rank))
               for family, rank, _ in OTHER_TYPES}
 
 
-@pytest.mark.parametrize("suite", ["presentation", "diagram", "display", "modules"])
+@pytest.mark.parametrize("suite", sorted(SUITES))
 @pytest.mark.parametrize("family, rank, order", OTHER_TYPES)
 def test_suite_passes_on_other_types(family, rank, order, suite):
     datum = OTHER_DATA[(family, rank)]
@@ -80,6 +90,112 @@ def test_corrupted_module_sign_fails():
     rep = check_modules(A1, order=5, _sign_value=1)
     assert rep.status == "fail"
     assert rep.witness
+
+
+# -- faults in the K-side maps and the Fourier map ---------------------------
+#
+# Each fault is planted in the maps of a private datum, so the shared store
+# of A2 is never touched; check_morphisms must fail and name the map and
+# the relation or construction step that breaks.
+
+def _koszul_ts(datum, scalar, right_shift=True):
+    rho = datum.rho
+
+    def ts_image(i):
+        core = ts_inverse(datum, i).scale_left(
+            GroupAlgebraElement.one(datum.rank).scale(scalar))
+        img = HeckeElement.theta(datum, rho) * core
+        if right_shift:
+            img = img * HeckeElement.theta(datum, tuple(-a for a in rho))
+        return img
+    return ts_image
+
+
+class _LetterTimesPrefix(_GeneratorMap):
+    def _image_of_tw(self, w):
+        img = self._tw.get(w)
+        if img is None:
+            i = w.word[-1]
+            prefix = self.datum.mul(w, self.datum.simple(i))
+            img = self._tw[w] = h_mul(self._image_of_ts(i), self._image_of_tw(prefix))
+        return img
+
+
+class _WeightsNotNegated(_GeneratorMap):
+    def __call__(self, elem):
+        out = HeckeElement.zero(self.datum)
+        for w, c in elem.coeffs.items():
+            cimg = c.substitute(self.vexp_image, self.sign, False)
+            out = out + self._image_of_tw(w).scale_left(cimg)
+        return out
+
+
+def _plant_koszul_plus_v2(datum, maps):
+    maps[0].ts_image = _koszul_ts(datum, LS_V2)
+
+
+def _plant_koszul_without_right_shift(datum, maps):
+    maps[0].ts_image = _koszul_ts(datum, -LS_V2, right_shift=False)
+
+
+def _plant_duality_fixing_ts(datum, maps):
+    maps[1].ts_image = lambda i: HeckeElement.Ts(datum, i)
+
+
+def _plant_letter_times_prefix(datum, maps):
+    maps[0].__class__ = _LetterTimesPrefix
+
+
+def _plant_weights_not_negated(datum, maps):
+    for fmap in maps:
+        fmap.__class__ = _WeightsNotNegated
+
+
+@pytest.mark.parametrize("plant, expected", [
+    pytest.param(_plant_koszul_plus_v2,
+                 "koszul image of quadratic relation for s1 fails", id="koszul-plus-v2"),
+    pytest.param(_plant_koszul_without_right_shift,
+                 "koszul image of quadratic relation for s1 fails", id="koszul-no-right-shift"),
+    pytest.param(_plant_duality_fixing_ts,
+                 "duality image of quadratic relation for s1 fails", id="duality-fixes-ts"),
+    pytest.param(_plant_letter_times_prefix,
+                 "koszul map: image of T(s1.s2) is not the product along its word",
+                 id="letter-times-prefix"),
+    pytest.param(_plant_weights_not_negated,
+                 "koszul image of Bernstein relation for s1 and th(+w1) fails",
+                 id="weights-not-negated"),
+])
+def test_faulty_k_side_map_fails_by_name(plant, expected):
+    datum = build_root_datum(A2.cartan)
+    plant(datum, k_side_maps(datum))
+    rep = check_morphisms(datum, order=3)
+    assert rep.status == "fail"
+    assert rep.witness.startswith(expected), rep.witness
+
+
+def _fourier_without_r(a):
+    return GradedElement(a.datum, a.order, {w: -f if w.length % 2 else f
+                                            for w, f in a.coeffs.items()})
+
+
+def _fourier_sign_off_identity(a):
+    return GradedElement(a.datum, a.order, {w: fs_negate_r(f) if w.length == 0
+                                            else -fs_negate_r(f)
+                                            for w, f in a.coeffs.items()})
+
+
+@pytest.mark.parametrize("fault, expected", [
+    pytest.param(_fourier_without_r,
+                 "fourier image of commutation rule for s1 and y1 fails", id="r-kept"),
+    pytest.param(_fourier_sign_off_identity,
+                 "fourier map: image of T(s1.s2) is not the product along its word",
+                 id="sign-off-identity"),
+])
+def test_faulty_fourier_map_fails_by_name(monkeypatch, fault, expected):
+    monkeypatch.setattr(verify, "fourier_map", fault)
+    rep = check_morphisms(build_root_datum(A2.cartan), order=3)
+    assert rep.status == "fail"
+    assert rep.witness.startswith(expected), rep.witness
 
 
 def test_negative_controls_fail_on_rank_two_as_well():
