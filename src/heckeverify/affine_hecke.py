@@ -233,17 +233,18 @@ class _GeneratorMap:
         return img
 
     def _image_of_tw(self, w):
-        """Image of T_w as image(T_{w s_i}) * image(T_{s_i}), i the last letter.
+        """Image of T_w as image(T_{s_i}) * image(T_{s_i w}), i the first letter.
 
-        The stored reduced words are prefix-closed (the Weyl group is
-        enumerated by right multiplication), so w s_i carries the word of w
-        without its last letter and this is the letter-by-letter product.
+        s_i w is one shorter, so this is the letter-by-letter product.  The
+        letter goes on the left: ``h_mul`` pushes each T_u of its left factor
+        through the right one letter by letter, so a long image on the left
+        would cost one pass per letter of each of its terms.
         """
         img = self._tw.get(w)
         if img is None:
-            i = w.word[-1]
-            prefix = self.datum.mul(w, self.datum.simple(i))
-            img = self._tw[w] = h_mul(self._image_of_tw(prefix), self._image_of_ts(i))
+            i = w.word[0]
+            suffix = self.datum.mul(self.datum.simple(i), w)
+            img = self._tw[w] = h_mul(self._image_of_ts(i), self._image_of_tw(suffix))
         return img
 
     def __call__(self, elem):

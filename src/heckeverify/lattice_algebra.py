@@ -38,10 +38,6 @@ class LaurentScalar:
                 if c:
                     self.coeffs[exp] = c
 
-    @classmethod
-    def of(cls, const, vexp=0):
-        return cls({vexp: const})
-
     def is_zero(self):
         return not self.coeffs
 

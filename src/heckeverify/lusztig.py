@@ -35,7 +35,9 @@ e_B t_w e_B^{-1} (:func:`conj_eB`), the three K-side maps
 live beside it in the datum's store (:meth:`RootDatum.memo`), which is
 freed with the datum.  Series commute with e_B, so pipeline_K evaluates
 as sum_w series(x_w) K_w on the normal form x = sum_w x_w T_w, and no
-case runs a conjugation of its own.
+case runs a conjugation of its own.  Only these constants, whose divisions
+by linear forms spend precision, are built at order + guard; a case is
+evaluated at the order it compares, and products stop at the lower order.
 """
 
 from .affine_hecke import pipeline_K_h
@@ -116,20 +118,20 @@ class _LusztigMap:
         return img
 
     def _image_of_tw(self, w):
-        """Image of T_w from the image of its prefix, as in ``_GeneratorMap``."""
+        """Image of T_w as image(T_{s_i}) image(T_{s_i w}), as in ``_GeneratorMap``."""
         img = self._tw.get(w)
         if img is None:
-            i = w.word[-1]
-            prefix = self.datum.mul(w, self.datum.simple(i))
-            img = self._tw[w] = gh_mul(self._image_of_tw(prefix), self._image_of_ts(i))
+            i = w.word[0]
+            suffix = self.datum.mul(self.datum.simple(i), w)
+            img = self._tw[w] = gh_mul(self._image_of_ts(i), self._image_of_tw(suffix))
         return img
 
-    def __call__(self, h):
-        return _on_normal_form(self.datum, self.order, h, self._image_of_tw)
+    def __call__(self, h, order):
+        return _on_normal_form(self.datum, order, h, self._image_of_tw)
 
 
 def _on_normal_form(datum, order, h, image_of_tw):
-    """sum_w series(h_w) * image_of_tw(w), for h = sum_w h_w T_w."""
+    """sum_w series(h_w) * image_of_tw(w), for h = sum_w h_w T_w, at ``order``."""
     acc = {}
     for w, aw in h.coeffs.items():
         add_scaled_terms(acc, series_of_group_algebra(datum, aw, order), image_of_tw(w))
@@ -168,9 +170,9 @@ class Context:
             img = self._k_route[w] = conj_eB(self.lusztig_r._image_of_tw(w))
         return img
 
-    def k_route(self, h):
-        """e_B L_r(h) e_B^{-1}, as sum_w series(h_w) K_w: series commute with e_B."""
-        return _on_normal_form(self.datum, self.order, h, self._k_route_image)
+    def k_route(self, h, order):
+        """e_B L_r(h) e_B^{-1} to ``order``, as sum_w series(h_w) K_w: series commute with e_B."""
+        return _on_normal_form(self.datum, order, h, self._k_route_image)
 
 
 def context(datum, order):
@@ -178,33 +180,31 @@ def context(datum, order):
     return datum.memo(("context", order), lambda: Context(datum, order))
 
 
-def lusztig_r(h, order):
-    """Right Lusztig morphism at the given working order."""
-    return context(h.datum, order).lusztig_r(h)
+def lusztig_r(h, order, guard=0):
+    """Right Lusztig morphism modulo degree > order, built at order + guard."""
+    return context(h.datum, order + guard).lusztig_r(h, order)
 
 
-def lusztig_l(h, order):
-    """Left Lusztig morphism at the given working order."""
-    return context(h.datum, order).lusztig_l(h)
+def lusztig_l(h, order, guard=0):
+    """Left Lusztig morphism modulo degree > order, built at order + guard."""
+    return context(h.datum, order + guard).lusztig_l(h, order)
 
 
 def pipeline_K(h, order, guard=DEFAULT_GUARD, conjugate=True):
     """Top-then-right route: e_B L_r(parity(duality(koszul(h)))) e_B^{-1}.
 
-    Internally works at order + guard and truncates back.  ``conjugate``
-    exists only for the verifier's dropped-conjugation negative control.
+    At ``order``, through the order + guard context.  ``conjugate`` exists
+    only for the verifier's dropped-conjugation negative control.
     """
     x = pipeline_K_h(h.datum, h)
     if conjugate:
-        img = context(h.datum, order + guard).k_route(x)
-    else:
-        img = lusztig_r(x, order + guard)
-    return img.truncate(order)
+        return context(h.datum, order + guard).k_route(x, order)
+    return lusztig_r(x, order, guard)
 
 
 def pipeline_H(h, order, guard=DEFAULT_GUARD):
-    """Left-then-bottom route: fourier(L_l(h))."""
-    return fourier_map(lusztig_l(h, order + guard)).truncate(order)
+    """Left-then-bottom route: fourier(L_l(h)), through the order + guard context."""
+    return fourier_map(lusztig_l(h, order, guard))
 
 
 def transport(m, order):

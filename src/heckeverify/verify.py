@@ -299,24 +299,24 @@ def _relation_failure(relation_list, image, mul, equal):
     return None
 
 
-def _construction_failure(datum, image, term, c, mul, equal):
+def _construction_failure(datum, image, term, c, mul, equal, one=None):
     """Where ``image`` is not the product of generator images on normal forms.
 
     ``term(w, coeff=None)`` is coeff T_w (T_w for None).  For every w,
     image(T_w) must equal the product of the image(T_s) along w.word,
-    recomputed left to right, and image(c T_w) must equal
-    image(c) image(T_w).  Returns a description of the first failure, or
-    None.  Relations alone cannot see a fault here: they only use the
-    images of generators.
+    recomputed right to left onto ``one``, the unit of the target
+    (default T_e), and image(c T_w) must equal image(c) image(T_w).
+    Returns a description of the first failure, or None.  Relations alone
+    cannot see a fault here: they only use the images of generators.
     """
     ts = [image(term(datum.simple(i))) for i in range(datum.rank)]
     image_c = image(term(datum.identity, c))
-    products = {(): term(datum.identity)}
+    products = {(): term(datum.identity) if one is None else one}
 
     def along(word):
         p = products.get(word)
         if p is None:
-            p = products[word] = mul(along(word[:-1]), ts[word[-1]])
+            p = products[word] = mul(ts[word[0]], along(word[1:]))
         return p
 
     for w in datum.weyl:
@@ -334,10 +334,11 @@ def check_presentation(datum, seed=0, order=6, datum_desc=None,
                        _bernstein_sign=1):
     """Exact relation battery for both algebras.
 
-    K side: quadratic relation, braid relations, the Bernstein commutation
-    rule against an independently assembled right-hand side, the
-    script-G reformulation, and the relation list :func:`k_relations` that
-    the morphism check evaluates under each K-side map.  Graded side:
+    K side: the Bernstein commutation rule at random weights against an
+    independently assembled right-hand side, the script-G reformulation,
+    and the relation list :func:`k_relations` (quadratic, braid and
+    Bernstein relations) that the morphism check evaluates under each
+    K-side map.  Graded side:
     t_s^2 = 1, braid relations, and the divided-difference commutation
     rule, at the given order.
     """
@@ -349,24 +350,6 @@ def check_presentation(datum, seed=0, order=6, datum_desc=None,
 
     def body():
         one = HeckeElement.one(datum)
-        for i in range(n):
-            ts = HeckeElement.Ts(datum, i)
-            lhs = h_mul(ts, ts, _bernstein_sign)
-            rhs = ts.scale_left(GroupAlgebraElement.one(n).scale(
-                LaurentScalar({2: 1, 0: -1}))) + \
-                one.scale_left(GroupAlgebraElement.one(n).scale(LaurentScalar({2: 1})))
-            if lhs != rhs:
-                return "quadratic relation fails for s%d: %r vs %r" % (i + 1, lhs, rhs)
-        for i in range(n):
-            for j in range(i + 1, n):
-                m = datum.braid_order(i, j)
-                a = HeckeElement.one(datum)
-                b = HeckeElement.one(datum)
-                for k in range(m):
-                    a = h_mul(a, HeckeElement.Ts(datum, i if k % 2 == 0 else j), _bernstein_sign)
-                    b = h_mul(b, HeckeElement.Ts(datum, j if k % 2 == 0 else i), _bernstein_sign)
-                if a != b:
-                    return "braid relation fails for (s%d,s%d)" % (i + 1, j + 1)
         for _ in range(100):
             x = rand_weight(rng, n)
             i = rng.randrange(n)
@@ -430,11 +413,12 @@ def check_morphisms(datum, order=6, seed=0, guard=2, datum_desc=None,
     relation at 50 random weights and at every x = +-omega_j, modulo
     degree > order.  The Koszul, duality and parity maps: every relation
     of :func:`k_relations`, exactly.  The Fourier map: every relation of
-    :func:`graded_relations`.  Each of the four maps is also checked to be
-    the product of its generator images on normal forms
+    :func:`graded_relations`.  All six maps are also checked to be the
+    product of their generator images on normal forms
     (:func:`_construction_failure`).  Relations plus construction make the
-    verdict on the four maps complete, not sampled: a map given on
-    generators that satisfies the defining relations is a homomorphism.
+    verdict on the four involutive maps complete, not sampled: a map given
+    on generators that satisfies the defining relations is a homomorphism.
+    Only the Lusztig maps' constants are built at order + guard.
     """
     rng = random.Random(seed)
     n = datum.rank
@@ -447,7 +431,7 @@ def check_morphisms(datum, order=6, seed=0, guard=2, datum_desc=None,
         return HeckeElement(datum, {w: GroupAlgebraElement.one(n) if c is None else c})
 
     def g_term(w, c=None):
-        return GradedElement(datum, work, {w: FormalSeries.one(n + 1, work) if c is None else c})
+        return GradedElement(datum, order, {w: FormalSeries.one(n + 1, order) if c is None else c})
 
     def g_equal(a, b):
         return a.eq(b, order)
@@ -455,24 +439,24 @@ def check_morphisms(datum, order=6, seed=0, guard=2, datum_desc=None,
     def body():
         ctx = (context(datum, work) if _unit_r_coeff == 2
                else Context(datum, work, _unit_r_coeff))
+        one = GradedElement.one(datum, order)
+        v_theta = GroupAlgebraElement.theta((1,) + (0,) * (n - 1), LS_V)
         for side, lmap in (("r", ctx.lusztig_r), ("l", ctx.lusztig_l)):
-            one = GradedElement.one(datum, work)
             for i in range(n):
-                ts = lmap(HeckeElement.Ts(datum, i))
-                v2 = lmap(HeckeElement.scalar(datum, LaurentScalar({2: 1})))
+                ts = lmap(HeckeElement.Ts(datum, i), order)
+                v2 = lmap(HeckeElement.scalar(datum, LaurentScalar({2: 1})), order)
                 # (T_s + 1)(T_s - v^2) = 0
                 resid = gh_mul(ts + one, ts - v2)
-                if not resid.eq(GradedElement.zero(datum, work), order):
+                if not resid.eq(GradedElement.zero(datum, order), order):
                     return "L_%s image of quadratic relation nonzero for s%d: %r" % (
                         side, i + 1, resid.truncate(order))
             for i in range(n):
                 for j in range(i + 1, n):
                     m = datum.braid_order(i, j)
-                    a = GradedElement.one(datum, work)
-                    b = GradedElement.one(datum, work)
+                    a = b = one
                     for k in range(m):
-                        a = gh_mul(a, lmap(HeckeElement.Ts(datum, i if k % 2 == 0 else j)))
-                        b = gh_mul(b, lmap(HeckeElement.Ts(datum, j if k % 2 == 0 else i)))
+                        a = gh_mul(a, lmap(HeckeElement.Ts(datum, i if k % 2 == 0 else j), order))
+                        b = gh_mul(b, lmap(HeckeElement.Ts(datum, j if k % 2 == 0 else i), order))
                     if not a.eq(b, order):
                         return "L_%s image of braid relation fails for (s%d,s%d)" % (
                             side, i + 1, j + 1)
@@ -480,16 +464,21 @@ def check_morphisms(datum, order=6, seed=0, guard=2, datum_desc=None,
             cases += [(x, i) for _, x in _fundamental_weights(n) for i in range(n)]
             for x, i in cases:
                 sx = apply(datum.simple(i), x)
-                lhs = gh_mul(lmap(HeckeElement.Ts(datum, i)), lmap(HeckeElement.theta(datum, x)))
-                rhs = gh_mul(lmap(HeckeElement.theta(datum, sx)), lmap(HeckeElement.Ts(datum, i))) + \
+                ts = lmap(HeckeElement.Ts(datum, i), order)
+                lhs = gh_mul(ts, lmap(HeckeElement.theta(datum, x), order))
+                rhs = gh_mul(lmap(HeckeElement.theta(datum, sx), order), ts) + \
                     lmap(HeckeElement(datum, {
                         datum.identity: demazure_quotient(datum, x, i).scale(
-                            LaurentScalar({2: 1, 0: -1}))}))
+                            LaurentScalar({2: 1, 0: -1}))}), order)
                 if not lhs.eq(rhs, order):
                     return "L_%s image of Bernstein relation fails at x=%r, i=%d" % (side, x, i)
+        for side, lmap in (("r", ctx.lusztig_r), ("l", ctx.lusztig_l)):
+            failed = _construction_failure(
+                datum, lambda h: lmap(h, order), k_term, v_theta, gh_mul, g_equal, one)
+            if failed:
+                return "L_%s map: %s" % (side, failed)
         # the four involutive maps: relations, then construction
         k_rels = k_relations(datum)
-        v_theta = GroupAlgebraElement.theta((1,) + (0,) * (n - 1), LS_V)
         for name, fmap in zip(("koszul", "duality", "parity"), k_side_maps(datum)):
             failed = _relation_failure(k_rels, fmap, h_mul, operator.eq)
             if failed:
@@ -497,11 +486,11 @@ def check_morphisms(datum, order=6, seed=0, guard=2, datum_desc=None,
             failed = _construction_failure(datum, fmap, k_term, v_theta, h_mul, operator.eq)
             if failed:
                 return "%s map: %s" % (name, failed)
-        failed = _relation_failure(graded_relations(datum, work), fourier_map, gh_mul, g_equal)
+        failed = _relation_failure(graded_relations(datum, order), fourier_map, gh_mul, g_equal)
         if failed:
             return "fourier image of %s fails: lhs - rhs = %r" % (
                 failed[0], failed[1].truncate(order))
-        y1_plus_r = FormalSeries.from_linear(LinearForm([1] + [0] * (n - 1) + [1]), work)
+        y1_plus_r = FormalSeries.from_linear(LinearForm([1] + [0] * (n - 1) + [1]), order)
         failed = _construction_failure(datum, fourier_map, g_term, y1_plus_r, gh_mul, g_equal)
         if failed:
             return "fourier map: %s" % failed
@@ -595,12 +584,12 @@ def check_modules(datum, order=6, seed=0, guard=2, datum_desc=None,
 
     Exact K-side antispherical action formula, the transport intertwining
     transport(h . m) = L_l(h) . transport(m), and the action of
-    L_l(1 + T_s) on exp(x-dot) . 1 against its closed form.
+    L_l(1 + T_s) on exp(x-dot) . 1 against its closed form.  Only the
+    constants of L_l are built at order + guard.
     """
     rng = random.Random(seed)
     n = datum.rank
     desc = datum_desc or {}
-    work = order + guard
     if _sign_value != -1:
         datum = _private_copy(datum)
 
@@ -620,10 +609,10 @@ def check_modules(datum, order=6, seed=0, guard=2, datum_desc=None,
         for _ in range(20):
             samples.append(AsphElement.theta(datum, rand_weight(rng, n)))
         for name, h in gens:
-            img = lusztig_l(h, work)
+            img = lusztig_l(h, order, guard)
             for m in samples:
-                lhs = transport(asph_act_left(h, m, _sign_value), work)
-                rhs = g_asph_act(img, transport(m, work), _sign_value)
+                lhs = transport(asph_act_left(h, m, _sign_value), order)
+                rhs = g_asph_act(img, transport(m, order), _sign_value)
                 if not lhs.eq(rhs, order):
                     return "transport fails to intertwine %s on %r" % (name, m)
         # closed form of the action of L_l(1+T_s) on exp(x.)
@@ -631,11 +620,11 @@ def check_modules(datum, order=6, seed=0, guard=2, datum_desc=None,
             x = rand_weight(rng, n)
             i = rng.randrange(n)
             ts1 = HeckeElement.Ts(datum, i) + one
-            img = lusztig_l(ts1, work)
+            img = lusztig_l(ts1, order, guard)
             m = GradedAsphElement(datum, series_of_group_algebra(
-                datum, GroupAlgebraElement.theta(x), work))
+                datum, GroupAlgebraElement.theta(x), order))
             got = g_asph_act(img, m, _sign_value)
-            want = GradedAsphElement(datum, difference_times_scriptG(datum, i, x, work))
+            want = GradedAsphElement(datum, difference_times_scriptG(datum, i, x, order))
             if not got.eq(want, order):
                 return "closed-form action fails at x=%r, i=%d" % (x, i)
         return None

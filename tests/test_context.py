@@ -8,6 +8,7 @@ mutating a shared value, and the store must die with its datum.
 import gc
 import json
 import pathlib
+import random
 import weakref
 
 import pytest
@@ -23,6 +24,7 @@ from heckeverify.verify import (
     check_morphisms,
     check_presentation,
     hecke_generators,
+    rand_hecke,
     run_suites,
 )
 
@@ -108,6 +110,35 @@ def test_pipelines_across_orders_equal_a_fresh_datum():
                 got, want = route(h, order), route(h_fresh, order)
                 assert got.order == want.order == order
                 assert repr(got) == repr(want)
+
+
+def _same(a, b):
+    """Graded elements with equal orders and equal coefficients, den and terms."""
+    return a.order == b.order and a.coeffs == b.coeffs
+
+
+@pytest.mark.parametrize("family, rank, order", [("A", 2, 4), ("B", 2, 4), ("G", 2, 3)])
+def test_maps_at_the_compared_order_equal_the_work_order_truncated(family, rank, order):
+    # per-case products run at the compared order; only the constants of the
+    # context are built at order + guard, and the guard changes nothing
+    datum = build_root_datum(cartan_matrix(family, rank))
+    rng = random.Random(7)
+    cases = [h for _, h in hecke_generators(datum)]
+    cases += [rand_hecke(rng, datum) for _ in range(10)]
+    routes = []
+    for guard in (0, 1, 2):
+        ctx = context(datum, order + guard)
+        for h in cases:
+            for evaluate in (ctx.lusztig_r, ctx.lusztig_l, ctx.k_route):
+                got = evaluate(h, order)
+                assert got.order == order
+                assert _same(got, evaluate(h, ctx.order).truncate(order))
+        routes.append([(pipeline_K(h, order, guard), pipeline_H(h, order, guard))
+                       for h in cases])
+    for by_guard in zip(*routes):
+        for (k0, h0), (k, h) in zip(by_guard, by_guard[1:]):
+            assert _same(k0, k) and _same(h0, h)
+            assert k.order == h.order == order
 
 
 def _assert_kept(before, after, path="store"):

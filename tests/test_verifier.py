@@ -11,8 +11,9 @@ from heckeverify.affine_hecke import (
     ts_inverse,
 )
 from heckeverify.formal_series import fs_negate_r
-from heckeverify.graded_hecke import GradedElement
+from heckeverify.graded_hecke import GradedElement, gh_mul
 from heckeverify.lattice_algebra import GroupAlgebraElement, LS_V2
+from heckeverify.lusztig import _LusztigMap, context
 from heckeverify.root_datum import build_root_datum, cartan_matrix
 from heckeverify.verify import (
     check_diagram,
@@ -196,6 +197,28 @@ def test_faulty_fourier_map_fails_by_name(monkeypatch, fault, expected):
     rep = check_morphisms(build_root_datum(A2.cartan), order=3)
     assert rep.status == "fail"
     assert rep.witness.startswith(expected), rep.witness
+
+
+class _LusztigLetterTimesPrefix(_LusztigMap):
+    def _image_of_tw(self, w):
+        img = self._tw.get(w)
+        if img is None:
+            i = w.word[-1]
+            prefix = self.datum.mul(w, self.datum.simple(i))
+            img = self._tw[w] = gh_mul(self._image_of_ts(i), self._image_of_tw(prefix))
+        return img
+
+
+@pytest.mark.parametrize("side", ["r", "l"])
+def test_faulty_lusztig_map_fails_by_name(side):
+    # T_s and theta images stay right, so only the construction check sees it
+    datum = build_root_datum(A2.cartan)
+    lmap = getattr(context(datum, 3 + 2), "lusztig_" + side)
+    lmap.__class__ = _LusztigLetterTimesPrefix
+    rep = check_morphisms(datum, order=3, guard=2)
+    assert rep.status == "fail"
+    assert rep.witness.startswith(
+        "L_%s map: image of T(s1.s2) is not the product along its word" % side), rep.witness
 
 
 def test_negative_controls_fail_on_rank_two_as_well():
