@@ -50,7 +50,7 @@ upstream.  The Weyl action is a linear substitution, which keeps degrees.
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .root_datum import apply
 
@@ -392,26 +392,6 @@ class FormalSeries:
         return " + ".join(parts) + " + O(%d)" % (self.order + 1)
 
 
-def fs_combination(nvars, order, pairs):
-    """sum of c * f over (int c, series f) in ``pairs``, at most at ``order``.
-
-    One pass over a common denominator, so the sum is reduced once
-    instead of once per term.
-    """
-    pairs = list(pairs)
-    order = min([order] + [f.order for _, f in pairs])
-    den = lcm(*(f.den for _, f in pairs))
-    limit = (order + 1) << FIELD_BITS * nvars
-    out = {}
-    get = out.get
-    for c, f in pairs:
-        c *= den // f.den
-        for e, v in f.terms.items():
-            if e < limit:
-                out[e] = get(e, 0) + c * v
-    return _series(nvars, order, den, out)
-
-
 # -- analytic operations --------------------------------------------------
 
 def fs_exp(f):
@@ -446,6 +426,41 @@ def fs_exp(f):
             out[e] = c * scale
         scale *= den * d
     return _series(f.nvars, order, den ** max(order, 0) * fact, out)
+
+
+def fs_exp_sum(nvars, order, pairs):
+    """sum of c exp(l) over (int c, int coefficient list l) in ``pairs``, at ``order``.
+
+    The coefficient of the monomial m = y^a r^b is sum_t c_t l_t^m / m!,
+    so over the common denominator order! its numerator is
+    (order!/m!) sum_t c_t l_t^m.  The monomials are walked one variable at
+    a time, each from its parent by one more power of that variable, so
+    every per-term power is one product; a variable that no term uses is
+    skipped.
+    """
+    cs, cols = [], []
+    for c, form in pairs:
+        if type(c) is not int or any(type(a) is not int for a in form):
+            raise TypeError("exp sum needs int coefficients, got %r, %r" % (c, form))
+        if c:
+            cs.append(c)
+            cols.append(form)
+    _check_order(order)
+    top = factorial(max(order, 0))
+    nodes = [(0, 0, top, cs)] if cs and order >= 0 else []     # key, degree, order!/m!, c_t l_t^m
+    for i, col in enumerate(zip(*cols)):
+        if any(col):
+            unit = _unit(nvars, i)
+            grown = []
+            for key, deg, weight, vals in nodes:
+                grown.append((key, deg, weight, vals))
+                for e in range(1, order - deg + 1):
+                    key += unit
+                    weight //= e
+                    vals = [v * a for v, a in zip(vals, col)]
+                    grown.append((key, deg + e, weight, vals))
+            nodes = grown
+    return _series(nvars, order, top, {key: weight * sum(vals) for key, _, weight, vals in nodes})
 
 
 def fs_inv(f):

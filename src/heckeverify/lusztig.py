@@ -45,9 +45,9 @@ from .formal_series import (
     FormalSeries,
     LinearForm,
     diff,
-    fs_combination,
     fs_div_linear,
     fs_exp,
+    fs_exp_sum,
     fs_inv,
 )
 from .graded_hecke import (
@@ -65,13 +65,8 @@ DEFAULT_GUARD = 2
 
 def series_of_group_algebra(datum, ga, order):
     """Image of an element of Z[v,v^-1][X]:  v^k theta_x |-> exp(x-dot + k r)."""
-    terms = []
-    for x, laurent in ga.coeffs.items():
-        base = list(diff(x).coeffs[:-1])
-        for k, c in laurent.coeffs.items():
-            form = LinearForm(base + [k])
-            terms.append((c, fs_exp(FormalSeries.from_linear(form, order))))
-    return fs_combination(datum.rank + 1, order, terms)
+    return fs_exp_sum(datum.rank + 1, order, [
+        (c, x + (k,)) for x, laurent in ga.coeffs.items() for k, c in laurent.coeffs.items()])
 
 
 def unit_factor(datum, i, order, r_coeff=2):

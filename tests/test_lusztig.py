@@ -2,11 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from heckeverify.affine_hecke import AsphElement, HeckeElement, asph_act_left, h_mul
+from heckeverify import lusztig, verify
+from heckeverify.affine_hecke import LS_V2M1, AsphElement, HeckeElement, asph_act_left, h_mul
 from heckeverify.formal_series import FormalSeries, LinearForm, diff, fs_exp
 from heckeverify.graded_hecke import GradedAsphElement, GradedElement, g_asph_act, gh_mul
-from heckeverify.lattice_algebra import GroupAlgebraElement, LaurentScalar, LS_V
+from heckeverify.lattice_algebra import (
+    GroupAlgebraElement,
+    LaurentScalar,
+    LS_V,
+    demazure_quotient,
+)
 from heckeverify.lusztig import (
     difference_times_scriptG,
     lusztig_l,
@@ -17,7 +25,7 @@ from heckeverify.lusztig import (
     transport,
     unit_factor,
 )
-from heckeverify.root_datum import build_root_datum, cartan_matrix
+from heckeverify.root_datum import apply, build_root_datum, cartan_matrix
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum(cartan_matrix("A", 2))
@@ -147,3 +155,85 @@ def test_series_of_group_algebra_is_multiplicative():
         lhs = series_of_group_algebra(A2, a * b, 6)
         rhs = series_of_group_algebra(A2, a, 6) * series_of_group_algebra(A2, b, 6)
         assert lhs.eq(rhs, 6)
+
+
+# -- ch is a ring map ---------------------------------------------------------
+#
+# check_morphisms proves the Lusztig maps are homomorphisms from the
+# Bernstein relation at x = +-omega_j only; that carries to every x only
+# because ch: v^k theta_x |-> exp(x-dot + k r) is a ring map.
+
+RING_MAP = settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+RING_MAP_DATA = {"%s%d" % (t, n): (build_root_datum(cartan_matrix(t, n)), order)
+                 for t, n, order in [("A", 1, 8), ("A", 2, 6), ("B", 2, 5), ("G", 2, 5),
+                                     ("A", 3, 4)]}
+
+
+@st.composite
+def group_algebra(draw, n):
+    """A sum of up to three terms c v^k theta_x; the empty sum is zero."""
+    out = GroupAlgebraElement()
+    terms = st.tuples(st.tuples(*[st.integers(-3, 3)] * n), st.integers(-2, 2), st.integers(-3, 3))
+    for x, k, c in draw(st.lists(terms, max_size=3)):
+        out = out + GroupAlgebraElement.theta(x, LaurentScalar({k: c}))
+    return out
+
+
+def ch_is_multiplicative(datum, a, b, order):
+    """ch(a b) == ch(a) ch(b), looked up on the module so a planted fault shows."""
+    ch = lusztig.series_of_group_algebra
+    return ch(datum, a * b, order) == ch(datum, a, order) * ch(datum, b, order)
+
+
+@RING_MAP
+@given(st.data(), st.sampled_from(sorted(RING_MAP_DATA)), st.integers(-3, 3))
+def test_ch_is_a_ring_map(data, name, k):
+    datum, order = RING_MAP_DATA[name]
+    n = datum.rank
+    a, b = data.draw(group_algebra(n)), data.draw(group_algebra(n))
+    assert ch_is_multiplicative(datum, a, b, order)
+    v_k = GroupAlgebraElement.theta((0,) * n, LaurentScalar({k: 1}))
+    assert series_of_group_algebra(datum, v_k, order) == exp_series([0] * n + [k], order)
+
+
+def _sign_fault(ch):
+    """ch with the wrong sign on every weight that has some |x_j| >= 2."""
+    def faulty(datum, ga, order):
+        flipped = {tuple(-a for a in x) if max(map(abs, x)) >= 2 else x: c
+                   for x, c in ga.coeffs.items()}
+        return ch(datum, GroupAlgebraElement(flipped), order)
+    return faulty
+
+
+def test_planted_ch_fault_fails_the_run_and_the_ring_map_check(monkeypatch):
+    # the sign fault leaves every +-omega_j alone, so morphisms alone may
+    # pass; the other suites and the ring-map check must not
+    faulty = _sign_fault(lusztig.series_of_group_algebra)
+    monkeypatch.setattr(lusztig, "series_of_group_algebra", faulty)
+    monkeypatch.setattr(verify, "series_of_group_algebra", faulty)
+    datum = build_root_datum(A2.cartan)
+    reports = verify.run_suites(datum, ["all"], order=3)
+    assert any(rep.status == "fail" for rep in reports), [(r.name, r.status) for r in reports]
+    theta = GroupAlgebraElement.theta((1, 0))
+    assert not ch_is_multiplicative(datum, theta, theta, 3)
+
+
+# The random-weight Bernstein battery that check_morphisms ran beside the
+# +-omega_j cases; kept as an independent cross-check of the reduction.
+@pytest.mark.parametrize("family, order", [("A", 4), ("B", 4), ("G", 3)])
+def test_lusztig_maps_satisfy_bernstein_relation_at_random_weights(family, order):
+    datum = build_root_datum(cartan_matrix(family, 2))
+    rng = random.Random(11)
+    for lmap in (lusztig_r, lusztig_l):
+        for _ in range(50):
+            x = tuple(rng.randint(-3, 3) for _ in range(datum.rank))
+            i = rng.randrange(datum.rank)
+            ts = lmap(HeckeElement.Ts(datum, i), order, 2)
+            lhs = gh_mul(ts, lmap(HeckeElement.theta(datum, x), order, 2))
+            dem = HeckeElement(datum, {
+                datum.identity: demazure_quotient(datum, x, i).scale(LS_V2M1)})
+            rhs = gh_mul(lmap(HeckeElement.theta(datum, apply(datum.simple(i), x)), order, 2),
+                         ts) + lmap(dem, order, 2)
+            assert lhs.eq(rhs, order), (lmap.__name__, x, i)

@@ -21,9 +21,9 @@ from heckeverify.formal_series import (
     LinearForm,
     NotDivisible,
     OrderTooLarge,
-    fs_combination,
     fs_div_linear,
     fs_exp,
+    fs_exp_sum,
     fs_inv,
     fs_negate_r,
     fs_set_r_zero,
@@ -198,19 +198,46 @@ def test_eq_matches_reference_and_refuses_untrusted_degrees(data, nvars):
         a.eq(b, cap + 1)
 
 
-@KERNEL
-@given(st.data(), nvars_st, st.integers(0, 5), st.lists(st.integers(-5, 5), max_size=4))
-def test_combination_matches_reference(data, nvars, order, scalars):
-    raws = [data.draw(raw_series(nvars)) for _ in scalars]
-    got = fs_combination(nvars, order, [(c, build(nvars, raw))
-                                        for c, raw in zip(scalars, raws)])
-    want = ref(order, {})
-    for c, raw in zip(scalars, raws):
-        want = ref_add(want, ref_scale(ref(*raw), c))
-    assert as_ref(got) == want
-
-
 # -- analytic operations ----------------------------------------------------
+
+def ref_exp_sum(nvars, order, pairs):
+    """sum_t c_t exp(l_t) by the exponential series of each linear form."""
+    weights = [Fraction(1, factorial(k)) for k in range(order + 1)]
+    out = ref(order, {})
+    for c, form in pairs:
+        linear = ref(order, {tuple(int(j == i) for j in range(nvars)): a
+                             for i, a in enumerate(form)})
+        out = ref_add(out, ref_scale(ref_power_series(linear, nvars, weights), c))
+    return out
+
+
+@KERNEL
+@given(st.data(), st.integers(2, 4), st.integers(0, 8))
+def test_exp_sum_matches_per_term_exp_and_reference(data, nvars, order):
+    # ranks 1-3 plus r; forms are drawn from a short list so weights repeat
+    forms = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * nvars), min_size=1, max_size=3))
+    pairs = data.draw(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(forms)), max_size=4))
+    got = fs_exp_sum(nvars, order, pairs)
+    per_term = FormalSeries.zero(nvars, order)
+    for c, form in pairs:
+        per_term = per_term + fs_exp(FormalSeries.from_linear(LinearForm(form), order)).scale(c)
+    assert got == per_term
+    assert as_ref(got) == ref_exp_sum(nvars, order, pairs)
+
+
+def test_exp_sum_edge_cases_and_refusals():
+    form = (1, -2, 3)
+    exp_form = fs_exp(FormalSeries.from_linear(LinearForm(form), 5))
+    assert fs_exp_sum(3, 5, []) == FormalSeries.zero(3, 5)
+    assert fs_exp_sum(3, 5, [(0, form), (0, (4, 4, 4))]) == FormalSeries.zero(3, 5)
+    assert fs_exp_sum(3, 5, [(2, form), (-2, form)]) == FormalSeries.zero(3, 5)
+    assert fs_exp_sum(3, 5, [(2, form), (1, form)]) == exp_form.scale(3)
+    assert fs_exp_sum(3, 5, [(5, (0, 0, 0))]) == FormalSeries.const(3, 5, 5)
+    assert fs_exp_sum(3, 0, [(1, form), (2, (4, 0, 1))]) == FormalSeries.const(3, 0, 3)
+    for c, bad in [(1.0, form), (Fraction(1), form), (1, (1, 0.5, 0)), (1, (Fraction(1, 2), 0, 0))]:
+        with pytest.raises(TypeError):
+            fs_exp_sum(3, 5, [(c, bad)])
+
 
 @KERNEL
 @given(st.data(), nvars_st)
