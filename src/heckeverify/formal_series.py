@@ -45,7 +45,11 @@ terms whose degrees sum above the order is never formed.  Division by a
 linear form is exact division of each homogeneous component, solved one
 power of a pivot variable at a time; a nonzero remainder raises
 NotDivisible, which in practice means a formula was transcribed wrongly
-upstream.  The Weyl action is a linear substitution, which keeps degrees.
+upstream.  The Weyl action is a linear substitution, which keeps degrees;
+for a simple reflection s_i, the same table holds the Demazure images
+(m - s_i(m))/alpha_i-dot of monomials with int coefficients, so
+:func:`fs_weyl_demazure` gives both terms of the graded rule with no
+division.
 """
 
 from collections.abc import Mapping
@@ -573,10 +577,16 @@ def fs_div_linear(f, form):
 class _WeylSubstitution:
     """The substitution y_i |-> differential of w(fundamental weight i).
 
-    Built once per (datum, w) by :func:`fs_weyl`.  The image of a
+    Built once per (datum, w) by :func:`_weyl_table`.  The image of a
     y-monomial y^a (a key with no r) is the product of the image forms; it
     is made on first use, from the image of y^a with one power of its last
     variable removed, and kept for every later series.
+
+    For a simple reflection w = s_i the table also holds the Demazure
+    images Dem_i(y^a) = (y^a - s_i(y^a))/alpha_i-dot, made the same way by
+    the twisted Leibniz rule Dem(m y_j) = Dem(m) y_j + s(m) Dem(y_j).  As
+    s_i(x) = x - x[i] alpha_i, Dem_i(y_j) is 1 for j = i and 0 otherwise,
+    so every image has int coefficients and nothing is divided.
     """
 
     def __init__(self, datum, w):
@@ -588,17 +598,44 @@ class _WeylSubstitution:
             image = apply(w, tuple(1 if j == i else 0 for j in range(n)))
             self.forms.append({self.units[k]: c for k, c in enumerate(image) if c})
         self.images = {0: {0: 1}}
+        self.simple = w.word[0] if w.length == 1 else None
+        self.dems = {0: {}}
+
+    def _last(self, key):
+        """The index of the last variable of a nonconstant y-monomial."""
+        exp = _unpack(key, self.nvars)
+        return max(j for j, p in enumerate(exp) if p)
 
     def image_of(self, key):
         got = self.images.get(key)
         if got is None:
-            exp = _unpack(key, self.nvars)
-            i = max(j for j, p in enumerate(exp) if p)
+            i = self._last(key)
             got = {}
             _mul_add(got, self.image_of(key - self.units[i]), self.forms[i])
             got = {e: c for e, c in got.items() if c}
             self.images[key] = got
         return got
+
+    def dem_of(self, key):
+        """Dem_i of the y-monomial ``key``, for the simple reflection s_i."""
+        got = self.dems.get(key)
+        if got is None:
+            j = self._last(key)
+            unit = self.units[j]
+            parent = key - unit
+            got = {e + unit: c for e, c in self.dem_of(parent).items()}
+            if j == self.simple:
+                get = got.get
+                for e, c in self.image_of(parent).items():
+                    got[e] = get(e, 0) + c
+                got = {e: c for e, c in got.items() if c}
+            self.dems[key] = got
+        return got
+
+
+def _weyl_table(datum, w):
+    """The substitution table of (datum, w), kept in the datum's store."""
+    return datum.memo(("fs_weyl", w), lambda: _WeylSubstitution(datum, w))
 
 
 def fs_weyl(datum, w, f):
@@ -609,7 +646,7 @@ def fs_weyl(datum, w, f):
     r^k, whose key is k in the r field plus k in the degree field.
     """
     assert f.nvars == datum.rank + 1
-    image_of = datum.memo(("fs_weyl", w), lambda: _WeylSubstitution(datum, w)).image_of
+    image_of = _weyl_table(datum, w).image_of
     shift = FIELD_BITS * f.nvars
     out = {}
     get = out.get
@@ -620,6 +657,40 @@ def fs_weyl(datum, w, f):
             m += r_part
             out[m] = get(m, 0) + c * cm
     return _series(f.nvars, f.order, f.den, out)
+
+
+def fs_weyl_demazure(datum, i, f):
+    """(s_i(f), 2r Dem_i(f)) in one pass over the terms of f, both at f's order.
+
+    These are the two coefficients of Lusztig's rule
+    t_s f = s(f) t_s + 2r Dem_s(f).  Both are read from the integer tables
+    of (datum, s_i), so Dem_i(f) = (f - s_i(f))/alpha_i-dot keeps the
+    denominator of f, and the factor 2r gives back the degree Dem_i takes.
+    r is fixed by s_i and its part of each key is shifted on as in
+    :func:`fs_weyl`.
+    """
+    assert f.nvars == datum.rank + 1
+    table = _weyl_table(datum, datum.simple(i))
+    image_of, dem_of = table.image_of, table.dem_of
+    nvars = f.nvars
+    shift = FIELD_BITS * nvars
+    r_key = _unit(nvars, nvars - 1)
+    s_out, d_out = {}, {}
+    s_get, d_get = s_out.get, d_out.get
+    for e, c in f.terms.items():
+        k = e & _FIELD
+        r_part = k << shift | k
+        y = e - r_part
+        for m, cm in image_of(y).items():
+            m += r_part
+            s_out[m] = s_get(m, 0) + c * cm
+        r_part += r_key
+        c *= 2
+        for m, cm in dem_of(y).items():
+            m += r_part
+            d_out[m] = d_get(m, 0) + c * cm
+    return (_series(nvars, f.order, f.den, s_out),
+            _series(nvars, f.order, f.den, d_out))
 
 
 def fs_negate_r(f):

@@ -4,13 +4,15 @@ The graded affine Hecke algebra over truncated power series.
 Elements are sums  sum_w f_w * t_w  with the series coefficient on the
 left; all coefficients of one element share a single trusted order.  The
 group-like part multiplies by t_v t_w = t_{vw} with no length cases, and
-series commute past t_s by the divided-difference rule
+series commute past t_s by Lusztig's rule
 
-    t_s * phi = s(phi) * t_s + 2r * (phi - s(phi)) / alpha-dot,
+    t_s * phi = s(phi) * t_s + 2r * Dem_s(phi),   Dem_s(phi) = (phi - s(phi)) / alpha-dot.
 
-stored denominator-free: the exact division by the degree-one form
-alpha-dot must succeed (NotDivisible would mean a broken formula), and the
-multiplication by the monomial 2r restores the degree the division spent.
+The product reads s(phi) and 2r Dem_s(phi) from integer tables of
+monomial images (:func:`fs_weyl_demazure`), built by the twisted Leibniz
+rule, so nothing on that path divides; the factor 2r gives back the
+degree Dem_s takes.  :func:`demazure_series` keeps the definition by exact
+division by alpha-dot, which the verifier checks the tables against.
 
 The Todd-type unit  e_B = prod_{alpha > 0} alpha-dot / (1 - exp(-alpha-dot))
 lives here too, along with conjugation by it and the graded antispherical
@@ -26,6 +28,7 @@ from .formal_series import (
     fs_inv,
     fs_negate_r,
     fs_weyl,
+    fs_weyl_demazure,
 )
 
 
@@ -130,20 +133,18 @@ def root_diff(datum, i):
     return diff(datum.simple_roots[i])
 
 
-def demazure_series(datum, f, i, sf=None):
-    """(f - s_i(f)) / alpha_i-dot; order drops by one, always divisible.
+def demazure_series(datum, f, i):
+    """(f - s_i(f)) / alpha_i-dot by exact division; order drops by one.
 
-    ``sf`` is s_i(f) when the caller already has it.
+    This is the definition of Dem_i.  The product reads Dem_i from
+    integer tables instead (:func:`fs_weyl_demazure`), so a check of
+    ``gh_mul`` against this function compares two independent routes.
     """
-    if sf is None:
-        sf = fs_weyl(datum, datum.simple(i), f)
-    return fs_div_linear(f - sf, root_diff(datum, i))
+    return fs_div_linear(f - fs_weyl(datum, datum.simple(i), f), root_diff(datum, i))
 
 
 def _left_mul_ts(datum, i, elem):
-    """t_{s_i} * elem via the divided-difference commutation rule."""
-    s = datum.simple(i)
-    r_exp = (0,) * datum.rank + (1,)
+    """t_{s_i} * elem by Lusztig's rule, one table pass per coefficient."""
     out = {}
 
     def add(w, f):
@@ -153,10 +154,9 @@ def _left_mul_ts(datum, i, elem):
         out[w] = f if prev is None else prev + f
 
     for w, f in elem.coeffs.items():
-        sf = fs_weyl(datum, s, f)
+        sf, dem = fs_weyl_demazure(datum, i, f)
         add(datum.left_mul(i, w), sf)
-        # 2r * partial restores the order spent by the division
-        add(w, demazure_series(datum, f, i, sf).mul_monomial(r_exp, 2))
+        add(w, dem)
     return GradedElement(datum, elem.order, out)
 
 
@@ -285,15 +285,24 @@ class GradedAsphElement:
 def g_asph_act(a, m, sign_value=-1):
     """Left action on the graded antispherical module (t_s acts by -1).
 
-    ``sign_value`` = +1 is the verifier's corrupted sign module.
+    On one series: t_s (h.1) = sign s(h) + 2r Dem_s(h), applied letter by
+    letter, so t_w (g.1) is built once per w from t_{s_i w} (g.1), and
+    a.(g.1) = sum_w a_w (t_w g.1).  ``sign_value`` = +1 is the verifier's
+    corrupted sign module.
     """
     datum = a.datum
-    lifted = GradedElement(datum, min(a.order, m.value.order), {datum.identity: m.value})
-    prod = gh_mul(a, lifted)
-    total = FormalSeries.zero(datum.rank + 1, prod.order)
-    for w, f in prod.coeffs.items():
-        if sign_value == -1 and w.length % 2:
-            total = total - f
-        else:
-            total = total + f
+    order = min(a.order, m.value.order)
+    images = {datum.identity: m.value.truncate(order)}
+
+    def image(w):
+        got = images.get(w)
+        if got is None:
+            i = w.word[0]
+            sh, dem = fs_weyl_demazure(datum, i, image(datum.left_mul(i, w)))
+            got = images[w] = dem - sh if sign_value == -1 else dem + sh
+        return got
+
+    total = FormalSeries.zero(datum.rank + 1, order)
+    for w, f in a.coeffs.items():
+        total = total + f * image(w)
     return GradedAsphElement(datum, total)

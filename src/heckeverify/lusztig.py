@@ -209,6 +209,17 @@ def transport(m, order):
     )
 
 
+def _scriptG_factor(datum, i, order):
+    """a/(exp(a)-1) * (exp(a + 2r) - 1) at ``order``, with a = alpha_i-dot."""
+    n = datum.rank
+    a_form = diff(datum.simple_roots[i])
+    shifted = LinearForm(list(a_form.coeffs[:-1]) + [2])
+    one_hi = FormalSeries.one(n + 1, order + 1)
+    den = fs_div_linear(fs_exp(FormalSeries.from_linear(a_form, order + 1)) - one_hi, a_form)
+    last = fs_exp(FormalSeries.from_linear(shifted, order)) - FormalSeries.one(n + 1, order)
+    return fs_inv(den) * last
+
+
 def difference_times_scriptG(datum, i, x, order):
     """Series image of (theta_x - theta_{sx}) * (v^2 theta_alpha - 1)/(theta_alpha - 1).
 
@@ -218,16 +229,14 @@ def difference_times_scriptG(datum, i, x, order):
 
         (exp(x.) - exp(sx.))/a * a/(exp(a)-1) * (exp(a + 2r) - 1)
 
-    with a = alpha-dot, every factor a genuine truncated series.
+    with a = alpha-dot, every factor a genuine truncated series.  The last
+    two factors do not depend on x; their product is built once per
+    (datum, i, order) in the datum's store.
     """
-    n = datum.rank
     s = datum.simple(i)
     a_form = diff(datum.simple_roots[i])
-    shifted = LinearForm(list(a_form.coeffs[:-1]) + [2])
-    one_hi = FormalSeries.one(n + 1, order + 1)
     ex = fs_exp(FormalSeries.from_linear(diff(x), order + 1))
     esx = fs_exp(FormalSeries.from_linear(diff(apply(s, x)), order + 1))
     quotient = fs_div_linear(ex - esx, a_form)
-    den = fs_div_linear(fs_exp(FormalSeries.from_linear(a_form, order + 1)) - one_hi, a_form)
-    last = fs_exp(FormalSeries.from_linear(shifted, order)) - FormalSeries.one(n + 1, order)
-    return quotient * fs_inv(den) * last
+    return quotient * datum.memo(("scriptG", i, order),
+                                 lambda: _scriptG_factor(datum, i, order))

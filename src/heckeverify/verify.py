@@ -340,7 +340,8 @@ def check_presentation(datum, seed=0, order=6, datum_desc=None,
     Bernstein relations) that the morphism check evaluates under each
     K-side map.  Graded side:
     t_s^2 = 1, braid relations, and the divided-difference commutation
-    rule, at the given order.
+    rule, at the given order: ``gh_mul`` reads Dem_s from integer tables,
+    and the right-hand side divides by alpha-dot (:func:`demazure_series`).
     """
     rng = random.Random(seed)
     n = datum.rank
@@ -375,6 +376,7 @@ def check_presentation(datum, seed=0, order=6, datum_desc=None,
         if failed:
             return "%s fails in the Hecke algebra: lhs - rhs = %r" % failed
         # graded side
+        r_exp = (0,) * n + (1,)
         for i in range(n):
             ts = GradedElement.ts(datum, i, order)
             if not gh_mul(ts, ts).eq(GradedElement.one(datum, order)):
@@ -386,17 +388,15 @@ def check_presentation(datum, seed=0, order=6, datum_desc=None,
             ts = GradedElement.ts(datum, i, order)
             lhs = gh_mul(ts, GradedElement.series(datum, phi))
             sphi = fs_weyl(datum, s, phi)
-            r_exp = (0,) * n + (1,)
-            rhs = GradedElement(datum, order, {s: sphi}) + GradedElement.series(
-                datum, demazure_series(datum, phi, i).mul_monomial(r_exp, 2))
+            dem = demazure_series(datum, phi, i).mul_monomial(r_exp, 2)
+            rhs = GradedElement(datum, order, {s: sphi}) + GradedElement.series(datum, dem)
             if not lhs.eq(rhs, order):
                 return "graded commutation fails at i=%d, phi=%r" % (i, phi)
             # script-g reformulation: (t_s+1)phi - s(phi)(t_s+1) = (phi-s(phi))*g(alpha)
             ts1 = ts + GradedElement.one(datum, order)
             lhs2 = gh_mul(ts1, GradedElement.series(datum, phi)) - \
                 GradedElement.series(datum, sphi) * ts1
-            rhs2 = GradedElement.series(
-                datum, (phi - sphi) + demazure_series(datum, phi, i).mul_monomial(r_exp, 2))
+            rhs2 = GradedElement.series(datum, (phi - sphi) + dem)
             if not lhs2.eq(rhs2, order):
                 return "graded script-g reformulation fails at i=%d" % i
         return None
@@ -609,11 +609,12 @@ def check_modules(datum, order=6, seed=0, guard=2, datum_desc=None,
         samples = [AsphElement.base_point(datum)]
         for _ in range(20):
             samples.append(AsphElement.theta(datum, rand_weight(rng, n)))
+        transported = [transport(m, order) for m in samples]
         for name, h in gens:
             img = lusztig_l(h, order, guard)
-            for m in samples:
+            for m, tm in zip(samples, transported):
                 lhs = transport(asph_act_left(h, m, _sign_value), order)
-                rhs = g_asph_act(img, transport(m, order), _sign_value)
+                rhs = g_asph_act(img, tm, _sign_value)
                 if not lhs.eq(rhs, order):
                     return "transport fails to intertwine %s on %r" % (name, m)
         # closed form of the action of L_l(1+T_s) on exp(x.)

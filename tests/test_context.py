@@ -181,7 +181,7 @@ def calls(monkeypatch):
     counts = {}
     for module, name in ((graded_hecke, "todd_eB"), (lusztig, "unit_factor"),
                          (affine_hecke, "koszul_map"), (affine_hecke, "duality_map"),
-                         (affine_hecke, "parity_map")):
+                         (affine_hecke, "parity_map"), (lusztig, "_scriptG_factor")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             counts[_name] = counts.get(_name, 0) + 1
             return _fn(*args, **kwargs)
@@ -207,3 +207,13 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
     assert [a.order for a in conjugated] == [5] * runs[0]
     # each e_B t_w e_B^{-1} is built once, for the w that some L_r(T_w) reaches
     assert set(conj._images) == {w for a in conjugated for w in a.coeffs}
+    # the x-free factors of the closed form: once per (i, order)
+    for _ in range(2):
+        assert check_modules(datum, order=3, seed=0).status == "pass"
+        for i in range(datum.rank):
+            lusztig.difference_times_scriptG(datum, i, (1, -1), 4)
+    assert calls.pop("_scriptG_factor") == 4
+    assert sorted(key for key in datum._memo if key[0] == "scriptG") == [
+        ("scriptG", i, order) for i in range(datum.rank) for order in (3, 4)]
+    assert calls == {"todd_eB": 1, "unit_factor": 2, "koszul_map": 1,
+                     "duality_map": 1, "parity_map": 1}

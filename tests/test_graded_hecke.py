@@ -25,6 +25,7 @@ from heckeverify.root_datum import build_root_datum, cartan_matrix
 A1 = build_root_datum([[2]])
 A2 = build_root_datum(cartan_matrix("A", 2))
 B2 = build_root_datum(cartan_matrix("B", 2))
+G2 = build_root_datum(cartan_matrix("G", 2))
 
 
 def rand_graded(rng, datum, order):
@@ -171,3 +172,29 @@ def test_graded_module_law():
         lhs = g_asph_act(gh_mul(a, b), m)
         rhs = g_asph_act(a, g_asph_act(b, m))
         assert lhs.value.eq(rhs.value, 5)
+
+
+def _act_by_collapse(a, m, sign_value):
+    """a.(g.1) as the literal product a * g, then t_u |-> sign_value^l(u) (or 1)."""
+    datum = a.datum
+    lifted = GradedElement(datum, min(a.order, m.value.order), {datum.identity: m.value})
+    prod = gh_mul(a, lifted)
+    total = FormalSeries.zero(datum.rank + 1, prod.order)
+    for w, f in prod.coeffs.items():
+        total = total - f if sign_value == -1 and w.length % 2 else total + f
+    return total
+
+
+@pytest.mark.parametrize("sign_value", [-1, 1])
+def test_action_equals_the_product_collapsed(sign_value):
+    rng = random.Random(11)
+    for datum in (A1, A2, B2, G2):
+        n = datum.rank
+        for _ in range(12):
+            a_order, m_order = rng.randint(0, 5), rng.randint(0, 5)
+            a = rand_graded(rng, datum, a_order)
+            m = GradedAsphElement(datum, FormalSeries(n + 1, m_order, {
+                tuple(rng.randint(0, 2) for _ in range(n + 1)):
+                Fraction(rng.randint(-8, 8) or 1, rng.randint(1, 8)) for _ in range(3)}))
+            got = g_asph_act(a, m, sign_value).value
+            assert got == _act_by_collapse(a, m, sign_value)

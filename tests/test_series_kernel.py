@@ -28,9 +28,10 @@ from heckeverify.formal_series import (
     fs_negate_r,
     fs_set_r_zero,
     fs_weyl,
+    fs_weyl_demazure,
 )
 from heckeverify.graded_hecke import GradedElement
-from heckeverify.root_datum import apply, build_root_datum, cartan_matrix
+from heckeverify.root_datum import apply, build_root_datum, cartan_matrix, read_cartan_file
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                   suppress_health_check=[HealthCheck.too_slow])
@@ -318,6 +319,38 @@ def test_r_maps_match_reference(data, nvars):
                                               for e, c in coeffs.items()})
     assert as_ref(fs_set_r_zero(a)) == (order, {e: c for e, c in coeffs.items()
                                                 if e[-1] == 0})
+
+
+@pytest.fixture(scope="module")
+def demazure_data(tmp_path_factory):
+    """A1, A2, B2, G2, A3, C3 and the transpose of B2 read from a Cartan file."""
+    data = [build_root_datum(cartan_matrix(t, r))
+            for t, r in (("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("C", 3))]
+    b2 = cartan_matrix("B", 2)
+    path = tmp_path_factory.mktemp("cartan") / "b2t.txt"
+    path.write_text("2\n" + "\n".join(" ".join(str(b2[j][i]) for j in range(2))
+                                      for i in range(2)) + "\n")
+    data.append(build_root_datum(read_cartan_file(str(path))))
+    return data
+
+
+@settings(KERNEL, max_examples=150)
+@given(st.data())
+def test_demazure_table_matches_the_division(demazure_data, data):
+    # s_i(f) and 2r Dem_i(f) from the integer tables against fs_weyl and
+    # the exact division (f - s_i(f)) / alpha_i-dot
+    datum = data.draw(st.sampled_from(demazure_data))
+    n = datum.rank
+    i = data.draw(st.integers(0, n - 1))
+    order = data.draw(st.integers(0, 8))
+    exps = st.tuples(*[st.integers(0, 4)] * (n + 1))
+    f = FormalSeries(n + 1, order, data.draw(st.dictionaries(exps, rationals, max_size=8)))
+    sf, dem = fs_weyl_demazure(datum, i, f)
+    assert_canonical(sf)
+    assert_canonical(dem)
+    assert sf == fs_weyl(datum, datum.simple(i), f)
+    quotient = fs_div_linear(f - sf, LinearForm(datum.simple_roots[i] + (0,)))
+    assert dem == quotient.mul_monomial((0,) * n + (1,), 2)
 
 
 # -- boundaries ---------------------------------------------------------------

@@ -10,7 +10,7 @@ from heckeverify.affine_hecke import (
     k_side_maps,
     ts_inverse,
 )
-from heckeverify.formal_series import fs_negate_r
+from heckeverify.formal_series import _WeylSubstitution, fs_negate_r
 from heckeverify.graded_hecke import GradedElement, gh_mul
 from heckeverify.lattice_algebra import GroupAlgebraElement, LS_V2
 from heckeverify.lusztig import _LusztigMap, context
@@ -219,6 +219,28 @@ def test_faulty_lusztig_map_fails_by_name(side):
     assert rep.status == "fail"
     assert rep.witness.startswith(
         "L_%s map: image of T(s1.s2) is not the product along its word" % side), rep.witness
+
+
+def _untwisted_dem_of(self, key):
+    """Dem(m y_j) = Dem(m) y_j + m Dem(y_j): the Leibniz rule without s(m)."""
+    got = self.dems.get(key)
+    if got is None:
+        j = self._last(key)
+        parent = key - self.units[j]
+        got = {e + self.units[j]: c for e, c in _untwisted_dem_of(self, parent).items()}
+        if j == self.simple:
+            got[parent] = got.get(parent, 0) + 1
+        got = self.dems[key] = {e: c for e, c in got.items() if c}
+    return got
+
+
+@pytest.mark.parametrize("cartan", [A2.cartan, cartan_matrix("B", 2)])
+def test_faulty_demazure_table_fails_presentation_by_name(monkeypatch, cartan):
+    # gh_mul reads Dem_s from the tables; the battery divides by alpha-dot
+    monkeypatch.setattr(_WeylSubstitution, "dem_of", _untwisted_dem_of)
+    rep = check_presentation(build_root_datum(cartan), order=4)
+    assert rep.status == "fail"
+    assert rep.witness.startswith("graded commutation fails at"), rep.witness
 
 
 def test_negative_controls_fail_on_rank_two_as_well():
