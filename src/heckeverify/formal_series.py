@@ -25,7 +25,7 @@ All arithmetic runs on the integer numerators; exponent tuples and
 ``fractions.Fraction`` appear only at the boundaries: the constructor,
 ``repr``, ``constant_term``, error messages, ``nums`` (exponent tuple to
 numerator) and the read-only ``coeffs`` mapping from exponent tuple to
-Fraction.  ``eq`` compares by cross-multiplication.
+Fraction.  ``eq`` compares the canonical truncations field by field.
 
 Precision bookkeeping is deliberately pessimistic and mechanical:
 
@@ -369,8 +369,7 @@ class FormalSeries:
                     % (order, cap))
             cap = order
         a, b = self.truncate(cap), other.truncate(cap)
-        return a.terms.keys() == b.terms.keys() and all(
-            c * b.den == b.terms[e] * a.den for e, c in a.terms.items())
+        return a.den == b.den and a.terms == b.terms
 
     def __eq__(self, other):
         return (

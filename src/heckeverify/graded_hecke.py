@@ -71,7 +71,10 @@ class GradedElement:
         return not self.coeffs
 
     def truncate(self, order):
-        return GradedElement(self.datum, min(order, self.order), self.coeffs)
+        """Lower (never raise) the trusted order."""
+        if order >= self.order:
+            return self
+        return GradedElement(self.datum, order, self.coeffs)
 
     def __add__(self, other):
         order = min(self.order, other.order)
@@ -170,14 +173,26 @@ def add_scaled_terms(acc, f, elem):
 
 
 def gh_mul(a, b):
+    """a * b = sum_w a_w (t_w b) at the lower order of a and b.
+
+    Each t_w b is pushed once, as t_{s_i} (t_{s_i w} b) with i the first
+    letter of w, so the elements of a share their suffixes.
+    """
     datum = a.datum
+    order = min(a.order, b.order)
+    pushed = {datum.identity: b.truncate(order)}
+
+    def tw_b(w):
+        got = pushed.get(w)
+        if got is None:
+            i = w.word[0]
+            got = pushed[w] = _left_mul_ts(datum, i, tw_b(datum.left_mul(i, w)))
+        return got
+
     acc = {}
     for w, aw in a.coeffs.items():
-        tw_b = b
-        for i in reversed(w.word):
-            tw_b = _left_mul_ts(datum, i, tw_b)
-        add_scaled_terms(acc, aw, tw_b)
-    return GradedElement(datum, min(a.order, b.order), acc)
+        add_scaled_terms(acc, aw, tw_b(w))
+    return GradedElement(datum, order, acc)
 
 
 def fourier_map(a):

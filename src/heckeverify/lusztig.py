@@ -25,19 +25,25 @@ The two diagram routes are
 
 and the verifier checks they agree modulo degree > order.
 
-Everything these routes reuse that depends only on the root datum and the
-working order is built once: the unit factors, both Lusztig maps with
-their T_s and T_w caches, and the K-route images
-K_w = e_B L_r(T_w) e_B^{-1} live in the :class:`Context` that
-:func:`context` returns; e_B, e_B^{-1} and the conjugates
-e_B t_w e_B^{-1} (:func:`conj_eB`), the three K-side maps
-(:func:`k_side_maps`) and the Weyl substitution tables (:func:`fs_weyl`)
-live beside it in the datum's store (:meth:`RootDatum.memo`), which is
-freed with the datum.  Series commute with e_B, so pipeline_K evaluates
-as sum_w series(x_w) K_w on the normal form x = sum_w x_w T_w, and no
-case runs a conjugation of its own.  Only these constants, whose divisions
-by linear forms spend precision, are built at order + guard; a case is
-evaluated at the order it compares, and products stop at the lower order.
+Everything these routes reuse that depends only on the root datum and an
+order is built once.  The :class:`Context` that :func:`context` returns
+for a work order holds the unit factors and both Lusztig maps with their
+T_s images at that order, and, per (w, compared order), the T_w images
+and the K-route images K_w = e_B L_r(T_w) e_B^{-1}.  e_B, e_B^{-1} and
+the conjugates e_B t_w e_B^{-1} (:func:`conj_eB`, per order), the three
+K-side maps (:func:`k_side_maps`) and the Weyl substitution tables
+(:func:`fs_weyl`) live beside it in the datum's store
+(:meth:`RootDatum.memo`), which is freed with the datum.  Series commute
+with e_B, so pipeline_K evaluates as sum_w series(x_w) K_w on the normal
+form x = sum_w x_w T_w, and no case runs a conjugation of its own.
+
+Only the unit factors and the T_s images made from them divide by linear
+forms, so only they are built at the work order order + guard.  Every
+product after them runs at the order a case compares: a T_w image is the
+product of T_s images truncated to that order, and e_B, which computes
+one degree high itself, is built at that order too.  Series products stop
+at the lower order of their factors and t_s keeps degrees, so truncation
+commutes with every step and the guard changes no value.
 """
 
 from .affine_hecke import pipeline_K_h
@@ -94,7 +100,10 @@ def _ts_image(datum, i, order, side, u):
 class _LusztigMap:
     """Evaluate a Lusztig morphism on normal forms, caching T_s and T_w images.
 
-    ``unit`` maps a simple index i to the unit factor u(alpha_i).
+    ``unit`` maps a simple index i to the unit factor u(alpha_i), and
+    ``order`` is the work order the T_s images are built at.  A T_w image
+    is built at the order a case compares, from the T_s images truncated
+    to it, and kept per (w, order).
     """
 
     def __init__(self, datum, order, side, unit):
@@ -103,7 +112,7 @@ class _LusztigMap:
         self.side = side
         self.unit = unit
         self._ts = {}
-        self._tw = {datum.identity: GradedElement.one(datum, order)}
+        self._tw = {}
 
     def _image_of_ts(self, i):
         img = self._ts.get(i)
@@ -112,17 +121,23 @@ class _LusztigMap:
             self._ts[i] = img
         return img
 
-    def _image_of_tw(self, w):
-        """Image of T_w as image(T_{s_i}) image(T_{s_i w}), as in ``_GeneratorMap``."""
-        img = self._tw.get(w)
+    def _image_of_tw(self, w, order):
+        """Image of T_w at ``order``, as image(T_{s_i}) image(T_{s_i w})."""
+        img = self._tw.get((w, order))
         if img is None:
-            i = w.word[0]
-            suffix = self.datum.mul(self.datum.simple(i), w)
-            img = self._tw[w] = gh_mul(self._image_of_ts(i), self._image_of_tw(suffix))
+            datum = self.datum
+            if not w.word:
+                img = GradedElement.one(datum, order)
+            else:
+                i = w.word[0]
+                img = gh_mul(self._image_of_ts(i).truncate(order),
+                             self._image_of_tw(datum.left_mul(i, w), order))
+            self._tw[(w, order)] = img
         return img
 
     def __call__(self, h, order):
-        return _on_normal_form(self.datum, order, h, self._image_of_tw)
+        return _on_normal_form(self.datum, order, h,
+                               lambda w: self._image_of_tw(w, order))
 
 
 def _on_normal_form(datum, order, h, image_of_tw):
@@ -134,12 +149,13 @@ def _on_normal_form(datum, order, h, image_of_tw):
 
 
 class Context:
-    """The Lusztig side of one (root datum, working order), built once.
+    """The Lusztig side of one (root datum, work order), built once.
 
-    Holds the unit factors u(alpha_i), shared by both maps, the two
-    Lusztig maps with their T_s and T_w caches, and the K-route image
-    K_w = e_B L_r(T_w) e_B^{-1} of each T_w.  Values are filled on first
-    use and never change afterwards.  :func:`context` returns the shared
+    Holds the unit factors u(alpha_i), shared by both maps, and the two
+    Lusztig maps with their T_s images, all at the work order; and, per
+    (w, compared order), the T_w images and the K-route images
+    K_w = e_B L_r(T_w) e_B^{-1}.  Values are filled on first use and
+    never change afterwards.  :func:`context` returns the shared
     instance; ``r_coeff`` other than 2 corrupts the unit factors and is
     only for a negative control's private instance.
     """
@@ -159,15 +175,16 @@ class Context:
             u = self._units[i] = unit_factor(self.datum, i, self.order, self.r_coeff)
         return u
 
-    def _k_route_image(self, w):
-        img = self._k_route.get(w)
+    def _k_route_image(self, w, order):
+        """K_w at ``order``; e_B and its conjugates are built at ``order`` too."""
+        img = self._k_route.get((w, order))
         if img is None:
-            img = self._k_route[w] = conj_eB(self.lusztig_r._image_of_tw(w))
+            img = self._k_route[(w, order)] = conj_eB(self.lusztig_r._image_of_tw(w, order))
         return img
 
     def k_route(self, h, order):
         """e_B L_r(h) e_B^{-1} to ``order``, as sum_w series(h_w) K_w: series commute with e_B."""
-        return _on_normal_form(self.datum, order, h, self._k_route_image)
+        return _on_normal_form(self.datum, order, h, lambda w: self._k_route_image(w, order))
 
 
 def context(datum, order):
@@ -233,10 +250,8 @@ def difference_times_scriptG(datum, i, x, order):
     two factors do not depend on x; their product is built once per
     (datum, i, order) in the datum's store.
     """
-    s = datum.simple(i)
-    a_form = diff(datum.simple_roots[i])
-    ex = fs_exp(FormalSeries.from_linear(diff(x), order + 1))
-    esx = fs_exp(FormalSeries.from_linear(diff(apply(s, x)), order + 1))
-    quotient = fs_div_linear(ex - esx, a_form)
+    difference = fs_exp_sum(datum.rank + 1, order + 1, [
+        (1, tuple(x) + (0,)), (-1, apply(datum.simple(i), x) + (0,))])
+    quotient = fs_div_linear(difference, diff(datum.simple_roots[i]))
     return quotient * datum.memo(("scriptG", i, order),
                                  lambda: _scriptG_factor(datum, i, order))

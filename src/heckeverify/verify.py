@@ -421,8 +421,8 @@ def check_morphisms(datum, order=6, seed=0, guard=2, datum_desc=None,
     + k r) of the commutative part, is a ring map: by the twisted Leibniz
     rule Dem_s(theta_{x+y}) = Dem_s(theta_x) theta_y + theta_{sx}
     Dem_s(theta_y), the relation at x and at y gives it at x + y, and every
-    weight is a sum of +-omega_j.  Only the Lusztig maps' constants are
-    built at order + guard.
+    weight is a sum of +-omega_j.  Only the unit factors and T_s images of
+    the Lusztig maps are built at order + guard.
     """
     n = datum.rank
     desc = datum_desc or {}
@@ -464,9 +464,10 @@ def check_morphisms(datum, order=6, seed=0, guard=2, datum_desc=None,
                         return "L_%s image of braid relation fails for (s%d,s%d)" % (
                             side, i + 1, j + 1)
             for _, x in _fundamental_weights(n):
+                theta_x = lmap(HeckeElement.theta(datum, x), order)
                 for i in range(n):
                     sx = apply(datum.simple(i), x)
-                    lhs = gh_mul(ts[i], lmap(HeckeElement.theta(datum, x), order))
+                    lhs = gh_mul(ts[i], theta_x)
                     rhs = gh_mul(lmap(HeckeElement.theta(datum, sx), order), ts[i]) + \
                         lmap(HeckeElement(datum, {
                             datum.identity: demazure_quotient(datum, x, i).scale(LS_V2M1)}), order)
@@ -536,7 +537,9 @@ def check_display_identity(datum, order=6, simple_index=None, guard=2,
           = 1 - exp(-rho. - 2r) e_B ((t_s+1) u_plus(alpha) - 1) e_B^{-1} exp(rho.)
 
     with u_plus/minus the unit factors with r-coefficient +-2.  Also checks
-    the r = 0 specialization of both sides.
+    the r = 0 specialization of both sides.  The unit factors are built at
+    order + guard and truncated; every product runs at ``order``, and the
+    conjugation shares its e_B t_w e_B^{-1} with the K-route at ``order``.
     """
     desc = datum_desc or {}
     n = datum.rank
@@ -550,14 +553,14 @@ def check_display_identity(datum, order=6, simple_index=None, guard=2,
         rho_form = diff(datum.rho)
         rho_sign = -1 if _flip_rho else 1
         exp_rho = fs_exp(FormalSeries.from_linear(
-            LinearForm([rho_sign * c for c in rho_form.coeffs]), work))
+            LinearForm([rho_sign * c for c in rho_form.coeffs]), order))
         exp_neg_rho_2r = fs_exp(FormalSeries.from_linear(
-            LinearForm([-rho_sign * c for c in rho_form.coeffs[:-1]] + [-2]), work))
-        one = GradedElement.one(datum, work)
+            LinearForm([-rho_sign * c for c in rho_form.coeffs[:-1]] + [-2]), order))
+        one = GradedElement.one(datum, order)
         for i in indices:
-            u_minus = unit_factor(datum, i, work, r_coeff=-2)
-            u_plus = ctx.unit(i)
-            ts = GradedElement.ts(datum, i, work)
+            u_minus = unit_factor(datum, i, work, r_coeff=-2).truncate(order)
+            u_plus = ctx.unit(i).truncate(order)
+            ts = GradedElement.ts(datum, i, order)
             lhs = gh_mul(GradedElement.series(datum, u_minus), one - ts)
             inner = gh_mul(ts + one, GradedElement.series(datum, u_plus)) - one
             conj = conj_eB(inner)
@@ -566,7 +569,7 @@ def check_display_identity(datum, order=6, simple_index=None, guard=2,
                 gh_mul(conj, GradedElement.series(datum, exp_rho)))
             if not lhs.eq(rhs, order):
                 return "display identity fails for s%d:\n  lhs: %r\n  rhs: %r" % (
-                    i + 1, lhs.truncate(order), rhs.truncate(order))
+                    i + 1, lhs, rhs)
             # r = 0 specialization must also match
             lhs0 = GradedElement(datum, order, {w: fs_set_r_zero(f)
                                                 for w, f in lhs.coeffs.items()})
@@ -586,7 +589,7 @@ def check_modules(datum, order=6, seed=0, guard=2, datum_desc=None,
     Exact K-side antispherical action formula, the transport intertwining
     transport(h . m) = L_l(h) . transport(m), and the action of
     L_l(1 + T_s) on exp(x-dot) . 1 against its closed form.  Only the
-    constants of L_l are built at order + guard.
+    unit factors and T_s images of L_l are built at order + guard.
     """
     rng = random.Random(seed)
     n = datum.rank

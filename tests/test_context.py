@@ -119,8 +119,8 @@ def _same(a, b):
 
 @pytest.mark.parametrize("family, rank, order", [("A", 2, 4), ("B", 2, 4), ("G", 2, 3)])
 def test_maps_at_the_compared_order_equal_the_work_order_truncated(family, rank, order):
-    # per-case products run at the compared order; only the constants of the
-    # context are built at order + guard, and the guard changes nothing
+    # per-case products run at the compared order; only the unit factors and
+    # the T_s images are built at order + guard, and the guard changes nothing
     datum = build_root_datum(cartan_matrix(family, rank))
     rng = random.Random(7)
     cases = [h for _, h in hecke_generators(datum)]
@@ -130,11 +130,16 @@ def test_maps_at_the_compared_order_equal_the_work_order_truncated(family, rank,
         ctx = context(datum, order + guard)
         for h in cases:
             for evaluate in (ctx.lusztig_r, ctx.lusztig_l, ctx.k_route):
-                got = evaluate(h, order)
-                assert got.order == order
-                assert _same(got, evaluate(h, ctx.order).truncate(order))
+                top = evaluate(h, ctx.order)
+                # two compared orders on one context, each with its own T_w, K_w
+                for compared in (order, order - 1):
+                    got = evaluate(h, compared)
+                    assert got.order == compared
+                    assert _same(got, top.truncate(compared))
         routes.append([(pipeline_K(h, order, guard), pipeline_H(h, order, guard))
                        for h in cases])
+        rep = check_display_identity(datum, order=order, guard=guard)
+        assert (rep.status, rep.witness) == ("pass", None)
     for by_guard in zip(*routes):
         for (k0, h0), (k, h) in zip(by_guard, by_guard[1:]):
             assert _same(k0, k) and _same(h0, h)
@@ -159,7 +164,9 @@ def test_no_caller_mutates_a_shared_value():
     datum = build_root_datum(cartan_matrix("A", 2))
     run_suites(datum, ["all"], order=3)
     before = _snapshot(datum._memo)
-    assert ("context", 5) in datum._memo and ("conj_eB", 5) in datum._memo
+    # the context is built at order + guard, e_B at the compared order
+    assert ("context", 5) in datum._memo and ("conj_eB", 3) in datum._memo
+    assert ("conj_eB", 5) not in datum._memo
     reps = run_suites(datum, ["all"], order=3, seed=1)
     assert all(rep.status == "pass" for rep in reps)
     _assert_kept(before, _snapshot(datum._memo))
@@ -169,7 +176,7 @@ def test_store_dies_with_its_datum():
     datum = build_root_datum(cartan_matrix("A", 2))
     pipeline_K(HeckeElement.Ts(datum, 0), 3)
     refs = [weakref.ref(datum), weakref.ref(context(datum, 5)),
-            weakref.ref(datum._memo[("conj_eB", 5)])]
+            weakref.ref(datum._memo[("conj_eB", 3)])]
     del datum
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
@@ -191,22 +198,33 @@ def calls(monkeypatch):
 
 def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
     datum = build_root_datum(cartan_matrix("B", 2))
-    assert context(datum, 5) is context(datum, 5)
-    # K_w = e_B L_r(T_w) e_B^{-1} is the only conjugation the K-route runs
+    ctx = context(datum, 5)
+    assert context(datum, 5) is ctx
+    # K_w = e_B L_r(T_w) e_B^{-1} is the only conjugation the K-route runs:
+    # once per (w, compared order), over an e_B built at the compared order
     conjugated = []
     conj_eB = lusztig.conj_eB
     monkeypatch.setattr(lusztig, "conj_eB", lambda a: conjugated.append(a) or conj_eB(a))
-    runs = []
-    for _ in range(2):
-        assert check_diagram(datum, order=3, seed=0).status == "pass"
-        runs.append(len(conjugated))
-    assert calls == {"todd_eB": 1, "unit_factor": 2, "koszul_map": 1,
+    for order, guard in ((3, 2), (4, 1)):
+        before = len(conjugated)
+        runs = []
+        for _ in range(2):
+            assert check_diagram(datum, order=order, seed=0, guard=guard).status == "pass"
+            runs.append(len(conjugated) - before)
+        built = conjugated[before:]
+        assert 0 < runs[0] == runs[1] <= len(datum.weyl)
+        assert [a.order for a in built] == [order] * runs[0]
+        assert sum(1 for _, o in ctx._k_route if o == order) == runs[0]
+        # each e_B t_w e_B^{-1} is built once, for the w that some L_r(T_w) reaches
+        conj = datum._memo[("conj_eB", order)]
+        assert set(conj._images) == {w for a in built for w in a.coeffs}
+    assert len(ctx._k_route) == len(conjugated)
+    assert ("conj_eB", 5) not in datum._memo
+    # the T_s images stay at the work order; the T_w images are per compared order
+    assert {img.order for img in ctx.lusztig_r._ts.values()} == {5}
+    assert {order for _, order in ctx.lusztig_r._tw} == {3, 4}
+    assert calls == {"todd_eB": 2, "unit_factor": 2, "koszul_map": 1,
                      "duality_map": 1, "parity_map": 1}
-    ctx, conj = context(datum, 5), datum._memo[("conj_eB", 5)]
-    assert 0 < runs[0] == runs[1] == len(ctx._k_route) <= len(datum.weyl)
-    assert [a.order for a in conjugated] == [5] * runs[0]
-    # each e_B t_w e_B^{-1} is built once, for the w that some L_r(T_w) reaches
-    assert set(conj._images) == {w for a in conjugated for w in a.coeffs}
     # the x-free factors of the closed form: once per (i, order)
     for _ in range(2):
         assert check_modules(datum, order=3, seed=0).status == "pass"
@@ -215,5 +233,5 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
     assert calls.pop("_scriptG_factor") == 4
     assert sorted(key for key in datum._memo if key[0] == "scriptG") == [
         ("scriptG", i, order) for i in range(datum.rank) for order in (3, 4)]
-    assert calls == {"todd_eB": 1, "unit_factor": 2, "koszul_map": 1,
+    assert calls == {"todd_eB": 2, "unit_factor": 2, "koszul_map": 1,
                      "duality_map": 1, "parity_map": 1}

@@ -13,6 +13,8 @@ from heckeverify.formal_series import (
 from heckeverify.graded_hecke import (
     GradedAsphElement,
     GradedElement,
+    _left_mul_ts,
+    add_scaled_terms,
     conj_eB,
     demazure_series,
     fourier_map,
@@ -26,6 +28,7 @@ A1 = build_root_datum([[2]])
 A2 = build_root_datum(cartan_matrix("A", 2))
 B2 = build_root_datum(cartan_matrix("B", 2))
 G2 = build_root_datum(cartan_matrix("G", 2))
+A3 = build_root_datum(cartan_matrix("A", 3))
 
 
 def rand_graded(rng, datum, order):
@@ -90,6 +93,41 @@ def test_gh_mul_associative(datum):
         b = rand_graded(rng, datum, 5)
         c = rand_graded(rng, datum, 5)
         assert gh_mul(gh_mul(a, b), c).eq(gh_mul(a, gh_mul(b, c)), 5)
+
+
+def _letter_by_letter(a, b):
+    """a * b with every letter of every w pushed through b on its own."""
+    acc = {}
+    for w, aw in a.coeffs.items():
+        tw_b = b
+        for i in reversed(w.word):
+            tw_b = _left_mul_ts(a.datum, i, tw_b)
+        add_scaled_terms(acc, aw, tw_b)
+    return GradedElement(a.datum, min(a.order, b.order), acc)
+
+
+def _many_terms(rng, datum, order):
+    """A graded element with up to six Weyl terms, long elements included."""
+    out = GradedElement.zero(datum, order)
+    for _ in range(rng.randint(3, 6)):
+        out = out + rand_graded(rng, datum, order)
+    return out
+
+
+@pytest.mark.parametrize("datum", [A2, B2, G2, A3], ids=["A2", "B2", "G2", "A3"])
+def test_suffix_shared_product_equals_the_letter_by_letter_product(datum):
+    # gh_mul pushes t_w b once per w, from t_{s_i w} b; the reference
+    # pushes each letter of each w through b from scratch
+    rng = random.Random(23)
+    longest = max(datum.weyl, key=lambda w: w.length)
+    for _ in range(6):
+        a_order, b_order = rng.randint(1, 4), rng.randint(1, 4)
+        a = _many_terms(rng, datum, a_order) + GradedElement(datum, a_order, {
+            longest: FormalSeries.variable(datum.rank + 1, a_order, 0)})
+        b = _many_terms(rng, datum, b_order)
+        got = gh_mul(a, b)
+        assert got.order == min(a_order, b_order)
+        assert got.coeffs == _letter_by_letter(a, b).coeffs
 
 
 def test_fourier_generators():

@@ -199,6 +199,30 @@ def test_eq_matches_reference_and_refuses_untrusted_degrees(data, nvars):
         a.eq(b, cap + 1)
 
 
+def _fractions_up_to(s, degree):
+    return {e: c for e, c in s.coeffs.items() if sum(e) <= degree}
+
+
+@KERNEL
+@given(st.data(), nvars_st, nonzero)
+def test_eq_agrees_with_the_fractions_on_values_reached_two_ways(data, nvars, k):
+    # eq compares canonical numerators and denominators, not Fractions; on
+    # one value built along different paths both must agree at every degree
+    f, g, h = (build(nvars, data.draw(raw_series(nvars))) for _ in range(3))
+    cap = min(f.order, g.order)
+    same = [(f * g, g * f), ((f + g) - g, f.truncate(cap)),
+            (f.scale(k).scale(1 / k), f)]
+    # equal numerators over different denominators
+    y = FormalSeries.variable(nvars, f.order + 1, 0)
+    differ = [(y, y.scale(Fraction(1, k.denominator + 1))), (f, h), (f, f.scale(k)),
+              (f * g, f * h)]
+    for a, b in same + differ:
+        for degree in range(min(a.order, b.order) + 1):
+            want = _fractions_up_to(a, degree) == _fractions_up_to(b, degree)
+            assert a.eq(b, degree) == want
+    assert all(a.eq(b) for a, b in same)
+
+
 # -- analytic operations ----------------------------------------------------
 
 def ref_exp_sum(nvars, order, pairs):

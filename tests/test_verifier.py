@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -30,6 +31,9 @@ from heckeverify.verify import (
 A1 = build_root_datum([[2]])
 A2 = build_root_datum(cartan_matrix("A", 2))
 DESC = {"type": "A", "rank": 1}
+CONTROLS = {c["control"]: c for c in json.loads(
+    (pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "golden"
+     / "controls.json").read_text())}
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -85,6 +89,16 @@ def test_flipped_display_weight_fails():
     rep = check_display_identity(A1, order=5, _flip_rho=True)
     assert rep.status == "fail"
     assert rep.witness
+
+
+@pytest.mark.parametrize("guard", [0, 1, 2])
+def test_flipped_display_weight_gives_its_golden_witness(guard):
+    # the display products run at the compared order at every guard; the
+    # witness is the one recorded for B2 at order 5
+    want = CONTROLS["_flip_rho=True"]
+    rep = check_display_identity(build_root_datum(cartan_matrix("B", 2)), order=5,
+                                 guard=guard, _flip_rho=True)
+    assert (rep.name, rep.status, rep.witness) == (want["check"], "fail", want["witness"])
 
 
 def test_corrupted_module_sign_fails():
@@ -200,12 +214,17 @@ def test_faulty_fourier_map_fails_by_name(monkeypatch, fault, expected):
 
 
 class _LusztigLetterTimesPrefix(_LusztigMap):
-    def _image_of_tw(self, w):
-        img = self._tw.get(w)
+    def _image_of_tw(self, w, order):
+        img = self._tw.get((w, order))
         if img is None:
-            i = w.word[-1]
-            prefix = self.datum.mul(w, self.datum.simple(i))
-            img = self._tw[w] = gh_mul(self._image_of_ts(i), self._image_of_tw(prefix))
+            if not w.word:
+                img = GradedElement.one(self.datum, order)
+            else:
+                i = w.word[-1]
+                prefix = self.datum.mul(w, self.datum.simple(i))
+                img = gh_mul(self._image_of_ts(i).truncate(order),
+                             self._image_of_tw(prefix, order))
+            self._tw[(w, order)] = img
         return img
 
 
