@@ -16,10 +16,10 @@ where Dem_s is the telescoping quotient from :mod:`lattice_algebra`,
 extended linearly.  The quadratic and braid relations are consequences of
 these rules; the test suite re-derives them rather than trusting that.
 
-The module also carries the three K-theory-side ring maps used downstream
+The module also carries the three K-theory-side ring maps of the paper
 (sign twist of v, bar-type duality, and the rho-shifted twist of T_s built
-from T_s^{-1}), and the left antispherical module where T_s acts by -1 on
-the base point.
+from T_s^{-1}), the map m through which their composite factors, and the
+left antispherical module where T_s acts by -1 on the base point.
 """
 
 from .lattice_algebra import (
@@ -213,8 +213,8 @@ class _GeneratorMap:
     maps multiplicatively along its stored reduced word.  That this is an
     algebra homomorphism is not assumed here: the ``morphisms`` suite
     checks that the generator images satisfy every defining relation
-    (:func:`heckeverify.verify.k_relations`) and that normal forms map to
-    the products of generator images, which together prove it.
+    (:func:`heckeverify.verify.k_relations`), and for m (:func:`twist`)
+    that normal forms map to the products of generator images.
     """
 
     def __init__(self, datum, vexp_image, sign, negate_weights, ts_image):
@@ -243,7 +243,7 @@ class _GeneratorMap:
         img = self._tw.get(w)
         if img is None:
             i = w.word[0]
-            suffix = self.datum.mul(self.datum.simple(i), w)
+            suffix = self.datum.left_mul(i, w)
             img = self._tw[w] = h_mul(self._image_of_ts(i), self._image_of_tw(suffix))
         return img
 
@@ -289,6 +289,15 @@ def k_side_maps(datum):
     """
     return datum.memo("k_side_maps",
                       lambda: (koszul_map(datum), duality_map(datum), parity_map(datum)))
+
+
+def twist(datum):
+    """m: v |-> v^-1, theta_x fixed, T_s |-> -v^-2 T_s, built once per datum.
+
+    pipeline_K_h = Ad(theta_{-rho}) o m, and m(T_w) = (-v^-2)^{l(w)} T_w.
+    """
+    return datum.memo("twist", lambda: _GeneratorMap(datum, -1, 1, False, lambda i: HeckeElement(
+        datum, {datum.simple(i): GroupAlgebraElement.one(datum.rank).scale(-LS_VM2)})))
 
 
 def pipeline_K_h(datum, h):

@@ -573,6 +573,12 @@ def fs_div_linear(f, form):
     return _series(f.nvars, f.order - 1, f.den * lead ** max(top, 0), out)
 
 
+def fs_exp_quotient(form, order):
+    """(exp(l) - 1)/l at ``order``; exp runs one degree high, so the division lands there."""
+    return fs_div_linear(fs_exp(FormalSeries.from_linear(form, order + 1))
+                         - FormalSeries.one(form.nvars, order + 1), form)
+
+
 class _WeylSubstitution:
     """The substitution y_i |-> differential of w(fundamental weight i).
 

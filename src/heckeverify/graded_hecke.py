@@ -24,7 +24,7 @@ from .formal_series import (
     InsufficientPrecision,
     diff,
     fs_div_linear,
-    fs_exp,
+    fs_exp_quotient,
     fs_inv,
     fs_negate_r,
     fs_weyl,
@@ -207,18 +207,13 @@ def fourier_map(a):
 def todd_eB(datum, order):
     """prod over positive roots of alpha-dot / (1 - exp(-alpha-dot)).
 
-    Each factor is the inverse of the unit (1 - exp(-alpha-dot))/alpha-dot;
-    the exp is computed one degree high so the division lands exactly at
-    the requested order.  Factors are multiplied in the stored
-    positive-root order for deterministic reports.
+    Each factor is the inverse of the unit (1 - exp(-alpha-dot))/alpha-dot,
+    made at the requested order by :func:`fs_exp_quotient`.  Factors are
+    multiplied in the stored positive-root order for deterministic reports.
     """
-    n = datum.rank
-    out = FormalSeries.one(n + 1, order)
+    out = FormalSeries.one(datum.rank + 1, order)
     for alpha in datum.positive_roots:
-        form = diff(alpha)
-        ex = fs_exp(FormalSeries.from_linear(-form, order + 1))
-        unit = fs_div_linear(FormalSeries.one(n + 1, order + 1) - ex, form)
-        out = out * fs_inv(unit)
+        out = out * fs_inv(fs_exp_quotient(-diff(alpha), order))
     return out
 
 

@@ -21,21 +21,25 @@ single exact division per factor lands exactly at the working order.
 The two diagram routes are
 
     pipeline_K: h |-> e_B * L_r( parity(duality(koszul(h))) ) * e_B^{-1}
+                    = e_B exp(-rho.) * L_r( m(h) ) * exp(rho.) e_B^{-1}
     pipeline_H: h |-> fourier( L_l(h) )
 
-and the verifier checks they agree modulo degree > order.
+and the verifier checks they agree modulo degree > order.  The second
+form is evaluated: parity o duality o koszul = Ad(theta_{-rho}) o m for
+m: v |-> v^-1, theta_x |-> theta_x, T_s |-> -v^-2 T_s (:func:`twist`),
+which sends T_w to a single term.
 
 Everything these routes reuse that depends only on the root datum and an
 order is built once.  The :class:`Context` that :func:`context` returns
 for a work order holds the unit factors and both Lusztig maps with their
 T_s images at that order, and, per (w, compared order), the T_w images
 and the K-route images K_w = e_B L_r(T_w) e_B^{-1}.  e_B, e_B^{-1} and
-the conjugates e_B t_w e_B^{-1} (:func:`conj_eB`, per order), the three
-K-side maps (:func:`k_side_maps`) and the Weyl substitution tables
-(:func:`fs_weyl`) live beside it in the datum's store
-(:meth:`RootDatum.memo`), which is freed with the datum.  Series commute
-with e_B, so pipeline_K evaluates as sum_w series(x_w) K_w on the normal
-form x = sum_w x_w T_w, and no case runs a conjugation of its own.
+the conjugates e_B t_w e_B^{-1} (:func:`conj_eB`, per order), exp(+-rho.)
+(per order), the map m and the Weyl substitution tables (:func:`fs_weyl`)
+live beside it in the datum's store (:meth:`RootDatum.memo`), which is
+freed with the datum.  Series commute with e_B, so the K-route evaluates
+as sum_w series(x_w) K_w on the normal form x = m(h) = sum_w x_w T_w,
+and no case runs a conjugation of its own.
 
 Only the unit factors and the T_s images made from them divide by linear
 forms, so only they are built at the work order order + guard.  Every
@@ -46,13 +50,14 @@ at the lower order of their factors and t_s keeps degrees, so truncation
 commutes with every step and the guard changes no value.
 """
 
-from .affine_hecke import pipeline_K_h
+from .affine_hecke import twist
 from .formal_series import (
     FormalSeries,
     LinearForm,
     diff,
     fs_div_linear,
     fs_exp,
+    fs_exp_quotient,
     fs_exp_sum,
     fs_inv,
 )
@@ -77,23 +82,16 @@ def series_of_group_algebra(datum, ga, order):
 
 def unit_factor(datum, i, order, r_coeff=2):
     """(exp(a + cr) - 1)/(a + cr) * a/(exp(a) - 1)  with a = alpha_i-dot."""
-    n = datum.rank
     a_form = diff(datum.simple_roots[i])
     shifted = LinearForm(list(a_form.coeffs[:-1]) + [r_coeff])
-    one_hi = FormalSeries.one(n + 1, order + 1)
-    num = fs_div_linear(fs_exp(FormalSeries.from_linear(shifted, order + 1)) - one_hi, shifted)
-    den = fs_div_linear(fs_exp(FormalSeries.from_linear(a_form, order + 1)) - one_hi, a_form)
-    return num * fs_inv(den)
+    return fs_exp_quotient(shifted, order) * fs_inv(fs_exp_quotient(a_form, order))
 
 
 def _ts_image(datum, i, order, side, u):
     """Image of T_s under L_r (side='r') or L_l (side='l'), given u(alpha_i)."""
     u = GradedElement.series(datum, u)
     ts1 = GradedElement.ts(datum, i, order) + GradedElement.one(datum, order)
-    if side == "r":
-        img = gh_mul(ts1, u)
-    else:
-        img = gh_mul(u, ts1)
+    img = gh_mul(ts1, u) if side == "r" else gh_mul(u, ts1)
     return img - GradedElement.one(datum, order)
 
 
@@ -117,8 +115,7 @@ class _LusztigMap:
     def _image_of_ts(self, i):
         img = self._ts.get(i)
         if img is None:
-            img = _ts_image(self.datum, i, self.order, self.side, self.unit(i))
-            self._ts[i] = img
+            img = self._ts[i] = _ts_image(self.datum, i, self.order, self.side, self.unit(i))
         return img
 
     def _image_of_tw(self, w, order):
@@ -136,12 +133,14 @@ class _LusztigMap:
         return img
 
     def __call__(self, h, order):
-        return _on_normal_form(self.datum, order, h,
-                               lambda w: self._image_of_tw(w, order))
+        return _on_normal_form(self, order, h, lambda w: self._image_of_tw(w, order))
 
 
-def _on_normal_form(datum, order, h, image_of_tw):
-    """sum_w series(h_w) * image_of_tw(w), for h = sum_w h_w T_w, at ``order``."""
+def _on_normal_form(owner, order, h, image_of_tw):
+    """sum_w series(h_w) image_of_tw(w) for h = sum_w h_w T_w, at ``order`` <= ``owner.order``."""
+    if order > owner.order:
+        raise ValueError("compared order %d is above the work order %d" % (order, owner.order))
+    datum = owner.datum
     acc = {}
     for w, aw in h.coeffs.items():
         add_scaled_terms(acc, series_of_group_algebra(datum, aw, order), image_of_tw(w))
@@ -151,13 +150,10 @@ def _on_normal_form(datum, order, h, image_of_tw):
 class Context:
     """The Lusztig side of one (root datum, work order), built once.
 
-    Holds the unit factors u(alpha_i), shared by both maps, and the two
-    Lusztig maps with their T_s images, all at the work order; and, per
-    (w, compared order), the T_w images and the K-route images
-    K_w = e_B L_r(T_w) e_B^{-1}.  Values are filled on first use and
-    never change afterwards.  :func:`context` returns the shared
-    instance; ``r_coeff`` other than 2 corrupts the unit factors and is
-    only for a negative control's private instance.
+    Values (see the module docstring) are filled on first use and never
+    change afterwards.  :func:`context` returns the shared instance;
+    ``r_coeff`` other than 2 corrupts the unit factors and is only for a
+    negative control's private instance.
     """
 
     def __init__(self, datum, order, r_coeff=2):
@@ -184,7 +180,7 @@ class Context:
 
     def k_route(self, h, order):
         """e_B L_r(h) e_B^{-1} to ``order``, as sum_w series(h_w) K_w: series commute with e_B."""
-        return _on_normal_form(self.datum, order, h, lambda w: self._k_route_image(w, order))
+        return _on_normal_form(self, order, h, lambda w: self._k_route_image(w, order))
 
 
 def context(datum, order):
@@ -203,15 +199,17 @@ def lusztig_l(h, order, guard=0):
 
 
 def pipeline_K(h, order, guard=DEFAULT_GUARD, conjugate=True):
-    """Top-then-right route: e_B L_r(parity(duality(koszul(h)))) e_B^{-1}.
+    """Top-then-right route, as exp(-rho.) e_B L_r(m(h)) e_B^{-1} exp(rho.).
 
     At ``order``, through the order + guard context.  ``conjugate`` exists
     only for the verifier's dropped-conjugation negative control.
     """
-    x = pipeline_K_h(h.datum, h)
-    if conjugate:
-        return context(h.datum, order + guard).k_route(x, order)
-    return lusztig_r(x, order, guard)
+    datum = h.datum
+    ctx = context(datum, order + guard)
+    y = (ctx.k_route if conjugate else ctx.lusztig_r)(twist(datum)(h), order)
+    exp_neg_rho, exp_rho = datum.memo(("exp_rho", order), lambda: [fs_exp_sum(
+        datum.rank + 1, order, [(1, tuple(s * a for a in datum.rho) + (0,))]) for s in (-1, 1)])
+    return gh_mul(y.scale_left(exp_neg_rho), GradedElement.series(datum, exp_rho))
 
 
 def pipeline_H(h, order, guard=DEFAULT_GUARD):
@@ -228,13 +226,10 @@ def transport(m, order):
 
 def _scriptG_factor(datum, i, order):
     """a/(exp(a)-1) * (exp(a + 2r) - 1) at ``order``, with a = alpha_i-dot."""
-    n = datum.rank
     a_form = diff(datum.simple_roots[i])
     shifted = LinearForm(list(a_form.coeffs[:-1]) + [2])
-    one_hi = FormalSeries.one(n + 1, order + 1)
-    den = fs_div_linear(fs_exp(FormalSeries.from_linear(a_form, order + 1)) - one_hi, a_form)
-    last = fs_exp(FormalSeries.from_linear(shifted, order)) - FormalSeries.one(n + 1, order)
-    return fs_inv(den) * last
+    last = fs_exp(FormalSeries.from_linear(shifted, order)) - FormalSeries.one(shifted.nvars, order)
+    return fs_inv(fs_exp_quotient(a_form, order)) * last
 
 
 def difference_times_scriptG(datum, i, x, order):

@@ -146,6 +146,16 @@ def test_maps_at_the_compared_order_equal_the_work_order_truncated(family, rank,
             assert k.order == h.order == order
 
 
+def test_a_context_refuses_orders_above_its_work_order():
+    datum = build_root_datum(cartan_matrix("A", 2))
+    ctx = context(datum, 3)
+    ts = HeckeElement.Ts(datum, 0)
+    for evaluate in (ctx.lusztig_r, ctx.lusztig_l, ctx.k_route):
+        with pytest.raises(ValueError, match="compared order 5 is above the work order 3"):
+            evaluate(ts, 5)
+        assert evaluate(ts, 3).order == 3
+
+
 def _assert_kept(before, after, path="store"):
     """Every value in ``before`` is unchanged in ``after``; caches may grow."""
     if isinstance(before, dict):
@@ -223,8 +233,9 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
     # the T_s images stay at the work order; the T_w images are per compared order
     assert {img.order for img in ctx.lusztig_r._ts.values()} == {5}
     assert {order for _, order in ctx.lusztig_r._tw} == {3, 4}
-    assert calls == {"todd_eB": 2, "unit_factor": 2, "koszul_map": 1,
-                     "duality_map": 1, "parity_map": 1}
+    # the K-route goes through m alone: the Koszul chain is never built
+    assert calls == {"todd_eB": 2, "unit_factor": 2}
+    assert "twist" in datum._memo and "k_side_maps" not in datum._memo
     # the x-free factors of the closed form: once per (i, order)
     for _ in range(2):
         assert check_modules(datum, order=3, seed=0).status == "pass"
@@ -233,5 +244,4 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
     assert calls.pop("_scriptG_factor") == 4
     assert sorted(key for key in datum._memo if key[0] == "scriptG") == [
         ("scriptG", i, order) for i in range(datum.rank) for order in (3, 4)]
-    assert calls == {"todd_eB": 2, "unit_factor": 2, "koszul_map": 1,
-                     "duality_map": 1, "parity_map": 1}
+    assert calls == {"todd_eB": 2, "unit_factor": 2}

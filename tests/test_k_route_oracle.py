@@ -1,10 +1,12 @@
 """The K-route and the conjugation by e_B against their literal products.
 
-``pipeline_K`` evaluates e_B L_r(x) e_B^{-1} from cached images
+``pipeline_K`` evaluates e_B L_r(parity(duality(koszul(h)))) e_B^{-1} as
+exp(-rho.) e_B L_r(m(h)) e_B^{-1} exp(rho.), from cached images
 e_B L_r(T_w) e_B^{-1}, and ``conj_eB`` from cached conjugates
-e_B t_w e_B^{-1}.  The oracle here multiplies the three factors out with
-``gh_mul`` on a second copy of the datum, so it shares no cache with the
-code under test, and the results must be equal in canonical form.
+e_B t_w e_B^{-1}.  The oracle here applies the literal Koszul chain and
+multiplies the three factors out with ``gh_mul`` on a second copy of the
+datum, so it shares no cache with the code under test, and the results
+must be equal in canonical form.
 """
 
 import random
@@ -20,6 +22,9 @@ from heckeverify.root_datum import build_root_datum, cartan_matrix
 from heckeverify.verify import hecke_generators, rand_graded, rand_group_algebra
 
 CASES = [("A", 4), ("B", 4), ("G", 3)]
+# the K-route also at rank three, on words of length up to six
+K_ROUTE_CASES = [pytest.param(family, 2, order, id="%s-%d" % (family, order))
+                 for family, order in CASES] + [pytest.param("A", 3, 3, id="A3-3")]
 
 
 def canonical(a):
@@ -46,9 +51,9 @@ def hecke_cases(datum, seed):
             + [two_term_hecke(rng, datum) for _ in range(20)])
 
 
-@pytest.mark.parametrize("family,order", CASES)
-def test_k_route_is_the_literal_conjugate(family, order):
-    cartan = cartan_matrix(family, 2)
+@pytest.mark.parametrize("family,rank,order", K_ROUTE_CASES)
+def test_k_route_is_the_literal_conjugate(family, rank, order):
+    cartan = cartan_matrix(family, rank)
     datum, oracle = build_root_datum(cartan), build_root_datum(cartan)
     work = order + DEFAULT_GUARD
     eB = todd_eB(oracle, work)

@@ -3,15 +3,16 @@ import pathlib
 
 import pytest
 
-from heckeverify import verify
+from heckeverify import lusztig, verify
 from heckeverify.affine_hecke import (
     HeckeElement,
     _GeneratorMap,
     h_mul,
     k_side_maps,
     ts_inverse,
+    twist,
 )
-from heckeverify.formal_series import _WeylSubstitution, fs_negate_r
+from heckeverify.formal_series import _WeylSubstitution, fs_exp_sum, fs_negate_r
 from heckeverify.graded_hecke import GradedElement, gh_mul
 from heckeverify.lattice_algebra import GroupAlgebraElement, LS_V2
 from heckeverify.lusztig import _LusztigMap, context
@@ -45,8 +46,9 @@ def test_each_suite_passes_on_rank_one(suite):
 
 
 # G2 at order 3, B3 and C3 at order 2: non-simply-laced and rank three,
-# where the row/column convention of the Cartan matrix matters.
-OTHER_TYPES = [("G", 2, 3), ("B", 3, 2), ("C", 3, 2)]
+# where the row/column convention of the Cartan matrix matters.  A4 and D4
+# at order 2: rank four, with 120 and 192 Weyl group elements.
+OTHER_TYPES = [("G", 2, 3), ("B", 3, 2), ("C", 3, 2), ("A", 4, 2), ("D", 4, 2)]
 OTHER_DATA = {(family, rank): build_root_datum(cartan_matrix(family, rank))
               for family, rank, _ in OTHER_TYPES}
 
@@ -111,7 +113,7 @@ def test_corrupted_module_sign_fails():
 #
 # Each fault is planted in the maps of a private datum, so the shared store
 # of A2 is never touched; check_morphisms must fail and name the map and
-# the relation or construction step that breaks.
+# the relation, factorization or construction step that breaks.
 
 def _koszul_ts(datum, scalar, right_shift=True):
     rho = datum.rho
@@ -158,7 +160,14 @@ def _plant_duality_fixing_ts(datum, maps):
 
 
 def _plant_letter_times_prefix(datum, maps):
-    maps[0].__class__ = _LetterTimesPrefix
+    # m is the only K-side map evaluated on T_w with l(w) > 1
+    twist(datum).__class__ = _LetterTimesPrefix
+
+
+def _plant_twist_plus_v2(datum, maps):
+    # T_s |-> -v^2 T_s: the Koszul chain no longer factors through m
+    twist(datum).ts_image = lambda i: HeckeElement.Ts(datum, i).scale_left(
+        GroupAlgebraElement.one(datum.rank).scale(-LS_V2))
 
 
 def _plant_weights_not_negated(datum, maps):
@@ -174,8 +183,11 @@ def _plant_weights_not_negated(datum, maps):
     pytest.param(_plant_duality_fixing_ts,
                  "duality image of quadratic relation for s1 fails", id="duality-fixes-ts"),
     pytest.param(_plant_letter_times_prefix,
-                 "koszul map: image of T(s1.s2) is not the product along its word",
+                 "twist map m: image of T(s1.s2) is not the product along its word",
                  id="letter-times-prefix"),
+    pytest.param(_plant_twist_plus_v2,
+                 "factorization of the Koszul chain through m fails on T(s1)",
+                 id="twist-plus-v2"),
     pytest.param(_plant_weights_not_negated,
                  "koszul image of Bernstein relation for s1 and th(+w1) fails",
                  id="weights-not-negated"),
@@ -238,6 +250,22 @@ def test_faulty_lusztig_map_fails_by_name(side):
     assert rep.status == "fail"
     assert rep.witness.startswith(
         "L_%s map: image of T(s1.s2) is not the product along its word" % side), rep.witness
+
+
+def _ch_of_negated_weights(datum, ga, order):
+    """ch with theta_x -> exp(-x-dot); the images of v and of each T_s are kept."""
+    return fs_exp_sum(datum.rank + 1, order, [
+        (c, tuple(-a for a in x) + (k,)) for x, laurent in ga.coeffs.items()
+        for k, c in laurent.coeffs.items()])
+
+
+def test_faulty_lusztig_theta_images_fail_the_bernstein_relation(monkeypatch):
+    # the quadratic relation sees only v and T_s, so the relation list must catch it
+    monkeypatch.setattr(lusztig, "series_of_group_algebra", _ch_of_negated_weights)
+    rep = check_morphisms(build_root_datum(A2.cartan), order=3)
+    assert rep.status == "fail"
+    assert rep.witness.startswith(
+        "L_r image of Bernstein relation for s1 and th(+w1) fails"), rep.witness
 
 
 def _untwisted_dem_of(self, key):
