@@ -20,11 +20,9 @@ from .lattice_algebra import (
     GroupAlgebraElement,
     LaurentScalar,
     demazure_quotient,
-    ga_substitute,
     mul_by_scriptG,
 )
 from .affine_hecke import (
-    AsphElement,
     HeckeElement,
     asph_act_left,
     duality_map,
@@ -47,8 +45,8 @@ from .formal_series import (
     fs_negate_r,
     fs_weyl,
 )
+from .normal_form import AsphElement
 from .graded_hecke import (
-    GradedAsphElement,
     GradedElement,
     conj_eB,
     fourier_map,

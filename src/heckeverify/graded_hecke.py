@@ -3,12 +3,14 @@ The graded affine Hecke algebra over truncated power series.
 
 Elements are sums  sum_w f_w * t_w  with the series coefficient on the
 left; all coefficients of one element share a single trusted order.  The
-group-like part multiplies by t_v t_w = t_{vw} with no length cases, and
-series commute past t_s by Lusztig's rule
+product, the antispherical action and the T_w images of maps run on the
+engine of :mod:`normal_form`, the one the affine Hecke algebra uses, under
+Lusztig's rule (:class:`GradedRule`): t_s^2 = 1, so t_s t_w = t_{sw} with
+no length cases, and series commute past t_s by
 
     t_s * phi = s(phi) * t_s + 2r * Dem_s(phi),   Dem_s(phi) = (phi - s(phi)) / alpha-dot.
 
-The product reads s(phi) and 2r Dem_s(phi) from integer tables of
+The rule reads s(phi) and 2r Dem_s(phi) from integer tables of
 monomial images (:func:`fs_weyl_demazure`), built by the twisted Leibniz
 rule, so nothing on that path divides; the factor 2r gives back the
 degree Dem_s takes.  :func:`demazure_series` keeps the definition by exact
@@ -30,6 +32,7 @@ from .formal_series import (
     fs_weyl,
     fs_weyl_demazure,
 )
+from .normal_form import AsphElement, GeneratorImages, Rule
 
 
 class GradedElement:
@@ -60,15 +63,8 @@ class GradedElement:
         return cls(datum, f.order, {datum.identity: f})
 
     @classmethod
-    def t(cls, datum, w, order):
-        return cls(datum, order, {w: FormalSeries.one(datum.rank + 1, order)})
-
-    @classmethod
     def ts(cls, datum, i, order):
-        return cls.t(datum, datum.simple(i), order)
-
-    def is_zero(self):
-        return not self.coeffs
+        return cls(datum, order, {datum.simple(i): FormalSeries.one(datum.rank + 1, order)})
 
     def truncate(self, order):
         """Lower (never raise) the trusted order."""
@@ -131,11 +127,6 @@ class GradedElement:
         return " + ".join(parts)
 
 
-def root_diff(datum, i):
-    """The differential of the i-th simple root as a linear form."""
-    return diff(datum.simple_roots[i])
-
-
 def demazure_series(datum, f, i):
     """(f - s_i(f)) / alpha_i-dot by exact division; order drops by one.
 
@@ -143,56 +134,54 @@ def demazure_series(datum, f, i):
     integer tables instead (:func:`fs_weyl_demazure`), so a check of
     ``gh_mul`` against this function compares two independent routes.
     """
-    return fs_div_linear(f - fs_weyl(datum, datum.simple(i), f), root_diff(datum, i))
+    return fs_div_linear(f - fs_weyl(datum, datum.simple(i), f), diff(datum.simple_roots[i]))
 
 
-def _left_mul_ts(datum, i, elem):
-    """t_{s_i} * elem by Lusztig's rule, one table pass per coefficient."""
-    out = {}
+class GradedRule(Rule):
+    """Lusztig's graded rule, for :mod:`normal_form`.
 
-    def add(w, f):
+    t_s f = s(f) t_s + 2r Dem_s(f) and t_s^2 = 1, so a = 0 and b = 1;
+    ``commute`` reads both coefficients from the integer tables
+    (:func:`fs_weyl_demazure`).  Coefficients accumulate as series, and
+    ``sign`` is t_s on the antispherical base point: -1, other values only
+    for a negative control's private datum copy.
+    """
+
+    a, b = 0, 1
+
+    def __init__(self, datum, sign=-1):
+        self.datum = datum
+        self.sign = sign
+
+    def commute(self, i, f):
+        return fs_weyl_demazure(self.datum, i, f)
+
+    def add(self, acc, w, f, scale=1):
         if f.is_zero():
             return
-        prev = out.get(w)
-        out[w] = f if prev is None else prev + f
+        if scale != 1:
+            f = f.scale(scale)
+        prev = acc.get(w)
+        acc[w] = f if prev is None else prev + f
 
-    for w, f in elem.coeffs.items():
-        sf, dem = fs_weyl_demazure(datum, i, f)
-        add(datum.left_mul(i, w), sf)
-        add(w, dem)
-    return GradedElement(datum, elem.order, out)
+    def add_product(self, acc, w, f, g):
+        self.add(acc, w, f * g)
 
+    def close(self, acc):
+        return acc
 
-def add_scaled_terms(acc, f, elem):
-    """acc[u] += f * g for every term g t_u of ``elem``; untruncated."""
-    for u, g in elem.coeffs.items():
-        fg = f * g
-        prev = acc.get(u)
-        acc[u] = fg if prev is None else prev + fg
-    return acc
+    def zero(self, order):
+        return FormalSeries.zero(self.datum.rank + 1, order)
+
+    def one(self, order):
+        return GradedElement.one(self.datum, order)
 
 
 def gh_mul(a, b):
-    """a * b = sum_w a_w (t_w b) at the lower order of a and b.
-
-    Each t_w b is pushed once, as t_{s_i} (t_{s_i w} b) with i the first
-    letter of w, so the elements of a share their suffixes.
-    """
-    datum = a.datum
+    """a * b at the lower order of a and b (:meth:`Rule.product` under the graded rule)."""
     order = min(a.order, b.order)
-    pushed = {datum.identity: b.truncate(order)}
-
-    def tw_b(w):
-        got = pushed.get(w)
-        if got is None:
-            i = w.word[0]
-            got = pushed[w] = _left_mul_ts(datum, i, tw_b(datum.left_mul(i, w)))
-        return got
-
-    acc = {}
-    for w, aw in a.coeffs.items():
-        add_scaled_terms(acc, aw, tw_b(w))
-    return GradedElement(datum, order, acc)
+    return GradedElement(a.datum, order, GradedRule.of(a.datum).product(
+        a.coeffs, b.truncate(order).coeffs))
 
 
 def fourier_map(a):
@@ -217,36 +206,25 @@ def todd_eB(datum, order):
     return out
 
 
-class _Conjugation:
+class _Conjugation(GeneratorImages):
     """a |-> e_B a e_B^{-1} for one e_B, reusing each e_B t_w e_B^{-1}.
 
     Series commute with e_B, so with a = sum_w f_w t_w,
 
         e_B a e_B^{-1} = sum_w f_w (e_B t_w e_B^{-1}),
 
-    and the conjugate of each t_w is formed once per w.
+    and the conjugate of t_w, the product of the conjugates of its
+    letters, is formed once per (w, order) (:class:`GeneratorImages`).
     """
 
     def __init__(self, datum, eB):
-        self.datum = datum
-        self.eB = eB
-        self.eB_inv = fs_inv(eB)
-        self._images = {}
-
-    def _image(self, w):
-        """e_B t_w e_B^{-1}."""
-        img = self._images.get(w)
-        if img is None:
-            img = self._images[w] = gh_mul(
-                GradedElement.t(self.datum, w, self.eB.order),
-                GradedElement.series(self.datum, self.eB_inv)).scale_left(self.eB)
-        return img
+        eB_inv = GradedElement.series(datum, fs_inv(eB))
+        super().__init__(GradedRule.of(datum), lambda i, order: gh_mul(
+            GradedElement.ts(datum, i, order), eB_inv).scale_left(eB), eB.order)
 
     def __call__(self, a):
-        acc = {}
-        for w, f in a.coeffs.items():
-            add_scaled_terms(acc, f, self._image(w))
-        return GradedElement(self.datum, min(a.order, self.eB.order), acc)
+        order = min(a.order, self.work_order)
+        return GradedElement(self.datum, order, self.evaluate(a, order, lambda f: f))
 
 
 def conj_eB(a, eB=None):
@@ -266,53 +244,11 @@ def conj_eB(a, eB=None):
     return conj(a)
 
 
-class GradedAsphElement:
-    """Element of the graded antispherical module, one series coordinate."""
-
-    __slots__ = ("datum", "value")
-
-    def __init__(self, datum, value):
-        self.datum = datum
-        self.value = value
-
-    @classmethod
-    def base_point(cls, datum, order):
-        return cls(datum, FormalSeries.one(datum.rank + 1, order))
-
-    def __add__(self, other):
-        return GradedAsphElement(self.datum, self.value + other.value)
-
-    def __sub__(self, other):
-        return GradedAsphElement(self.datum, self.value - other.value)
-
-    def eq(self, other, order=None):
-        return self.value.eq(other.value, order)
-
-    def __repr__(self):
-        return "(%r).1" % self.value
-
-
-def g_asph_act(a, m, sign_value=-1):
-    """Left action on the graded antispherical module (t_s acts by -1).
-
-    On one series: t_s (h.1) = sign s(h) + 2r Dem_s(h), applied letter by
-    letter, so t_w (g.1) is built once per w from t_{s_i w} (g.1), and
-    a.(g.1) = sum_w a_w (t_w g.1).  ``sign_value`` = +1 is the verifier's
-    corrupted sign module.
+def g_asph_act(a, m):
+    """Left action on the graded antispherical module, where t_s acts by -1
+    on the base point (:meth:`Rule.act` under the graded rule), at the lower
+    order of a and m.
     """
-    datum = a.datum
     order = min(a.order, m.value.order)
-    images = {datum.identity: m.value.truncate(order)}
-
-    def image(w):
-        got = images.get(w)
-        if got is None:
-            i = w.word[0]
-            sh, dem = fs_weyl_demazure(datum, i, image(datum.left_mul(i, w)))
-            got = images[w] = dem - sh if sign_value == -1 else dem + sh
-        return got
-
-    total = FormalSeries.zero(datum.rank + 1, order)
-    for w, f in a.coeffs.items():
-        total = total + f * image(w)
-    return GradedAsphElement(datum, total)
+    return AsphElement(a.datum, GradedRule.of(a.datum).act(
+        a.coeffs, m.value.truncate(order), order))

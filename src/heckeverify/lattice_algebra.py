@@ -38,9 +38,6 @@ class LaurentScalar:
                 if c:
                     self.coeffs[exp] = c
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -61,9 +58,6 @@ class LaurentScalar:
         res.coeffs = {exp: -c for exp, c in self.coeffs.items()}
         return res
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         out = {}
         for e1, c1 in self.coeffs.items():
@@ -80,9 +74,6 @@ class LaurentScalar:
 
     def __eq__(self, other):
         return isinstance(other, LaurentScalar) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
         if not self.coeffs:
@@ -123,10 +114,6 @@ class GroupAlgebraElement:
     def one(cls, rank):
         return cls.theta((0,) * rank)
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def is_zero(self):
         return not self.coeffs
 
@@ -153,9 +140,6 @@ class GroupAlgebraElement:
 
     def __eq__(self, other):
         return isinstance(other, GroupAlgebraElement) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def weyl_apply(self, w):
         """theta_x |-> theta_{w x} on every term (w permutes the weights)."""
@@ -268,7 +252,3 @@ def mul_by_scriptG(datum, x, i):
         {tuple(alpha): LS_V2, (0,) * datum.rank: -LS_ONE}
     )
     return factor * GroupAlgebraElement.theta(neg_alpha) * q
-
-
-def ga_substitute(a, vexp_image=1, sign=1, negate_weights=False):
-    return a.substitute(vexp_image, sign, negate_weights)

@@ -31,23 +31,27 @@ which sends T_w to a single term.
 
 Everything these routes reuse that depends only on the root datum and an
 order is built once.  The :class:`Context` that :func:`context` returns
-for a work order holds the unit factors and both Lusztig maps with their
-T_s images at that order, and, per (w, compared order), the T_w images
-and the K-route images K_w = e_B L_r(T_w) e_B^{-1}.  e_B, e_B^{-1} and
-the conjugates e_B t_w e_B^{-1} (:func:`conj_eB`, per order), exp(+-rho.)
+for a work order holds the unit factors at that order, both Lusztig maps
+and the K-route images K_w = e_B L_r(T_w) e_B^{-1}; these maps given on
+generators, like conjugation by e_B, keep image(T_w) = image(T_{s_i})
+image(T_{s_i w}) per (w, compared order) in the image cache of
+:mod:`normal_form` (:class:`GeneratorImages`).  e_B, e_B^{-1} and the
+conjugates e_B t_w e_B^{-1} (:func:`conj_eB`, per order), exp(+-rho.)
 (per order), the map m and the Weyl substitution tables (:func:`fs_weyl`)
 live beside it in the datum's store (:meth:`RootDatum.memo`), which is
 freed with the datum.  Series commute with e_B, so the K-route evaluates
 as sum_w series(x_w) K_w on the normal form x = m(h) = sum_w x_w T_w,
-and no case runs a conjugation of its own.
+and no case runs a conjugation of its own; conjugation is
+multiplicative, so K_w is the product of the K_s along the word of w.
 
-Only the unit factors and the T_s images made from them divide by linear
-forms, so only they are built at the work order order + guard.  Every
-product after them runs at the order a case compares: a T_w image is the
-product of T_s images truncated to that order, and e_B, which computes
-one degree high itself, is built at that order too.  Series products stop
-at the lower order of their factors and t_s keeps degrees, so truncation
-commutes with every step and the guard changes no value.
+Only the unit factors divide by linear forms, so only they are built at
+the work order order + guard.  Every product after them runs at the
+order a case compares: a T_s image is made from the unit factor
+truncated to that order, a T_w image is the product of T_s images, and
+e_B, which computes one degree high itself, is built at that order too.
+Series products stop at the lower order of their factors and t_s keeps
+degrees, so truncation commutes with every step and the guard changes no
+value.
 """
 
 from .affine_hecke import twist
@@ -62,13 +66,13 @@ from .formal_series import (
     fs_inv,
 )
 from .graded_hecke import (
-    GradedAsphElement,
     GradedElement,
-    add_scaled_terms,
+    GradedRule,
     conj_eB,
     fourier_map,
     gh_mul,
 )
+from .normal_form import AsphElement, GeneratorImages
 from .root_datum import apply
 
 DEFAULT_GUARD = 2
@@ -95,56 +99,27 @@ def _ts_image(datum, i, order, side, u):
     return img - GradedElement.one(datum, order)
 
 
-class _LusztigMap:
-    """Evaluate a Lusztig morphism on normal forms, caching T_s and T_w images.
+def _ch_images(images, h, order):
+    """sum_w series(h_w) images.image(T_w) at ``order``, for h = sum_w h_w T_w."""
+    return GradedElement(images.datum, order, images.evaluate(
+        h, order, lambda c: series_of_group_algebra(images.datum, c, order)))
 
-    ``unit`` maps a simple index i to the unit factor u(alpha_i), and
-    ``order`` is the work order the T_s images are built at.  A T_w image
-    is built at the order a case compares, from the T_s images truncated
-    to it, and kept per (w, order).
+
+class _LusztigMap(GeneratorImages):
+    """Evaluate a Lusztig morphism on normal forms, caching T_w images.
+
+    ``unit`` maps a simple index i to the unit factor u(alpha_i), built at
+    the work order ``order``.  The T_s image at a compared order is made
+    from the unit factor truncated to it, and every T_w image is kept per
+    (w, compared order) (:class:`GeneratorImages`).
     """
 
     def __init__(self, datum, order, side, unit):
-        self.datum = datum
-        self.order = order
-        self.side = side
-        self.unit = unit
-        self._ts = {}
-        self._tw = {}
-
-    def _image_of_ts(self, i):
-        img = self._ts.get(i)
-        if img is None:
-            img = self._ts[i] = _ts_image(self.datum, i, self.order, self.side, self.unit(i))
-        return img
-
-    def _image_of_tw(self, w, order):
-        """Image of T_w at ``order``, as image(T_{s_i}) image(T_{s_i w})."""
-        img = self._tw.get((w, order))
-        if img is None:
-            datum = self.datum
-            if not w.word:
-                img = GradedElement.one(datum, order)
-            else:
-                i = w.word[0]
-                img = gh_mul(self._image_of_ts(i).truncate(order),
-                             self._image_of_tw(datum.left_mul(i, w), order))
-            self._tw[(w, order)] = img
-        return img
+        super().__init__(GradedRule.of(datum), lambda i, o: _ts_image(
+            datum, i, o, side, unit(i).truncate(o)), order)
 
     def __call__(self, h, order):
-        return _on_normal_form(self, order, h, lambda w: self._image_of_tw(w, order))
-
-
-def _on_normal_form(owner, order, h, image_of_tw):
-    """sum_w series(h_w) image_of_tw(w) for h = sum_w h_w T_w, at ``order`` <= ``owner.order``."""
-    if order > owner.order:
-        raise ValueError("compared order %d is above the work order %d" % (order, owner.order))
-    datum = owner.datum
-    acc = {}
-    for w, aw in h.coeffs.items():
-        add_scaled_terms(acc, series_of_group_algebra(datum, aw, order), image_of_tw(w))
-    return GradedElement(datum, order, acc)
+        return _ch_images(self, h, order)
 
 
 class Context:
@@ -161,9 +136,11 @@ class Context:
         self.order = order
         self.r_coeff = r_coeff
         self._units = {}
-        self._k_route = {}
         self.lusztig_r = _LusztigMap(datum, order, "r", self.unit)
         self.lusztig_l = _LusztigMap(datum, order, "l", self.unit)
+        # K_s = e_B L_r(T_s) e_B^{-1}, with e_B and its conjugates at the compared order
+        self.k_route_images = GeneratorImages(GradedRule.of(datum), lambda i, o: conj_eB(
+            self.lusztig_r.image(datum.simple(i), o)), order)
 
     def unit(self, i):
         u = self._units.get(i)
@@ -171,16 +148,9 @@ class Context:
             u = self._units[i] = unit_factor(self.datum, i, self.order, self.r_coeff)
         return u
 
-    def _k_route_image(self, w, order):
-        """K_w at ``order``; e_B and its conjugates are built at ``order`` too."""
-        img = self._k_route.get((w, order))
-        if img is None:
-            img = self._k_route[(w, order)] = conj_eB(self.lusztig_r._image_of_tw(w, order))
-        return img
-
     def k_route(self, h, order):
         """e_B L_r(h) e_B^{-1} to ``order``, as sum_w series(h_w) K_w: series commute with e_B."""
-        return _on_normal_form(self, order, h, lambda w: self._k_route_image(w, order))
+        return _ch_images(self.k_route_images, h, order)
 
 
 def context(datum, order):
@@ -219,7 +189,7 @@ def pipeline_H(h, order, guard=DEFAULT_GUARD):
 
 def transport(m, order):
     """Module transport: theta_x . 1 |-> exp(x-dot) . 1, v |-> exp(r)."""
-    return GradedAsphElement(
+    return AsphElement(
         m.datum, series_of_group_algebra(m.datum, m.value, order)
     )
 

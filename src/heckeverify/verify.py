@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .affine_hecke import (
     LS_V2M1,
-    AsphElement,
+    BernsteinRule,
     HeckeElement,
     asph_act_left,
     h_mul,
@@ -37,8 +37,8 @@ from .formal_series import (
     fs_weyl,
 )
 from .graded_hecke import (
-    GradedAsphElement,
     GradedElement,
+    GradedRule,
     conj_eB,
     demazure_series,
     fourier_map,
@@ -65,6 +65,7 @@ from .lusztig import (
     transport,
     unit_factor,
 )
+from .normal_form import AsphElement
 from .root_datum import apply, build_root_datum
 
 ARTIFACT_VERSION = "0.1.0"
@@ -105,14 +106,19 @@ def _run(name, datum_desc, order, guard, seed, body):
     return CheckReport(name, status, datum_desc, order, guard, seed, elapsed, witness)
 
 
-def _private_copy(datum):
+def _private_copy(datum, *rules):
     """A fresh datum equal to ``datum``, for a negative control.
 
     Everything a corrupted run builds and caches hangs off the copy and is
     freed with it, so a control never reads or writes the shared context
-    of ``datum``, and no clean check can see what a control built.
+    of ``datum``, and no clean check can see what a control built.  Each
+    of ``rules`` makes a corrupted rule instance of the copy, which the
+    normal-form engine then runs on (:meth:`Rule.install`).
     """
-    return build_root_datum(datum.cartan)
+    copy = build_root_datum(datum.cartan)
+    for make in rules:
+        make(copy).install()
+    return copy
 
 
 # -- random sampling -------------------------------------------------------
@@ -349,7 +355,8 @@ def check_presentation(datum, seed=0, order=6, datum_desc=None,
     n = datum.rank
     desc = datum_desc or {}
     if _bernstein_sign != 1:
-        datum = _private_copy(datum)
+        datum = _private_copy(datum, lambda d: BernsteinRule(
+            d, dem_scalar=LS_V2M1 * LaurentScalar({0: _bernstein_sign})))
 
     def body():
         one = HeckeElement.one(datum)
@@ -357,8 +364,7 @@ def check_presentation(datum, seed=0, order=6, datum_desc=None,
             x = rand_weight(rng, n)
             i = rng.randrange(n)
             s = datum.simple(i)
-            lhs = h_mul(HeckeElement.Ts(datum, i), HeckeElement.theta(datum, x),
-                        _bernstein_sign)
+            lhs = h_mul(HeckeElement.Ts(datum, i), HeckeElement.theta(datum, x))
             sx = apply(s, x)
             rhs = HeckeElement.theta(datum, sx) * HeckeElement.Ts(datum, i) + \
                 HeckeElement(datum, {datum.identity: demazure_quotient(datum, x, i).scale(
@@ -367,14 +373,12 @@ def check_presentation(datum, seed=0, order=6, datum_desc=None,
                 return "Bernstein relation fails at x=%r, i=%d: %r vs %r" % (x, i, lhs, rhs)
             # script-G reformulation
             ts1 = HeckeElement.Ts(datum, i) + one
-            lhs2 = h_mul(ts1, HeckeElement.theta(datum, x), _bernstein_sign) - \
+            lhs2 = h_mul(ts1, HeckeElement.theta(datum, x)) - \
                 HeckeElement.theta(datum, sx) * ts1
             rhs2 = HeckeElement(datum, {datum.identity: mul_by_scriptG(datum, x, i)})
             if lhs2 != rhs2:
                 return "script-G reformulation fails at x=%r, i=%d" % (x, i)
-        failed = _relation_failure(
-            k_relations(datum), lambda h: h,
-            lambda a, b: h_mul(a, b, _bernstein_sign), operator.eq)
+        failed = _relation_failure(k_relations(datum), lambda h: h, h_mul, operator.eq)
         if failed:
             return "%s fails in the Hecke algebra: lhs - rhs = %r" % failed
         # graded side
@@ -426,7 +430,7 @@ def check_morphisms(datum, order=6, seed=0, guard=2, datum_desc=None,
     map: by the twisted Leibniz rule Dem_s(theta_{x+y}) = Dem_s(theta_x)
     theta_y + theta_{sx} Dem_s(theta_y), the relation at x and at y gives
     it at x + y, and every weight is a sum of +-omega_j.  Only the unit
-    factors and T_s images of the Lusztig maps are built at order + guard.
+    factors of the Lusztig maps are built at order + guard.
     """
     n = datum.rank
     desc = datum_desc or {}
@@ -584,13 +588,14 @@ def check_modules(datum, order=6, seed=0, guard=2, datum_desc=None,
     Exact K-side antispherical action formula, the transport intertwining
     transport(h . m) = L_l(h) . transport(m), and the action of
     L_l(1 + T_s) on exp(x-dot) . 1 against its closed form.  Only the
-    unit factors and T_s images of L_l are built at order + guard.
+    unit factors of L_l are built at order + guard.
     """
     rng = random.Random(seed)
     n = datum.rank
     desc = datum_desc or {}
     if _sign_value != -1:
-        datum = _private_copy(datum)
+        datum = _private_copy(datum, lambda d: BernsteinRule(d, sign=_sign_value),
+                              lambda d: GradedRule(d, sign=_sign_value))
 
     def body():
         one = HeckeElement.one(datum)
@@ -598,21 +603,21 @@ def check_modules(datum, order=6, seed=0, guard=2, datum_desc=None,
             x = rand_weight(rng, n)
             i = rng.randrange(n)
             ts1 = HeckeElement.Ts(datum, i) + one
-            got = asph_act_left(ts1, AsphElement.theta(datum, x), _sign_value)
+            got = asph_act_left(ts1, AsphElement(datum, GroupAlgebraElement.theta(x)))
             want = AsphElement(datum, mul_by_scriptG(datum, x, i))
             if got != want:
                 return "antispherical action fails at x=%r, i=%d: %r vs %r" % (
                     x, i, got, want)
         gens = hecke_generators(datum)
-        samples = [AsphElement.base_point(datum)]
+        samples = [AsphElement(datum, GroupAlgebraElement.one(n))]
         for _ in range(20):
-            samples.append(AsphElement.theta(datum, rand_weight(rng, n)))
+            samples.append(AsphElement(datum, GroupAlgebraElement.theta(rand_weight(rng, n))))
         transported = [transport(m, order) for m in samples]
         for name, h in gens:
             img = lusztig_l(h, order, guard)
             for m, tm in zip(samples, transported):
-                lhs = transport(asph_act_left(h, m, _sign_value), order)
-                rhs = g_asph_act(img, tm, _sign_value)
+                lhs = transport(asph_act_left(h, m), order)
+                rhs = g_asph_act(img, tm)
                 if not lhs.eq(rhs, order):
                     return "transport fails to intertwine %s on %r" % (name, m)
         # closed form of the action of L_l(1+T_s) on exp(x.)
@@ -621,10 +626,10 @@ def check_modules(datum, order=6, seed=0, guard=2, datum_desc=None,
             i = rng.randrange(n)
             ts1 = HeckeElement.Ts(datum, i) + one
             img = lusztig_l(ts1, order, guard)
-            m = GradedAsphElement(datum, series_of_group_algebra(
+            m = AsphElement(datum, series_of_group_algebra(
                 datum, GroupAlgebraElement.theta(x), order))
-            got = g_asph_act(img, m, _sign_value)
-            want = GradedAsphElement(datum, difference_times_scriptG(datum, i, x, order))
+            got = g_asph_act(img, m)
+            want = AsphElement(datum, difference_times_scriptG(datum, i, x, order))
             if not got.eq(want, order):
                 return "closed-form action fails at x=%r, i=%d" % (x, i)
         return None

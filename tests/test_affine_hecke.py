@@ -28,6 +28,7 @@ from heckeverify.root_datum import apply, build_root_datum, cartan_matrix
 A1 = build_root_datum([[2]])
 A2 = build_root_datum(cartan_matrix("A", 2))
 B2 = build_root_datum(cartan_matrix("B", 2))
+G2 = build_root_datum(cartan_matrix("G", 2))
 
 LS_V2M1 = LaurentScalar({2: 1, 0: -1})
 
@@ -189,13 +190,13 @@ def test_composite_pipeline_is_morphism():
 def test_antispherical_action():
     one = HeckeElement.one(A1)
     ts = HeckeElement.Ts(A1, 0)
+    base = AsphElement(A1, GroupAlgebraElement.one(1))
     # T_s . 1 = -1
-    assert asph_act_left(ts, AsphElement.base_point(A1)) == \
-        -AsphElement.base_point(A1)
+    assert asph_act_left(ts, base) == -base
     # (1+T_s).(theta_0 . 1) = 0
-    assert asph_act_left(ts + one, AsphElement.base_point(A1)).value.is_zero()
+    assert asph_act_left(ts + one, base).value.is_zero()
     # (1+T_s).(theta_w . 1) = (v^2 theta_w - theta_{-w}) . 1
-    got = asph_act_left(ts + one, AsphElement.theta(A1, (1,)))
+    got = asph_act_left(ts + one, AsphElement(A1, GroupAlgebraElement.theta((1,))))
     want = AsphElement(A1, GroupAlgebraElement.theta((1,), LS_V2)
                        - GroupAlgebraElement.theta((-1,)))
     assert got == want
@@ -208,7 +209,25 @@ def test_module_law(datum):
     for _ in range(50):
         a = rand_hecke(rng, datum)
         b = rand_hecke(rng, datum)
-        m = AsphElement.theta(datum, tuple(rng.randint(-2, 2)
-                                           for _ in range(datum.rank)))
+        x = tuple(rng.randint(-2, 2) for _ in range(datum.rank))
+        m = AsphElement(datum, GroupAlgebraElement.theta(x))
         assert asph_act_left(h_mul(a, b), m) == \
             asph_act_left(a, asph_act_left(b, m))
+
+
+@pytest.mark.parametrize("datum", [A1, A2, B2, G2], ids=["A1", "A2", "B2", "G2"])
+def test_action_equals_the_product_collapsed(datum):
+    # T_s |-> -1 is a character of the finite Hecke algebra, so the
+    # letter-by-letter action equals the product a * (m T_e) followed by
+    # T_w |-> (-1)^{l(w)}.  T_s |-> +1 is not one: T_s^2 = (v^2-1) T_s + v^2.
+    rng = random.Random(11)
+    longest = max(datum.weyl, key=lambda w: w.length)
+    for _ in range(8):
+        a = rand_hecke(rng, datum, nterms=3) + HeckeElement(
+            datum, {longest: GroupAlgebraElement.theta((1,) + (0,) * (datum.rank - 1), LS_V)})
+        x = tuple(rng.randint(-2, 2) for _ in range(datum.rank))
+        m = AsphElement(datum, GroupAlgebraElement.theta(x, LS_V2))
+        want = GroupAlgebraElement()
+        for w, c in h_mul(a, HeckeElement(datum, {datum.identity: m.value})).coeffs.items():
+            want = want - c if w.length % 2 else want + c
+        assert asph_act_left(a, m).value == want

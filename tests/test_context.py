@@ -156,6 +156,19 @@ def test_a_context_refuses_orders_above_its_work_order():
         assert evaluate(ts, 3).order == 3
 
 
+def test_a_corrupted_rule_is_installed_only_before_any_product():
+    # a control that installed its rule after a product ran would check
+    # half of its case on the clean rule
+    datum = build_root_datum(cartan_matrix("A", 2))
+    h_mul(HeckeElement.Ts(datum, 0), HeckeElement.Ts(datum, 1))
+    with pytest.raises(ValueError, match="already runs on a BernsteinRule"):
+        affine_hecke.BernsteinRule(datum, sign=1).install()
+    fresh = build_root_datum(datum.cartan)
+    flipped = affine_hecke.BernsteinRule(fresh, sign=1)
+    flipped.install()
+    assert affine_hecke.BernsteinRule.of(fresh) is flipped
+
+
 def _assert_kept(before, after, path="store"):
     """Every value in ``before`` is unchanged in ``after``; caches may grow."""
     if isinstance(before, dict):
@@ -210,11 +223,13 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
     datum = build_root_datum(cartan_matrix("B", 2))
     ctx = context(datum, 5)
     assert context(datum, 5) is ctx
-    # K_w = e_B L_r(T_w) e_B^{-1} is the only conjugation the K-route runs:
-    # once per (w, compared order), over an e_B built at the compared order
+    # K_s = e_B L_r(T_s) e_B^{-1} is the only conjugation the K-route runs:
+    # once per (s, compared order), over an e_B built at the compared order;
+    # every longer K_w is a product of them
     conjugated = []
     conj_eB = lusztig.conj_eB
     monkeypatch.setattr(lusztig, "conj_eB", lambda a: conjugated.append(a) or conj_eB(a))
+    k_images = ctx.k_route_images._images
     for order, guard in ((3, 2), (4, 1)):
         before = len(conjugated)
         runs = []
@@ -222,17 +237,19 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
             assert check_diagram(datum, order=order, seed=0, guard=guard).status == "pass"
             runs.append(len(conjugated) - before)
         built = conjugated[before:]
-        assert 0 < runs[0] == runs[1] <= len(datum.weyl)
+        assert 0 < runs[0] == runs[1] <= datum.rank
         assert [a.order for a in built] == [order] * runs[0]
-        assert sum(1 for _, o in ctx._k_route if o == order) == runs[0]
-        # each e_B t_w e_B^{-1} is built once, for the w that some L_r(T_w) reaches
+        assert sum(1 for w, o in k_images if o == order and len(w.word) == 1) == runs[0]
+        # each e_B t_w e_B^{-1} is built once, for the w that some L_r(T_s) reaches
         conj = datum._memo[("conj_eB", order)]
-        assert set(conj._images) == {w for a in built for w in a.coeffs}
-    assert len(ctx._k_route) == len(conjugated)
+        assert set(conj._images) == {(w, order) for a in built for w in a.coeffs}
+    assert sum(1 for w, _ in k_images if len(w.word) == 1) == len(conjugated)
     assert ("conj_eB", 5) not in datum._memo
-    # the T_s images stay at the work order; the T_w images are per compared order
-    assert {img.order for img in ctx.lusztig_r._ts.values()} == {5}
-    assert {order for _, order in ctx.lusztig_r._tw} == {3, 4}
+    # the unit factors stay at the work order; every image is per compared order
+    assert {u.order for u in ctx._units.values()} == {5}
+    assert {order for _, order in ctx.lusztig_r._images} == {3, 4}
+    assert {(img.order, order) for (_, order), img in ctx.lusztig_r._images.items()} == {
+        (3, 3), (4, 4)}
     # the K-route goes through m alone: the Koszul chain is never built
     assert calls == {"todd_eB": 2, "unit_factor": 2}
     assert "twist" in datum._memo and "k_side_maps" not in datum._memo

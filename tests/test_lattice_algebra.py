@@ -9,7 +9,6 @@ from heckeverify.lattice_algebra import (
     LS_V,
     LS_V2,
     demazure_quotient,
-    ga_substitute,
     mul_by_scriptG,
 )
 from heckeverify.root_datum import apply, build_root_datum, cartan_matrix
@@ -108,11 +107,11 @@ def test_mul_commutative_associative():
 
 def test_substitutions():
     a = theta((1, 0), LS_V)
-    assert ga_substitute(a, sign=-1) == theta((1, 0), -LS_V)
+    assert a.substitute(sign=-1) == theta((1, 0), -LS_V)
     # v -> v^-1, theta_x -> theta_{-x} applied twice is the identity
     b = theta((2, -1), LaurentScalar({3: 2, -1: 1})) + theta((0, 0), LS_V2)
-    twice = ga_substitute(ga_substitute(b, vexp_image=-1, negate_weights=True),
-                          vexp_image=-1, negate_weights=True)
+    twice = b.substitute(vexp_image=-1, negate_weights=True).substitute(
+        vexp_image=-1, negate_weights=True)
     assert twice == b
     # v -> -v fixes even powers
-    assert ga_substitute(theta((0, 0), LS_V2), sign=-1) == theta((0, 0), LS_V2)
+    assert theta((0, 0), LS_V2).substitute(sign=-1) == theta((0, 0), LS_V2)

@@ -10,11 +10,14 @@ checked to be in canonical form: no zero Laurent term and no empty
 coefficient is ever stored, on which the structural ``==`` relies.
 """
 
+import random
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from heckeverify.affine_hecke import HeckeElement, _demazure_linear, h_mul
-from heckeverify.lattice_algebra import GroupAlgebraElement, LaurentScalar, from_plain
+from heckeverify.affine_hecke import LS_V2M1, BernsteinRule, HeckeElement, h_mul
+from heckeverify.lattice_algebra import GroupAlgebraElement, LaurentScalar
 from heckeverify.root_datum import build_root_datum, cartan_matrix
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -77,6 +80,63 @@ def ref_substitute(a, vexp_image, sign, negate_weights):
             e = k * vexp_image
             slot[e] = slot.get(e, 0) + (sign ** (k % 2)) * c
     return ref_clean(out)
+
+
+def ref_demazure(datum, i, a):
+    """Dem_{s_i}(a) = (a - s_i(a)) / (1 - theta_{-alpha_i}), term by term.
+
+    With m = x_i, (theta_x - theta_{x - m alpha}) / (1 - theta_{-alpha}) is
+    theta_x + theta_{x - alpha} + ... + theta_{x - (m-1) alpha} for m > 0
+    and -(theta_{x + alpha} + ... + theta_{x - m alpha}) for m < 0.
+    """
+    alpha = datum.simple_roots[i]
+    out = {}
+    for x, poly in a.items():
+        m = x[i]
+        steps = [(-k, 1) for k in range(m)] + [(k, -1) for k in range(1, -m + 1)]
+        for k, sign in steps:
+            y = tuple(p + k * q for p, q in zip(x, alpha))
+            out = ref_add(out, {y: {e: sign * c for e, c in poly.items()}})
+    return out
+
+
+def ref_scale(datum, a, poly):
+    return ref_mul(a, {(0,) * datum.rank: poly})
+
+
+def ref_push(datum, i, h):
+    """T_{s_i} * sum_u c_u T_u by the Bernstein rule, h = {u: c_u}.
+
+    T_s c T_u = s(c) T_s T_u + (v^2-1) Dem_s(c) T_u, and T_s T_u = T_{su}
+    if su is longer, else (v^2-1) T_u + v^2 T_{su}.
+    """
+    out = {}
+
+    def add(w, c):
+        out[w] = ref_add(out.get(w, {}), c)
+
+    for u, c in h.items():
+        sc = ref_weyl(datum, datum.simple(i), c)
+        su = datum.left_mul(i, u)
+        if su.length > u.length:
+            add(su, sc)
+        else:
+            add(u, ref_scale(datum, sc, {2: 1, 0: -1}))
+            add(su, ref_scale(datum, sc, {2: 1}))
+        add(u, ref_scale(datum, ref_demazure(datum, i, c), {2: 1, 0: -1}))
+    return {w: c for w, c in out.items() if c}
+
+
+def ref_h_mul(datum, a, b):
+    """a * b with every letter of every w of a pushed through b on its own."""
+    out = {}
+    for w, aw in a.items():
+        tw_b = b
+        for i in reversed(w.word):
+            tw_b = ref_push(datum, i, tw_b)
+        for u, c in tw_b.items():
+            out[u] = ref_add(out.get(u, {}), ref_mul(aw, c))
+    return {u: c for u, c in out.items() if c}
 
 
 def plain(g):
@@ -157,8 +217,10 @@ def test_linear_demazure_step_multiplies_back(data, datum, poly):
     a = data.draw(elements(datum))
     i = data.draw(st.integers(0, datum.rank - 1))
     scalar = ref_clean({(0,) * datum.rank: poly})
-    got = plain(from_plain(_demazure_linear(datum, kernel(a), i, {},
-                                            LaurentScalar(poly))))
+    _, dem = BernsteinRule(datum, dem_scalar=LaurentScalar(poly)).commute(i, kernel(a))
+    got = {}
+    for y, c in dem:
+        got = ref_add(got, {y: dict(c.coeffs)})
     s = datum.simple(i)
     alpha = datum.simple_roots[i]
     one_minus = ref_clean({(0,) * datum.rank: {0: 1}, tuple(-p for p in alpha): {0: -1}})
@@ -187,12 +249,37 @@ def test_h_mul_is_associative_and_distributive(data, datum):
 
 
 def test_bernstein_sign_changes_the_product():
+    # the rule the corrupted presentation control stores on its datum copy
     for datum in DATA:
+        flipped = BernsteinRule(datum, dem_scalar=-LS_V2M1)
         for i in range(datum.rank):
             x = tuple(int(j == i) for j in range(datum.rank))
             ts, theta = HeckeElement.Ts(datum, i), HeckeElement.theta(datum, x)
-            assert h_mul(ts, theta, bernstein_sign=-1) != h_mul(ts, theta)
+            corrupted = HeckeElement(datum, flipped.product(ts.coeffs, theta.coeffs))
+            assert corrupted != h_mul(ts, theta)
             # the two differ by exactly twice the (v^2 - 1) Demazure term
-            diff = h_mul(ts, theta) - h_mul(ts, theta, bernstein_sign=-1)
+            diff = h_mul(ts, theta) - corrupted
             assert list(diff.coeffs) == [datum.identity]
             assert plain(diff.coeffs[datum.identity]) == {x: {2: 2, 0: -2}}
+
+
+def _rand_plain(rng, datum):
+    return ref_clean({tuple(rng.randint(-2, 2) for _ in range(datum.rank)):
+                      {rng.randint(-2, 2): rng.randint(-3, 3) or 1} for _ in range(2)})
+
+
+@pytest.mark.parametrize("family, rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)],
+                         ids=["A2", "B2", "G2", "A3"])
+def test_suffix_shared_h_mul_equals_the_letter_by_letter_product(family, rank):
+    # h_mul pushes T_w b once per w, from T_{s_i w} b; the reference pushes
+    # each letter of each w through b from scratch, by the Bernstein rule
+    datum = build_root_datum(cartan_matrix(family, rank))
+    rng = random.Random(23)
+    longest = max(datum.weyl, key=lambda w: w.length)
+    for _ in range(3):
+        a = {w: _rand_plain(rng, datum) for w in rng.sample(datum.weyl, 4) + [longest]}
+        b = {w: _rand_plain(rng, datum) for w in rng.sample(datum.weyl, 3)}
+        got = h_mul(HeckeElement(datum, {w: kernel(c) for w, c in a.items()}),
+                    HeckeElement(datum, {w: kernel(c) for w, c in b.items()}))
+        assert_hecke_canonical(got)
+        assert {w: plain(c) for w, c in got.coeffs.items()} == ref_h_mul(datum, a, b)
