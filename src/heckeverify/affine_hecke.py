@@ -7,17 +7,9 @@ coefficient a_w (an element of Z[v,v^-1][X]) on the LEFT of T_w.  The basis
 equality is literal dictionary equality.
 
 Products are computed by the engine of :mod:`normal_form` under the
-Bernstein rule (:class:`BernsteinRule`):
-
-    T_s * theta_x = theta_{s x} * T_s + (v^2 - 1) * Dem_s(theta_x)
-    T_s * T_w     = T_{s w}                        if l(sw) = l(w) + 1
-                  = (v^2 - 1) T_w + v^2 T_{s w}    otherwise
-
-where Dem_s is the telescoping quotient from :mod:`lattice_algebra`,
-extended linearly.  The graded algebra runs on the same engine with the
-rule t_s phi = s(phi) t_s + 2r Dem_s(phi), t_s^2 = 1.  The quadratic and
-braid relations are consequences of these rules; the test suite
-re-derives them rather than trusting that.
+Bernstein rule (:class:`BernsteinRule`).  The quadratic and braid
+relations are consequences of that rule; the test suite re-derives them
+rather than trusting that.
 
 The module also carries the three K-theory-side ring maps of the paper
 (sign twist of v, bar-type duality, and the rho-shifted twist of T_s built
@@ -58,11 +50,8 @@ class HeckeElement:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, datum):
-        return cls(datum)
-
-    @classmethod
-    def one(cls, datum):
+    def one(cls, datum, order=None):
+        """The unit; ``order`` is ignored, as the K side is exact."""
         return cls(datum, {datum.identity: GroupAlgebraElement.one(datum.rank)})
 
     @classmethod
@@ -75,8 +64,6 @@ class HeckeElement:
 
     @classmethod
     def scalar(cls, datum, scalar):
-        if not scalar:
-            return cls(datum)
         return cls(datum, {datum.identity: GroupAlgebraElement.one(datum.rank).scale(scalar)})
 
     # -- ring structure --------------------------------------------------
@@ -129,18 +116,20 @@ class HeckeElement:
 class BernsteinRule(Rule):
     """The Bernstein rule of the affine Hecke algebra, for :mod:`normal_form`.
 
-    T_s c = s(c) T_s + (v^2-1) Dem_s(c) and T_s^2 = (v^2-1) T_s + v^2, with
-    Dem_s extended linearly.  Coefficients accumulate in the plain form
-    {w: {x: {k: int}}} (:func:`add_scaled`, :func:`add_product`), and a
-    term of ``commute`` is a list of (x, LaurentScalar) pairs, so no
-    GroupAlgebraElement is built before :meth:`close`.  :meth:`close`
-    keeps a zero coefficient; :class:`HeckeElement` drops it.  ``dem_scalar``
+    T_s c = s(c) T_s + (v^2-1) Dem_s(c) and T_s^2 = (v^2-1) T_s + v^2,
+    i.e. D_s = (v^2-1) Dem_s, a = v^2-1, b = v^2, with Dem_s the
+    telescoping quotient of :mod:`lattice_algebra` extended linearly.
+    Coefficients accumulate in the plain form {w: {x: {k: int}}}
+    (:func:`add_scaled`, :func:`add_product`), and a term of ``commute`` is
+    a list of (x, LaurentScalar) pairs, so no GroupAlgebraElement is built
+    before :meth:`close`, which drops the zero coefficients.  ``dem_scalar``
     stands in front of Dem_s and ``sign`` is T_s on the antispherical base
     point; other values than v^2-1 and -1 are only for a negative
     control's private datum copy.
     """
 
     a, b = LS_V2M1, LS_V2
+    element = HeckeElement
 
     def __init__(self, datum, dem_scalar=LS_V2M1, sign=-1):
         self.datum = datum
@@ -163,13 +152,12 @@ class BernsteinRule(Rule):
         add_product(acc.setdefault(w, {}), c, d)
 
     def close(self, acc):
-        return {w: from_plain(plain) for w, plain in acc.items()}
-
-    def zero(self, order=None):
-        return GroupAlgebraElement()
-
-    def one(self, order=None):
-        return HeckeElement.one(self.datum)
+        out = {}
+        for w, plain in acc.items():
+            c = from_plain(plain)
+            if c:
+                out[w] = c
+        return out
 
 
 def h_mul(a, b):
@@ -270,4 +258,5 @@ def asph_act_left(a, m):
     """Left action of the algebra on the antispherical module, where T_s
     acts by -1 on the base point (:meth:`Rule.act` under the Bernstein rule).
     """
-    return AsphElement(a.datum, BernsteinRule.of(a.datum).act(a.coeffs, m.value))
+    return AsphElement(a.datum, BernsteinRule.of(a.datum).act(
+        a.coeffs, m.value, GroupAlgebraElement))

@@ -248,10 +248,6 @@ class FormalSeries:
         return cls(nvars, order)
 
     @classmethod
-    def const(cls, nvars, order, value):
-        return cls(nvars, order, {(0,) * nvars: value})
-
-    @classmethod
     def one(cls, nvars, order):
         _check_order(order)
         return _series(nvars, order, 1, {0: 1} if order >= 0 else {})
@@ -260,10 +256,6 @@ class FormalSeries:
     def variable(cls, nvars, order, index, coeff=1):
         exp = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, order, {exp: coeff})
-
-    @classmethod
-    def r(cls, nvars, order, coeff=1):
-        return cls.variable(nvars, order, nvars - 1, coeff)
 
     @classmethod
     def from_linear(cls, form, order):

@@ -5,16 +5,9 @@ Elements are sums  sum_w f_w * t_w  with the series coefficient on the
 left; all coefficients of one element share a single trusted order.  The
 product, the antispherical action and the T_w images of maps run on the
 engine of :mod:`normal_form`, the one the affine Hecke algebra uses, under
-Lusztig's rule (:class:`GradedRule`): t_s^2 = 1, so t_s t_w = t_{sw} with
-no length cases, and series commute past t_s by
-
-    t_s * phi = s(phi) * t_s + 2r * Dem_s(phi),   Dem_s(phi) = (phi - s(phi)) / alpha-dot.
-
-The rule reads s(phi) and 2r Dem_s(phi) from integer tables of
-monomial images (:func:`fs_weyl_demazure`), built by the twisted Leibniz
-rule, so nothing on that path divides; the factor 2r gives back the
-degree Dem_s takes.  :func:`demazure_series` keeps the definition by exact
-division by alpha-dot, which the verifier checks the tables against.
+Lusztig's rule (:class:`GradedRule`).  :func:`demazure_series` keeps the
+definition of Dem_s by exact division by alpha-dot, which the verifier
+checks the rule's integer tables against.
 
 The Todd-type unit  e_B = prod_{alpha > 0} alpha-dot / (1 - exp(-alpha-dot))
 lives here too, along with conjugation by it and the graded antispherical
@@ -49,10 +42,6 @@ class GradedElement:
                 f = f.truncate(order)
                 if not f.is_zero():
                     self.coeffs[w] = f
-
-    @classmethod
-    def zero(cls, datum, order):
-        return cls(datum, order)
 
     @classmethod
     def one(cls, datum, order):
@@ -138,16 +127,20 @@ def demazure_series(datum, f, i):
 
 
 class GradedRule(Rule):
-    """Lusztig's graded rule, for :mod:`normal_form`.
+    """Lusztig's graded rule (J. AMS 2, 1989), for :mod:`normal_form`.
 
-    t_s f = s(f) t_s + 2r Dem_s(f) and t_s^2 = 1, so a = 0 and b = 1;
-    ``commute`` reads both coefficients from the integer tables
-    (:func:`fs_weyl_demazure`).  Coefficients accumulate as series, and
-    ``sign`` is t_s on the antispherical base point: -1, other values only
-    for a negative control's private datum copy.
+    t_s f = s(f) t_s + 2r Dem_s(f), Dem_s(f) = (f - s(f))/alpha-dot, and
+    t_s^2 = 1, so D_s = 2r Dem_s, a = 0 and b = 1: t_s t_w = t_{sw} with
+    no length cases.  ``commute`` reads s(f) and 2r Dem_s(f) from integer
+    tables of monomial images (:func:`fs_weyl_demazure`), built by the
+    twisted Leibniz rule, so nothing on that path divides; the factor 2r
+    gives back the degree Dem_s takes.  Coefficients accumulate as series,
+    and ``sign`` is t_s on the antispherical base point: -1, other values
+    only for a negative control's private datum copy.
     """
 
     a, b = 0, 1
+    element = GradedElement
 
     def __init__(self, datum, sign=-1):
         self.datum = datum
@@ -163,18 +156,6 @@ class GradedRule(Rule):
             f = f.scale(scale)
         prev = acc.get(w)
         acc[w] = f if prev is None else prev + f
-
-    def add_product(self, acc, w, f, g):
-        self.add(acc, w, f * g)
-
-    def close(self, acc):
-        return acc
-
-    def zero(self, order):
-        return FormalSeries.zero(self.datum.rank + 1, order)
-
-    def one(self, order):
-        return GradedElement.one(self.datum, order)
 
 
 def gh_mul(a, b):
@@ -251,4 +232,4 @@ def g_asph_act(a, m):
     """
     order = min(a.order, m.value.order)
     return AsphElement(a.datum, GradedRule.of(a.datum).act(
-        a.coeffs, m.value.truncate(order), order))
+        a.coeffs, m.value.truncate(order), lambda: FormalSeries.zero(a.datum.rank + 1, order)))

@@ -114,9 +114,6 @@ class GroupAlgebraElement:
     def one(cls, rank):
         return cls.theta((0,) * rank)
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 

@@ -30,28 +30,19 @@ m: v |-> v^-1, theta_x |-> theta_x, T_s |-> -v^-2 T_s (:func:`twist`),
 which sends T_w to a single term.
 
 Everything these routes reuse that depends only on the root datum and an
-order is built once.  The :class:`Context` that :func:`context` returns
-for a work order holds the unit factors at that order, both Lusztig maps
-and the K-route images K_w = e_B L_r(T_w) e_B^{-1}; these maps given on
-generators, like conjugation by e_B, keep image(T_w) = image(T_{s_i})
-image(T_{s_i w}) per (w, compared order) in the image cache of
-:mod:`normal_form` (:class:`GeneratorImages`).  e_B, e_B^{-1} and the
-conjugates e_B t_w e_B^{-1} (:func:`conj_eB`, per order), exp(+-rho.)
-(per order), the map m and the Weyl substitution tables (:func:`fs_weyl`)
-live beside it in the datum's store (:meth:`RootDatum.memo`), which is
-freed with the datum.  Series commute with e_B, so the K-route evaluates
-as sum_w series(x_w) K_w on the normal form x = m(h) = sum_w x_w T_w,
-and no case runs a conjugation of its own; conjugation is
-multiplicative, so K_w is the product of the K_s along the word of w.
+order is built once: the :class:`Context` of a work order holds the unit
+factors, both Lusztig maps and the K-route images K_w = e_B L_r(T_w)
+e_B^{-1}, each a map given on generators (:class:`GeneratorImages`);
+e_B and its conjugates (:func:`conj_eB`), exp(+-rho.), the map m and the
+Weyl substitution tables live in the datum's store (:meth:`RootDatum.memo`).
+Series commute with e_B, so the K-route evaluates as sum_w series(x_w) K_w
+on the normal form x = m(h) = sum_w x_w T_w.
 
 Only the unit factors divide by linear forms, so only they are built at
-the work order order + guard.  Every product after them runs at the
-order a case compares: a T_s image is made from the unit factor
-truncated to that order, a T_w image is the product of T_s images, and
-e_B, which computes one degree high itself, is built at that order too.
-Series products stop at the lower order of their factors and t_s keeps
-degrees, so truncation commutes with every step and the guard changes no
-value.
+the work order order + guard; every product after them runs at the order
+a case compares.  Series products stop at the lower order of their
+factors and t_s keeps degrees, so truncation commutes with every step and
+the guard changes no value.
 """
 
 from .affine_hecke import twist
@@ -126,16 +117,14 @@ class Context:
     """The Lusztig side of one (root datum, work order), built once.
 
     Values (see the module docstring) are filled on first use and never
-    change afterwards.  :func:`context` returns the shared instance;
-    ``r_coeff`` other than 2 corrupts the unit factors and is only for a
-    negative control's private instance.
+    change afterwards; ``units`` maps i to the unit factor u(alpha_i).
+    :func:`context` returns the shared instance.
     """
 
-    def __init__(self, datum, order, r_coeff=2):
+    def __init__(self, datum, order):
         self.datum = datum
         self.order = order
-        self.r_coeff = r_coeff
-        self._units = {}
+        self.units = {}
         self.lusztig_r = _LusztigMap(datum, order, "r", self.unit)
         self.lusztig_l = _LusztigMap(datum, order, "l", self.unit)
         # K_s = e_B L_r(T_s) e_B^{-1}, with e_B and its conjugates at the compared order
@@ -143,9 +132,9 @@ class Context:
             self.lusztig_r.image(datum.simple(i), o)), order)
 
     def unit(self, i):
-        u = self._units.get(i)
+        u = self.units.get(i)
         if u is None:
-            u = self._units[i] = unit_factor(self.datum, i, self.order, self.r_coeff)
+            u = self.units[i] = unit_factor(self.datum, i, self.order)
         return u
 
     def k_route(self, h, order):
@@ -168,15 +157,13 @@ def lusztig_l(h, order, guard=0):
     return context(h.datum, order + guard).lusztig_l(h, order)
 
 
-def pipeline_K(h, order, guard=DEFAULT_GUARD, conjugate=True):
+def pipeline_K(h, order, guard=DEFAULT_GUARD):
     """Top-then-right route, as exp(-rho.) e_B L_r(m(h)) e_B^{-1} exp(rho.).
 
-    At ``order``, through the order + guard context.  ``conjugate`` exists
-    only for the verifier's dropped-conjugation negative control.
+    At ``order``, through the order + guard context.
     """
     datum = h.datum
-    ctx = context(datum, order + guard)
-    y = (ctx.k_route if conjugate else ctx.lusztig_r)(twist(datum)(h), order)
+    y = context(datum, order + guard).k_route(twist(datum)(h), order)
     exp_neg_rho, exp_rho = datum.memo(("exp_rho", order), lambda: [fs_exp_sum(
         datum.rank + 1, order, [(1, tuple(s * a for a in datum.rho) + (0,))]) for s in (-1, 1)])
     return gh_mul(y.scale_left(exp_neg_rho), GradedElement.series(datum, exp_rho))

@@ -11,40 +11,40 @@ quadratic relation T_s^2 = a T_s + b,
     T_s T_w   = T_{sw}                 if l(sw) = l(w) + 1
               = a T_w + b T_{sw}       otherwise.
 
-The affine Hecke algebra has D_s = (v^2-1) Dem_s, a = v^2-1, b = v^2
-(:class:`heckeverify.affine_hecke.BernsteinRule`); the graded algebra has
-D_s = 2r Dem_s, a = 0, b = 1 (:class:`heckeverify.graded_hecke.GradedRule`),
-after Lusztig, "Affine Hecke algebras and their graded version", J. AMS 2
-(1989).  On a rule this module runs, once for both, the T_s push, the
-product, the antispherical action (:class:`AsphElement`) and the T_w
-images of maps given on generators (:class:`GeneratorImages`).  The entry
-points (``h_mul``, ``gh_mul``, ``asph_act_left``, ``g_asph_act``, the map
-classes) stay in the modules of their algebras and call in.
+The two rules are :class:`heckeverify.affine_hecke.BernsteinRule` and
+:class:`heckeverify.graded_hecke.GradedRule`.  On a rule this module runs,
+once for both, the T_s push, the product, the antispherical action
+(:class:`AsphElement`) and the T_w images of maps given on generators
+(:class:`GeneratorImages`).  The entry points (``h_mul``, ``gh_mul``,
+``asph_act_left``, ``g_asph_act``, the map classes) stay in the modules of
+their algebras and call in.
 """
 
 
 class Rule:
     """A commutation rule, and the engine that runs on it.
 
-    A subclass holds ``datum`` and the scalars ``a``, ``b`` and ``sign`` (a
-    falsy ``a`` is zero), and the coefficient-ring operations, which work
-    on an accumulator ``acc``, a dict keyed by Weyl element:
+    A subclass holds ``datum``, the scalars ``a``, ``b`` and ``sign`` (a
+    falsy ``a`` is zero), ``element``, the element class of its algebra
+    (``element.one(datum, order)`` is the unit), and the coefficient-ring
+    operations on an accumulator ``acc``, a dict keyed by Weyl element:
 
     * ``commute(i, c)``: the pair (s_i(c), D_{s_i}(c)), in the form ``add``
       takes;
-    * ``add(acc, w, term, scale=one)``: acc[w] += scale * term;
-    * ``add_product(acc, w, c, d)``: acc[w] += c * d, for coefficients c, d;
-    * ``close(acc)``: the coefficient dict {w: c_w} of acc, which may
-      hold zeros until an element is built from it;
-    * ``zero(order)`` and ``one(order)``: the zero coefficient and the unit
-      element; ``order`` is the trusted order of a graded value and None
-      on the K side.
+    * ``add(acc, w, term, scale=one)``: acc[w] += scale * term.
+
+    The defaults of ``add_product`` (acc[w] += c * d) and ``close`` (the
+    coefficient dict {w: c_w} of acc) hold coefficients in ``acc`` as they
+    are; a rule that accumulates in another form overrides both.
     """
 
     @classmethod
     def of(cls, datum):
-        """The rule of ``datum``, built once, under ("rule", cls) in its store."""
-        return datum.memo(("rule", cls), lambda: cls(datum))
+        """The rule of ``datum``, built once per datum (``datum.rules``)."""
+        rule = datum.rules.get(cls)
+        if rule is None:
+            rule = datum.rules[cls] = cls(datum)
+        return rule
 
     def install(self):
         """Make this the rule of its datum, which nothing may have used yet.
@@ -52,8 +52,14 @@ class Rule:
         A negative control installs a corrupted instance on its private
         datum copy, so every entry point there runs on it.
         """
-        if self.datum.memo(("rule", type(self)), lambda: self) is not self:
+        if self.datum.rules.setdefault(type(self), self) is not self:
             raise ValueError("the datum already runs on a %s" % type(self).__name__)
+
+    def add_product(self, acc, w, c, d):
+        self.add(acc, w, c * d)
+
+    def close(self, acc):
+        return acc
 
     def push(self, i, coeffs):
         """The coefficient dict of T_{s_i} * sum_w coeffs[w] T_w."""
@@ -94,12 +100,13 @@ class Rule:
                 self.add_product(acc, u, aw, c)
         return self.close(acc)
 
-    def act(self, a, value, order=None):
+    def act(self, a, value, zero):
         """sum_w a[w] (T_w . (value.1)) in the antispherical module.
 
         T_s (h.1) = s(h) T_s.1 + D_s(h).1 = sign s(h) + D_s(h), applied
         letter by letter, so T_w . (value.1) is built once per w, from
-        T_{s_i w} . (value.1).  The result is the module coordinate.
+        T_{s_i w} . (value.1).  The result is the module coordinate;
+        ``zero()`` makes the zero coefficient, for a sum that vanishes.
         """
         datum = self.datum
         e = datum.identity
@@ -113,13 +120,13 @@ class Rule:
                 acc = {}
                 self.add(acc, e, sh, self.sign)
                 self.add(acc, e, dh)
-                got = images[w] = self.close(acc).get(e) or self.zero(order)
+                got = images[w] = self.close(acc).get(e) or zero()
             return got
 
         acc = {}
         for w, aw in a.items():
             self.add_product(acc, e, aw, image(w))
-        return self.close(acc).get(e) or self.zero(order)
+        return self.close(acc).get(e) or zero()
 
 
 class AsphElement:
@@ -174,7 +181,7 @@ class GeneratorImages:
         img = self._images.get((w, order))
         if img is None:
             if not w.word:
-                img = self.rule.one(order)
+                img = self.rule.element.one(self.datum, order)
             elif len(w.word) == 1:
                 img = self.ts_image(w.word[0], order)
             else:

@@ -15,7 +15,7 @@ which is a regular weight and hence separates group elements.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import sub
 
 
 class InvalidCartan(ValueError):
@@ -24,9 +24,6 @@ class InvalidCartan(ValueError):
 
 class WeylTooLarge(RuntimeError):
     """Weyl group enumeration exceeded the configured bound."""
-
-
-Weight = tuple  # integer tuple of length rank, fundamental-weight coordinates
 
 
 @dataclass(frozen=True)
@@ -73,9 +70,10 @@ class RootDatum:
     """Root datum of a semisimple simply connected group, rank n.
 
     Built by :func:`build_root_datum`; immutable afterwards apart from
-    :meth:`memo`, a store of derived values filled on first use.  Threads
-    may share a datum: two first uses of one key may each build the value,
-    and the copies are equal.
+    :meth:`memo`, a store of derived values filled on first use, and
+    ``rules``, the normal-form rules (:meth:`Rule.of`).  Threads may share
+    a datum: two first uses of one key may each build the value, and the
+    copies are equal.
     """
 
     def __init__(self, cartan, weyl_bound=10**6):
@@ -103,6 +101,7 @@ class RootDatum:
         self._enumerate_weyl(weyl_bound)
         self._compute_positive_roots()
         self._memo = {}
+        self.rules = {}         # normal-form rule class -> its instance on this datum
 
     def _reflection_matrix(self, i):
         n = self.rank
@@ -148,37 +147,15 @@ class RootDatum:
                 self._left_table[(i, w.key)] = elements[_mat_apply(m, self.rho)]
 
     def _compute_positive_roots(self):
-        # W-orbit of the simple roots, kept when nonnegative in the
-        # simple-root basis (solve A c = x over the rationals).
-        orbit = set()
-        for alpha in self.simple_roots:
-            for w in self.weyl:
-                orbit.add(_mat_apply(w.matrix, alpha))
-        positive = []
-        for root in sorted(orbit):
-            coeffs = self._simple_root_coords(root)
-            if all(c >= 0 for c in coeffs):
-                positive.append(root)
-        self.positive_roots = tuple(positive)
-
-    def _simple_root_coords(self, x):
-        """Coordinates of x in the simple-root basis (exact rationals)."""
-        n = self.rank
-        # Gaussian elimination on [A | x]; A is invertible in finite type.
-        aug = [
-            [Fraction(self.cartan[i][j]) for j in range(n)] + [Fraction(x[i])]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pv = aug[col][col]
-            aug[col] = [v / pv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return tuple(aug[i][n] for i in range(n))
+        # w(alpha_i) is positive exactly when l(w s_i) = l(w) + 1, and
+        # w s_i is found by its key w(rho - alpha_i), as <rho, alpha_i^vee> = 1
+        positive = set()
+        for w in self.weyl:
+            for alpha in self.simple_roots:
+                beta = _mat_apply(w.matrix, alpha)
+                if self.elements[tuple(map(sub, w.key, beta))].length > w.length:
+                    positive.add(beta)
+        self.positive_roots = tuple(sorted(positive))
 
     def memo(self, key, build):
         """The value stored under ``key``, made by ``build()`` on first use.

@@ -246,7 +246,7 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
     assert sum(1 for w, _ in k_images if len(w.word) == 1) == len(conjugated)
     assert ("conj_eB", 5) not in datum._memo
     # the unit factors stay at the work order; every image is per compared order
-    assert {u.order for u in ctx._units.values()} == {5}
+    assert {u.order for u in ctx.units.values()} == {5}
     assert {order for _, order in ctx.lusztig_r._images} == {3, 4}
     assert {(img.order, order) for (_, order), img in ctx.lusztig_r._images.items()} == {
         (3, 3), (4, 4)}

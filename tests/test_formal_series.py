@@ -31,7 +31,7 @@ def test_diff_examples():
 
 
 def test_exp_of_r():
-    got = fs_exp(FormalSeries.r(2, 3))
+    got = fs_exp(FormalSeries.variable(2, 3, 1))
     want = FormalSeries(2, 3, {
         (0, 0): 1, (0, 1): 1, (0, 2): Fraction(1, 2), (0, 3): Fraction(1, 6)})
     assert got == want
@@ -80,7 +80,7 @@ def test_inv_self_check_random():
 
 def test_div_linear_examples():
     # (exp(r) - 1)/r at order 3 -> 1 + r/2 + r^2/6, order drops to 2
-    f = fs_exp(FormalSeries.r(1, 3)) - FormalSeries.one(1, 3)
+    f = fs_exp(FormalSeries.variable(1, 3, 0)) - FormalSeries.one(1, 3)
     got = fs_div_linear(f, LinearForm([1]))
     assert got.order == 2
     assert got == FormalSeries(1, 2, {(0,): 1, (1,): Fraction(1, 2),
@@ -115,7 +115,7 @@ def test_precision_rules():
     b = FormalSeries.one(2, 3)
     assert (a + b).order == 3
     assert (a * b).order == 3
-    assert fs_exp(FormalSeries.r(2, 4)).order == 4
+    assert fs_exp(FormalSeries.variable(2, 4, 1)).order == 4
     assert fs_inv(FormalSeries.one(2, 4)).order == 4
     assert fs_negate_r(a).order == 5
     assert a.mul_monomial((0, 1), 2).order == 6
@@ -132,7 +132,7 @@ def test_weyl_action_examples():
     y2 = FormalSeries.variable(3, 4, 1)
     assert fs_weyl(A2, A2.simple(0), y2) == y2
     # r is always fixed
-    r = FormalSeries.r(3, 4)
+    r = FormalSeries.variable(3, 4, 2)
     assert fs_weyl(A2, A2.simple(1), r) == r
 
 
@@ -168,9 +168,9 @@ def test_demazure_divisibility():
 
 
 def test_negate_r():
-    r = FormalSeries.r(2, 4)
+    r = FormalSeries.variable(2, 4, 1)
     assert fs_negate_r(r) == -r
     y = FormalSeries.variable(2, 4, 0)
     assert fs_negate_r(y) == y
-    f = fs_exp(r + y.scale(0) + FormalSeries.r(2, 4))
+    f = fs_exp(r + y.scale(0) + FormalSeries.variable(2, 4, 1))
     assert fs_negate_r(fs_negate_r(f)) == f

@@ -41,7 +41,7 @@ def test_demazure_closed_forms():
     # m = 1: single telescoping term
     assert demazure_quotient(A1, (1,), 0) == theta((1,))
     # m = 0: numerator vanishes
-    assert demazure_quotient(A2, (0, 2), 0).is_zero()
+    assert not demazure_quotient(A2, (0, 2), 0)
     # m = 2
     assert demazure_quotient(A1, (2,), 0) == theta((2,)) + theta((0,))
 
@@ -68,7 +68,7 @@ def test_demazure_multiply_back_random(datum):
 
 def test_scriptG_a1_examples():
     assert mul_by_scriptG(A1, (1,), 0) == theta((1,), LS_V2) - theta((-1,))
-    assert mul_by_scriptG(A2, (0, 1), 0).is_zero()
+    assert not mul_by_scriptG(A2, (0, 1), 0)
     got = mul_by_scriptG(A1, (2,), 0)
     want = theta((2,), LS_V2) + theta((0,), LS_V2) - theta((0,)) - theta((-2,))
     assert got == want

@@ -151,7 +151,7 @@ class _LetterTimesPrefix(_GeneratorMap):
 
 class _WeightsNotNegated(_GeneratorMap):
     def __call__(self, elem):
-        out = HeckeElement.zero(self.datum)
+        out = HeckeElement(self.datum)
         for w, c in elem.coeffs.items():
             cimg = c.substitute(self.vexp_image, self.sign, False)
             out = out + self.image(w).scale_left(cimg)
