@@ -85,8 +85,7 @@ def run(argv=None):
         return 2
 
     suites = args.suite or ["all"]
-    reports = run_suites(datum, suites, order=args.order, guard=args.guard,
-                         seed=args.seed, datum_desc=desc)
+    reports = run_suites(datum, suites, order=args.order, guard=args.guard, seed=args.seed)
 
     if args.format == "json":
         text = report_json(desc, args.order, args.guard, args.seed, reports)

@@ -71,6 +71,21 @@ def test_json_report_deterministic_modulo_timing(capsys):
     assert strip(out1) == strip(out2)
 
 
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "golden"
+
+
+@pytest.mark.parametrize("name", ["all-A2.seed0", "all-A2.seed1",
+                                  "diagram-B2.seed0", "diagram-B2.seed1"])
+def test_report_equals_its_golden(tmp_path, name):
+    golden = json.loads((GOLDEN / (name + ".json")).read_text())
+    out = tmp_path / "report.json"
+    assert cli.run(golden["argv"] + ["--out", str(out)]) == golden["exit_status"]
+    doc = json.loads(out.read_text())
+    for chk in doc["checks"]:
+        chk.pop("elapsed_ms")
+    assert json.dumps(doc) == json.dumps(golden["report"])
+
+
 def test_cartan_file(tmp_path, capsys):
     path = tmp_path / "a2.txt"
     path.write_text("2\n2 -1\n-1 2\n")
@@ -103,9 +118,8 @@ def test_unknown_suite_is_usage_error(capsys):
 
 
 def test_failed_check_gives_exit_one(monkeypatch, capsys):
-    def fake_run_suites(datum, names, order=6, guard=2, seed=0, datum_desc=None):
-        return [CheckReport("diagram", "fail", datum_desc, order, guard, seed,
-                            1.0, "left != right")]
+    def fake_run_suites(datum, names, order=6, guard=2, seed=0):
+        return [CheckReport("diagram", "fail", 1.0, "left != right")]
     monkeypatch.setattr(cli, "run_suites", fake_run_suites)
     code, out, _ = run_cli(capsys, "--type", "A", "--rank", "1",
                            "--format", "json")
@@ -114,9 +128,8 @@ def test_failed_check_gives_exit_one(monkeypatch, capsys):
 
 
 def test_carrier_error_gives_exit_two(monkeypatch, capsys):
-    def fake_run_suites(datum, names, order=6, guard=2, seed=0, datum_desc=None):
-        return [CheckReport("diagram", "error", datum_desc, order, guard, seed,
-                            1.0, "ZeroDivisionError: boom")]
+    def fake_run_suites(datum, names, order=6, guard=2, seed=0):
+        return [CheckReport("diagram", "error", 1.0, "ZeroDivisionError: boom")]
     monkeypatch.setattr(cli, "run_suites", fake_run_suites)
     code, _, _ = run_cli(capsys, "--type", "A", "--rank", "1")
     assert code == 2

@@ -24,9 +24,10 @@ from heckeverify.verify import (
     check_morphisms,
     check_presentation,
     hecke_generators,
-    rand_hecke,
     run_suites,
 )
+
+from random_elements import rand_hecke
 
 CONTROLS = json.loads(
     (pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "golden"

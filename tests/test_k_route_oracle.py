@@ -19,7 +19,9 @@ from heckeverify.formal_series import FormalSeries, fs_inv
 from heckeverify.graded_hecke import GradedElement, conj_eB, gh_mul, todd_eB
 from heckeverify.lusztig import DEFAULT_GUARD, lusztig_r, pipeline_K
 from heckeverify.root_datum import build_root_datum, cartan_matrix
-from heckeverify.verify import hecke_generators, rand_graded, rand_group_algebra
+from heckeverify.verify import hecke_generators
+
+from random_elements import rand_graded, rand_group_algebra
 
 CASES = [("A", 4), ("B", 4), ("G", 3)]
 # the K-route also at rank three, on words of length up to six

@@ -12,7 +12,7 @@ from heckeverify.affine_hecke import (
     twist,
 )
 from heckeverify.formal_series import _WeylSubstitution, fs_exp_sum, fs_negate_r
-from heckeverify.graded_hecke import GradedElement, gh_mul
+from heckeverify.graded_hecke import GradedElement, GradedRule, gh_mul
 from heckeverify.lattice_algebra import GroupAlgebraElement, LS_V2
 from heckeverify.lusztig import _LusztigMap, context
 from heckeverify.normal_form import GeneratorImages
@@ -39,7 +39,7 @@ CONTROLS = {c["control"]: c for c in json.loads(
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_each_suite_passes_on_rank_one(suite):
-    (rep,) = run_suites(A1, [suite], order=5, guard=2, seed=0, datum_desc=DESC)
+    (rep,) = run_suites(A1, [suite], order=5, guard=2, seed=0)
     assert rep.status == "pass", rep.witness
     assert rep.witness is None
     assert rep.name == suite
@@ -67,7 +67,7 @@ def test_suite_passes_on_other_types(family, rank, order, suite):
 
 
 def test_run_all_is_every_suite_sorted():
-    reps = run_suites(A1, ["all"], order=4, guard=2, seed=0, datum_desc=DESC)
+    reps = run_suites(A1, ["all"], order=4, guard=2, seed=0)
     assert [rep.name for rep in reps] == sorted(SUITES)
     assert all(rep.status == "pass" for rep in reps)
 
@@ -290,6 +290,19 @@ def test_faulty_demazure_table_fails_presentation_by_name(monkeypatch, cartan):
     assert rep.witness.startswith("graded commutation fails at"), rep.witness
 
 
+@pytest.mark.parametrize("cartan", [A1.cartan, cartan_matrix("B", 2)], ids=["A1", "B2"])
+def test_faulty_graded_quadratic_relation_fails_presentation_by_name(cartan):
+    # t_s^2 = t_s + 1 in a private datum's graded rule; the random loops
+    # never multiply t_s by t_s, so the graded relation list must see it
+    datum = build_root_datum(cartan)
+    rule = GradedRule(datum)
+    rule.a = 1
+    rule.install()
+    rep = check_presentation(datum, order=4)
+    assert rep.status == "fail"
+    assert rep.witness.startswith("t_s^2 = 1 for s1 fails in the graded algebra"), rep.witness
+
+
 def test_negative_controls_fail_on_rank_two_as_well():
     assert check_presentation(A2, order=4, _bernstein_sign=-1).status == "fail"
     assert check_diagram(A2, order=4, _conjugate=False).status == "fail"
@@ -305,7 +318,7 @@ def strip_timing(payload):
 
 
 def test_json_report_schema_and_determinism():
-    reps = run_suites(A1, ["presentation", "diagram"], order=4, datum_desc=DESC)
+    reps = run_suites(A1, ["presentation", "diagram"], order=4)
     payload = report_json(DESC, 4, 2, 0, reps)
     doc = json.loads(payload)
     assert set(doc) == {"artifact_version", "datum", "order", "guard", "seed", "checks"}
@@ -315,13 +328,13 @@ def test_json_report_schema_and_determinism():
     for chk in doc["checks"]:
         assert chk["status"] == "pass"
         assert "elapsed_ms" in chk
-    reps2 = run_suites(A1, ["presentation", "diagram"], order=4, datum_desc=DESC)
+    reps2 = run_suites(A1, ["presentation", "diagram"], order=4)
     payload2 = report_json(DESC, 4, 2, 0, reps2)
     assert strip_timing(payload) == strip_timing(payload2)
 
 
 def test_failed_check_records_witness_in_report():
-    rep = check_modules(A1, order=4, _sign_value=1, datum_desc=DESC)
+    rep = check_modules(A1, order=4, _sign_value=1)
     doc = json.loads(report_json(DESC, 4, 2, 0, [rep]))
     chk = doc["checks"][0]
     assert chk["status"] == "fail"
@@ -329,7 +342,7 @@ def test_failed_check_records_witness_in_report():
 
 
 def test_text_report_mentions_every_check():
-    reps = run_suites(A1, ["presentation", "modules"], order=4, datum_desc=DESC)
+    reps = run_suites(A1, ["presentation", "modules"], order=4)
     text = report_text(DESC, 4, 2, 0, reps)
     assert "presentation" in text and "modules" in text
     assert "pass" in text
