@@ -34,7 +34,6 @@ from .affine_hecke import (
 from .formal_series import (
     FormalSeries,
     InsufficientPrecision,
-    LinearForm,
     NonUnit,
     NonzeroConstantTerm,
     NotDivisible,

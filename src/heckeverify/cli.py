@@ -56,12 +56,18 @@ def run(argv=None):
             if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
                 parser.error("--out %s: directory %s is missing or not writable"
                              % (args.out, folder))
+        if bool(args.cartan_file) == bool(args.family):
+            parser.error("give one of --type or --cartan-file")
+        if args.cartan_file and args.rank is not None:
+            parser.error("--cartan-file gives the rank; it takes no --rank")
         fixed = FIXED_RANK.get(args.family.upper()) if args.family else None
         if fixed is not None:
             if args.rank not in (None, fixed):
                 parser.error("--type %s has rank %d, got --rank %d"
                              % (args.family, fixed, args.rank))
             args.rank = fixed
+        if args.family and args.rank is None:
+            parser.error("--rank is required with --type")
     except SystemExit as exc:
         return 2 if exc.code else 0
 
@@ -69,16 +75,10 @@ def run(argv=None):
         if args.cartan_file:
             cartan = read_cartan_file(args.cartan_file)
             desc = {"type": "custom", "rank": len(cartan), "cartan": [list(r) for r in cartan]}
-        elif args.family:
-            if args.rank is None:
-                print("--rank is required with --type", file=sys.stderr)
-                return 2
+        else:
             cartan = cartan_matrix(args.family, args.rank)
             desc = {"type": "%s%d" % (args.family[0].upper(), len(cartan)),
                     "rank": len(cartan), "cartan": [list(r) for r in cartan]}
-        else:
-            print("one of --type or --cartan-file is required", file=sys.stderr)
-            return 2
         datum = build_root_datum(cartan)
     except (InvalidCartan, WeylTooLarge, OSError, ValueError) as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)

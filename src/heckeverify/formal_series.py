@@ -5,7 +5,8 @@ Variables are y_1 .. y_n (coordinates on the dual Cartan, one per
 fundamental weight) and a final grading variable r, so exponent keys are
 integer tuples of length n + 1 with the r-degree in the last slot.  A
 series carries an ``order``: coefficients are trusted for total degree <=
-order and discarded above it.
+order and discarded above it.  A linear form is an int tuple, one entry
+per variable; :func:`fs_exp_sum` exponentiates forms in closed form.
 
 Representation: one positive ``int`` denominator ``den`` shared by every
 coefficient, plus a dict ``terms`` from packed monomial key to nonzero
@@ -24,8 +25,8 @@ series are equal exactly when their orders, dens and terms are equal.
 All arithmetic runs on the integer numerators; exponent tuples and
 ``fractions.Fraction`` appear only at the boundaries: the constructor,
 ``repr``, ``constant_term``, error messages, ``nums`` (exponent tuple to
-numerator) and the read-only ``coeffs`` mapping from exponent tuple to
-Fraction.  ``eq`` compares the canonical truncations field by field.
+numerator) and the read-only ``coeffs`` (exponent tuple to Fraction).
+``eq`` compares the canonical truncations field by field.
 
 Precision bookkeeping is deliberately pessimistic and mechanical:
 
@@ -52,9 +53,9 @@ for a simple reflection s_i, the same table holds the Demazure images
 division.
 """
 
-from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from types import MappingProxyType
 
 from .root_datum import apply
 
@@ -114,63 +115,9 @@ def _exact(c):
     return Fraction(c)
 
 
-class LinearForm:
-    """Degree-one form c_1 y_1 + ... + c_n y_n + c_r r."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(_exact(c) for c in coeffs)
-
-    @property
-    def nvars(self):
-        return len(self.coeffs)
-
-    def __add__(self, other):
-        return LinearForm([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return LinearForm([-a for a in self.coeffs])
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def __repr__(self):
-        return "LinearForm(%r)" % (self.coeffs,)
-
-
 def diff(x):
     """The differential of a weight: y-coefficients = coordinates, no r."""
-    x = tuple(x)
-    return LinearForm(list(x) + [0])
-
-
-class _Coefficients(Mapping):
-    """Read-only view {exponent tuple: Fraction} of a series' numerators."""
-
-    __slots__ = ("_terms", "_den", "_nvars")
-
-    def __init__(self, terms, den, nvars):
-        self._terms = terms
-        self._den = den
-        self._nvars = nvars
-
-    def __getitem__(self, exp):
-        try:
-            key = _pack(exp, self._nvars)
-        except (TypeError, ValueError):
-            raise KeyError(exp) from None
-        return Fraction(self._terms[key], self._den)
-
-    def __iter__(self):
-        nvars = self._nvars
-        return (_unpack(key, nvars) for key in self._terms)
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __repr__(self):
-        return repr(dict(self))
+    return tuple(x) + (0,)
 
 
 def _series(nvars, order, den, terms):
@@ -244,10 +191,6 @@ class FormalSeries:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars, order):
-        return cls(nvars, order)
-
-    @classmethod
     def one(cls, nvars, order):
         _check_order(order)
         return _series(nvars, order, 1, {0: 1} if order >= 0 else {})
@@ -256,15 +199,6 @@ class FormalSeries:
     def variable(cls, nvars, order, index, coeff=1):
         exp = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, order, {exp: coeff})
-
-    @classmethod
-    def from_linear(cls, form, order):
-        n = form.nvars
-        coeffs = {}
-        for i, c in enumerate(form.coeffs):
-            if c:
-                coeffs[tuple(1 if j == i else 0 for j in range(n))] = c
-        return cls(n, order, coeffs)
 
     # -- basic structure -------------------------------------------------
 
@@ -276,8 +210,10 @@ class FormalSeries:
 
     @property
     def coeffs(self):
-        """Read-only mapping from exponent tuple to Fraction coefficient."""
-        return _Coefficients(self.terms, self.den, self.nvars)
+        """Read-only mapping from exponent tuple to Fraction coefficient (decoded)."""
+        nvars, den = self.nvars, self.den
+        return MappingProxyType({_unpack(e, nvars): Fraction(c, den)
+                                 for e, c in self.terms.items()})
 
     def is_zero(self):
         return not self.terms
@@ -330,8 +266,6 @@ class FormalSeries:
 
     def scale(self, value):
         value = _exact(value)
-        if not value:
-            return FormalSeries.zero(self.nvars, self.order)
         num = value.numerator
         return _series(self.nvars, self.order, self.den * value.denominator,
                        {e: c * num for e, c in self.terms.items()})
@@ -392,6 +326,9 @@ class FormalSeries:
 def fs_exp(f):
     """exp of a series with zero constant term, same order.
 
+    The reference for :func:`fs_exp_sum` in the tests; the package
+    exponentiates int linear forms only, through that closed form.
+
     With g = exp(f) and E the degree operator, E g = (E f) g gives the
     homogeneous components  d g_d = sum_{j=1..d} j f_j g_{d-j}.  With
     f = N/den they are kept as integers G_d = g_d den^d d!:
@@ -423,8 +360,18 @@ def fs_exp(f):
     return _series(f.nvars, order, den ** max(order, 0) * fact, out)
 
 
+def _int_form(form, nvars):
+    """``form`` as a tuple of ``nvars`` ints; other entries or lengths are refused."""
+    form = tuple(form)
+    if any(type(a) is not int for a in form):
+        raise TypeError("a linear form needs int coefficients, got %r" % (form,))
+    if len(form) != nvars:
+        raise ValueError("form %r does not have %d coefficients" % (form, nvars))
+    return form
+
+
 def fs_exp_sum(nvars, order, pairs):
-    """sum of c exp(l) over (int c, int coefficient list l) in ``pairs``, at ``order``.
+    """sum of c exp(l) over (int c, int form l) in ``pairs``, at ``order``.
 
     The coefficient of the monomial m = y^a r^b is sum_t c_t l_t^m / m!,
     so over the common denominator order! its numerator is
@@ -435,8 +382,9 @@ def fs_exp_sum(nvars, order, pairs):
     """
     cs, cols = [], []
     for c, form in pairs:
-        if type(c) is not int or any(type(a) is not int for a in form):
-            raise TypeError("exp sum needs int coefficients, got %r, %r" % (c, form))
+        if type(c) is not int:
+            raise TypeError("exp sum needs int coefficients, got %r" % (c,))
+        form = _int_form(form, nvars)
         if c:
             cs.append(c)
             cols.append(form)
@@ -494,7 +442,7 @@ def fs_inv(f):
 def _homogeneous_div(comp, form, pivot):
     """a^D * comp / form for ``comp`` homogeneous of degree D, as int numerators.
 
-    ``comp`` is keyed by packed monomials, ``form`` is a list of int
+    ``comp`` is keyed by packed monomials, ``form`` is a tuple of int
     coefficients, one per variable, and a = form[pivot].  Writing
     form = a y_p + M with M free of the pivot y_p, the quotient Q = sum_k
     Q_k y_p^k satisfies P_{k+1} = a Q_k + M Q_{k+1} on the y_p^(k+1) part
@@ -543,13 +491,12 @@ def _homogeneous_div(comp, form, pivot):
 
 
 def fs_div_linear(f, form):
-    """Exact division by a nonzero degree-one form; order drops by one."""
-    if form.is_zero():
+    """Exact division by a nonzero int linear form; order drops by one."""
+    form = _int_form(form, f.nvars)
+    if not any(form):
         raise ZeroDivisionError("division by the zero form")
-    fden = lcm(*(c.denominator for c in form.coeffs))
-    ints = [c.numerator * (fden // c.denominator) for c in form.coeffs]
-    pivot = next(i for i, c in enumerate(ints) if c)
-    lead = ints[pivot]
+    pivot = next(i for i, c in enumerate(form) if c)
+    lead = form[pivot]
     comps = _components(f.terms, f.order, f.nvars)
     if comps and comps[0]:
         raise NotDivisible("nonzero constant term %s" % f.constant_term())
@@ -559,16 +506,16 @@ def fs_div_linear(f, form):
     out = {}
     for d, comp in enumerate(comps):
         if comp:
-            scale = lead ** (top - d) * fden
-            for e, c in _homogeneous_div(comp, ints, pivot).items():
+            scale = lead ** (top - d)
+            for e, c in _homogeneous_div(comp, form, pivot).items():
                 out[e] = c * scale
     return _series(f.nvars, f.order - 1, f.den * lead ** max(top, 0), out)
 
 
 def fs_exp_quotient(form, order):
-    """(exp(l) - 1)/l at ``order``; exp runs one degree high, so the division lands there."""
-    return fs_div_linear(fs_exp(FormalSeries.from_linear(form, order + 1))
-                         - FormalSeries.one(form.nvars, order + 1), form)
+    """(exp(l) - 1)/l at ``order`` for an int form l; exp runs one degree high for the division."""
+    n = len(form)
+    return fs_div_linear(fs_exp_sum(n, order + 1, [(1, form), (-1, (0,) * n)]), form)
 
 
 class _WeylSubstitution:

@@ -99,7 +99,7 @@ class GradedElement:
                     % (order, cap))
             cap = order
         keys = set(self.coeffs) | set(other.coeffs)
-        zero = FormalSeries.zero(self.datum.rank + 1, cap)
+        zero = FormalSeries(self.datum.rank + 1, cap)
         for w in keys:
             a = self.coeffs.get(w, zero)
             b = other.coeffs.get(w, zero)
@@ -183,7 +183,7 @@ def todd_eB(datum, order):
     """
     out = FormalSeries.one(datum.rank + 1, order)
     for alpha in datum.positive_roots:
-        out = out * fs_inv(fs_exp_quotient(-diff(alpha), order))
+        out = out * fs_inv(fs_exp_quotient(diff(-a for a in alpha), order))
     return out
 
 
@@ -232,4 +232,4 @@ def g_asph_act(a, m):
     """
     order = min(a.order, m.value.order)
     return AsphElement(a.datum, GradedRule.of(a.datum).act(
-        a.coeffs, m.value.truncate(order), lambda: FormalSeries.zero(a.datum.rank + 1, order)))
+        a.coeffs, m.value.truncate(order), lambda: FormalSeries(a.datum.rank + 1, order)))

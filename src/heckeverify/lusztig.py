@@ -46,16 +46,7 @@ the guard changes no value.
 """
 
 from .affine_hecke import twist
-from .formal_series import (
-    FormalSeries,
-    LinearForm,
-    diff,
-    fs_div_linear,
-    fs_exp,
-    fs_exp_quotient,
-    fs_exp_sum,
-    fs_inv,
-)
+from .formal_series import diff, fs_div_linear, fs_exp_quotient, fs_exp_sum, fs_inv
 from .graded_hecke import (
     GradedElement,
     GradedRule,
@@ -77,9 +68,8 @@ def series_of_group_algebra(datum, ga, order):
 
 def unit_factor(datum, i, order, r_coeff=2):
     """(exp(a + cr) - 1)/(a + cr) * a/(exp(a) - 1)  with a = alpha_i-dot."""
-    a_form = diff(datum.simple_roots[i])
-    shifted = LinearForm(list(a_form.coeffs[:-1]) + [r_coeff])
-    return fs_exp_quotient(shifted, order) * fs_inv(fs_exp_quotient(a_form, order))
+    alpha = datum.simple_roots[i]
+    return fs_exp_quotient(alpha + (r_coeff,), order) * fs_inv(fs_exp_quotient(diff(alpha), order))
 
 
 def _ts_image(datum, i, order, side, u):
@@ -183,10 +173,10 @@ def transport(m, order):
 
 def _scriptG_factor(datum, i, order):
     """a/(exp(a)-1) * (exp(a + 2r) - 1) at ``order``, with a = alpha_i-dot."""
-    a_form = diff(datum.simple_roots[i])
-    shifted = LinearForm(list(a_form.coeffs[:-1]) + [2])
-    last = fs_exp(FormalSeries.from_linear(shifted, order)) - FormalSeries.one(shifted.nvars, order)
-    return fs_inv(fs_exp_quotient(a_form, order)) * last
+    alpha = datum.simple_roots[i]
+    n = datum.rank + 1
+    last = fs_exp_sum(n, order, [(1, alpha + (2,)), (-1, (0,) * n)])
+    return fs_inv(fs_exp_quotient(diff(alpha), order)) * last
 
 
 def difference_times_scriptG(datum, i, x, order):

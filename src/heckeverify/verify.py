@@ -27,13 +27,7 @@ from .affine_hecke import (
     pipeline_K_h,
     twist,
 )
-from .formal_series import (
-    FormalSeries,
-    LinearForm,
-    diff,
-    fs_exp,
-    fs_weyl,
-)
+from .formal_series import FormalSeries, fs_exp_sum, fs_weyl
 from .graded_hecke import (
     GradedElement,
     GradedRule,
@@ -166,15 +160,20 @@ def _relations(datum, ts, a, b, words, coefficients):
     relation for each pair, and T_s c = s(c) T_s + D_s(c) for each
     (label, c, s(c), D_s(c)) in ``coefficients(i)``, s = s_i.  ``ts`` are
     the T_s, and ``words`` name the quadratic and the commutation
-    relations in the labels.
+    relations in the labels.  Factors are named by their repr, so equal
+    ones (theta_{sx} from two (s, x), a zero D_s(c)) are mapped once.
     """
     n = datum.rank
-    names = ["T(s%d)" % (i + 1) for i in range(n)]
-    factors = dict(zip(names, ts), b=b)
-    if a is not None:
-        factors["a"] = a
+    factors = {}
+
+    def name(h):
+        key = repr(h)
+        factors.setdefault(key, h)
+        return key
+
+    names = [name(t) for t in ts]
     relations = [("%s for s%d" % (words[0], i + 1), [(t, t)],
-                  ([] if a is None else [("a", t)]) + [("b",)])
+                  ([] if a is None else [(name(a), t)]) + [(name(b),)])
                  for i, t in enumerate(names)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -184,10 +183,8 @@ def _relations(datum, ts, a, b, words, coefficients):
             relations.append(("braid relation for (s%d,s%d)" % (i + 1, j + 1), [lhs], [rhs]))
     for i, t in enumerate(names):
         for label, c, sc, dc in coefficients(i):
-            s_name, d_name = "s%d(%s)" % (i + 1, label), "D_s%d(%s)" % (i + 1, label)
-            factors.update({label: c, s_name: sc, d_name: dc})
             relations.append(("%s for s%d and %s" % (words[1], i + 1, label),
-                              [(t, label)], [(s_name, t), (d_name,)]))
+                              [(t, name(c))], [(name(sc), t), (name(dc),)]))
     return factors, relations
 
 
@@ -441,7 +438,7 @@ def check_morphisms(datum, order=6, seed=0, guard=2, _unit_r_coeff=2):
         if failed:
             return "fourier image of %s fails: lhs - rhs = %r" % (
                 failed[0], failed[1].truncate(order))
-        y1_plus_r = FormalSeries.from_linear(LinearForm([1] + [0] * (n - 1) + [1]), order)
+        y1_plus_r = FormalSeries(n + 1, order, {(1,) + (0,) * n: 1, (0,) * n + (1,): 1})
         failed = _construction_failure(datum, fourier_map, g_term, y1_plus_r, g_equal)
         if failed:
             return "fourier map: %s" % failed
@@ -503,12 +500,9 @@ def check_display_identity(datum, order=6, simple_index=None, guard=2,
 
     def body():
         ctx = context(datum, work)
-        rho_form = diff(datum.rho)
-        rho_sign = -1 if _flip_rho else 1
-        exp_rho = fs_exp(FormalSeries.from_linear(
-            LinearForm([rho_sign * c for c in rho_form.coeffs]), order))
-        exp_neg_rho_2r = fs_exp(FormalSeries.from_linear(
-            LinearForm([-rho_sign * c for c in rho_form.coeffs[:-1]] + [-2]), order))
+        rho = tuple((-a if _flip_rho else a) for a in datum.rho)
+        exp_rho = fs_exp_sum(n + 1, order, [(1, rho + (0,))])
+        exp_neg_rho_2r = fs_exp_sum(n + 1, order, [(1, tuple(-a for a in rho) + (-2,))])
         one = GradedElement.one(datum, order)
         for i in indices:
             u_minus = unit_factor(datum, i, work, r_coeff=-2).truncate(order)

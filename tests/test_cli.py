@@ -189,6 +189,26 @@ def test_rank_contradicting_the_family_is_usage_error(monkeypatch, capsys, argv)
     assert "usage" in err and "--rank" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--type", "B", "--rank", "2"),
+    ("--type", "A"),
+    ("--rank", "5"),
+    ("--rank", "2"),
+])
+def test_cartan_file_with_type_or_rank_is_usage_error(monkeypatch, capsys, tmp_path, argv):
+    path = tmp_path / "a2.txt"
+    path.write_text("2\n2 -1\n-1 2\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on contradictory datum flags")
+    monkeypatch.setattr(cli, "build_root_datum", no_work)
+    monkeypatch.setattr(cli, "run_suites", no_work)
+    code, out, err = run_cli(capsys, "--cartan-file", str(path), *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage" in err and "--cartan-file" in err
+
+
 def test_nonsymmetric_cartan_file_matches_its_family(tmp_path, capsys):
     # The transpose of the B2 matrix is the C2 matrix, so every check must
     # come out as it does for --type C --rank 2.

@@ -5,7 +5,6 @@ import pytest
 
 from heckeverify.formal_series import (
     FormalSeries,
-    LinearForm,
     NonUnit,
     NonzeroConstantTerm,
     NotDivisible,
@@ -18,16 +17,18 @@ from heckeverify.formal_series import (
 )
 from heckeverify.root_datum import apply, build_root_datum, cartan_matrix
 
+from linear_series import exp_linear, linear
+
 A1 = build_root_datum([[2]])
 A2 = build_root_datum(cartan_matrix("A", 2))
 
 
 def test_diff_examples():
-    assert diff((1,)).coeffs == (Fraction(1), Fraction(0))
-    assert diff((2,)).coeffs == (Fraction(2), Fraction(0))
+    assert diff((1,)) == (1, 0)
+    assert diff([2]) == (2, 0)
     x, y = (1, -2), (0, 3)
     s = tuple(a + b for a, b in zip(x, y))
-    assert (diff(x) + diff(y)).coeffs == diff(s).coeffs
+    assert tuple(a + b for a, b in zip(diff(x), diff(y))) == diff(s)
 
 
 def test_exp_of_r():
@@ -38,7 +39,7 @@ def test_exp_of_r():
 
 
 def test_exp_of_zero_and_error():
-    assert fs_exp(FormalSeries.zero(2, 4)) == FormalSeries.one(2, 4)
+    assert fs_exp(FormalSeries(2, 4)) == FormalSeries.one(2, 4)
     with pytest.raises(NonzeroConstantTerm):
         fs_exp(FormalSeries.one(2, 4))
 
@@ -49,9 +50,9 @@ def test_exp_homomorphism_order6():
         x = tuple(rng.randint(-3, 3) for _ in range(2))
         y = tuple(rng.randint(-3, 3) for _ in range(2))
         s = tuple(a + b for a, b in zip(x, y))
-        ex = fs_exp(FormalSeries.from_linear(diff(x), 6))
-        ey = fs_exp(FormalSeries.from_linear(diff(y), 6))
-        es = fs_exp(FormalSeries.from_linear(diff(s), 6))
+        ex = exp_linear(diff(x), 6)
+        ey = exp_linear(diff(y), 6)
+        es = exp_linear(diff(s), 6)
         assert (ex * ey).eq(es, 6)
 
 
@@ -81,15 +82,15 @@ def test_inv_self_check_random():
 def test_div_linear_examples():
     # (exp(r) - 1)/r at order 3 -> 1 + r/2 + r^2/6, order drops to 2
     f = fs_exp(FormalSeries.variable(1, 3, 0)) - FormalSeries.one(1, 3)
-    got = fs_div_linear(f, LinearForm([1]))
+    got = fs_div_linear(f, (1,))
     assert got.order == 2
     assert got == FormalSeries(1, 2, {(0,): 1, (1,): Fraction(1, 2),
                                       (2,): Fraction(1, 6)})
     # 0/L = 0
-    assert fs_div_linear(FormalSeries.zero(2, 4), LinearForm([1, 0])).is_zero()
+    assert fs_div_linear(FormalSeries(2, 4), (1, 0)).is_zero()
     # A1: (exp(alpha-dot) - 1)/alpha-dot with alpha-dot = 2y, at order 2
     alpha = diff((2,))
-    f = fs_exp(FormalSeries.from_linear(alpha, 3)) - FormalSeries.one(2, 3)
+    f = exp_linear(alpha, 3) - FormalSeries.one(2, 3)
     got = fs_div_linear(f, alpha)
     assert got == FormalSeries(2, 2, {(0, 0): 1, (1, 0): 1,
                                       (2, 0): Fraction(2, 3)})
@@ -98,16 +99,16 @@ def test_div_linear_examples():
 def test_div_linear_not_divisible():
     y1 = FormalSeries.variable(3, 4, 0)
     with pytest.raises(NotDivisible):
-        fs_div_linear(y1 + FormalSeries.variable(3, 4, 1), LinearForm([1, 0, 0]))
+        fs_div_linear(y1 + FormalSeries.variable(3, 4, 1), (1, 0, 0))
     with pytest.raises(NotDivisible):
-        fs_div_linear(FormalSeries.one(3, 4), LinearForm([1, 0, 0]))
+        fs_div_linear(FormalSeries.one(3, 4), (1, 0, 0))
 
 
 def test_div_linear_multiterm_form():
     # (y1 + y2)^2 / (y1 + y2)
-    form = LinearForm([1, 1, 0])
-    sq = FormalSeries.from_linear(form, 5) * FormalSeries.from_linear(form, 5)
-    assert fs_div_linear(sq, form).eq(FormalSeries.from_linear(form, 4), 4)
+    form = (1, 1, 0)
+    sq = linear(form, 5) * linear(form, 5)
+    assert fs_div_linear(sq, form).eq(linear(form, 4), 4)
 
 
 def test_precision_rules():

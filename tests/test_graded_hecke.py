@@ -235,7 +235,7 @@ def _act_by_collapse(a, m, sign_value):
     datum = a.datum
     lifted = GradedElement(datum, min(a.order, m.value.order), {datum.identity: m.value})
     prod = gh_mul(a, lifted)
-    total = FormalSeries.zero(datum.rank + 1, prod.order)
+    total = FormalSeries(datum.rank + 1, prod.order)
     for w, f in prod.coeffs.items():
         total = total - f if sign_value == -1 and w.length % 2 else total + f
     return total
@@ -257,7 +257,7 @@ def test_action_equals_the_product_collapsed(sign_value):
                 Fraction(rng.randint(-8, 8) or 1, rng.randint(1, 8)) for _ in range(3)}))
             order = min(a_order, m_order)
             got = rule.act(a.coeffs, m.value.truncate(order),
-                           lambda: FormalSeries.zero(n + 1, order))
+                           lambda: FormalSeries(n + 1, order))
             if sign_value == -1:
                 assert g_asph_act(a, m).value == got
             assert got == _act_by_collapse(a, m, sign_value)

@@ -1,0 +1,75 @@
+"""Every module-level function and class of the package has a use.
+
+A definition in ``src/heckeverify/`` must be referenced somewhere in
+``src/`` outside its own body: a name, an attribute or an import
+(``__init__`` re-exports count).  The exception is a span that
+``benchmarks/tracer.py`` wraps by name (its TARGETS), which must stay a
+function of its own even when nothing in the package calls it.
+"""
+
+import ast
+import importlib.util
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "heckeverify"
+
+
+def _tracer_targets():
+    """(module, name) of each module-level TARGETS entry of the tracer, read only."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer_dead_code", ROOT / "benchmarks" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {(layer, path) for layer, _, path in module.TARGETS if "." not in path}
+
+
+def _referenced_names(tree, skip=None):
+    """Names used in ``tree`` as a name, an attribute or an import, outside ``skip``."""
+    inside = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def unreferenced(sources, exempt=frozenset()):
+    """(module, name) of each module-level def or class of ``sources`` that
+    no module references outside its own definition.
+
+    ``sources`` maps a module name to its source text.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if (module, node.name) in exempt:
+                continue
+            if not any(node.name in _referenced_names(other, node if name == module else None)
+                       for name, other in trees.items()):
+                dead.append((module, node.name))
+    return dead
+
+
+def test_every_definition_in_src_is_referenced():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced(sources, _tracer_targets()) == []
+
+
+def test_the_check_sees_an_unused_helper():
+    sources = {
+        "a": "def used():\n    return 1\n\n\ndef unused():\n    return used()\n",
+        "b": "from .a import used\n\n\nclass Spare:\n    x = used()\n",
+        "c": "def recursive(n):\n    return recursive(n - 1) if n else 0\n",
+    }
+    assert unreferenced(sources) == [("a", "unused"), ("b", "Spare"), ("c", "recursive")]
+    assert unreferenced(sources, {("a", "unused"), ("b", "Spare")}) == [("c", "recursive")]

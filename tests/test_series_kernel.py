@@ -18,11 +18,11 @@ from heckeverify.formal_series import (
     MAX_ORDER,
     FormalSeries,
     InsufficientPrecision,
-    LinearForm,
     NotDivisible,
     OrderTooLarge,
     fs_div_linear,
     fs_exp,
+    fs_exp_quotient,
     fs_exp_sum,
     fs_inv,
     fs_negate_r,
@@ -31,7 +31,10 @@ from heckeverify.formal_series import (
     fs_weyl_demazure,
 )
 from heckeverify.graded_hecke import GradedElement
+from heckeverify.lusztig import unit_factor
 from heckeverify.root_datum import apply, build_root_datum, cartan_matrix, read_cartan_file
+
+from linear_series import exp_linear
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                   suppress_health_check=[HealthCheck.too_slow])
@@ -243,25 +246,53 @@ def test_exp_sum_matches_per_term_exp_and_reference(data, nvars, order):
     forms = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * nvars), min_size=1, max_size=3))
     pairs = data.draw(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(forms)), max_size=4))
     got = fs_exp_sum(nvars, order, pairs)
-    per_term = FormalSeries.zero(nvars, order)
+    per_term = FormalSeries(nvars, order)
     for c, form in pairs:
-        per_term = per_term + fs_exp(FormalSeries.from_linear(LinearForm(form), order)).scale(c)
+        per_term = per_term + exp_linear(form, order).scale(c)
     assert got == per_term
     assert as_ref(got) == ref_exp_sum(nvars, order, pairs)
 
 
 def test_exp_sum_edge_cases_and_refusals():
     form = (1, -2, 3)
-    exp_form = fs_exp(FormalSeries.from_linear(LinearForm(form), 5))
-    assert fs_exp_sum(3, 5, []) == FormalSeries.zero(3, 5)
-    assert fs_exp_sum(3, 5, [(0, form), (0, (4, 4, 4))]) == FormalSeries.zero(3, 5)
-    assert fs_exp_sum(3, 5, [(2, form), (-2, form)]) == FormalSeries.zero(3, 5)
+    exp_form = exp_linear(form, 5)
+    assert fs_exp_sum(3, 5, []) == FormalSeries(3, 5)
+    assert fs_exp_sum(3, 5, [(0, form), (0, (4, 4, 4))]) == FormalSeries(3, 5)
+    assert fs_exp_sum(3, 5, [(2, form), (-2, form)]) == FormalSeries(3, 5)
     assert fs_exp_sum(3, 5, [(2, form), (1, form)]) == exp_form.scale(3)
     assert fs_exp_sum(3, 5, [(5, (0, 0, 0))]) == FormalSeries.one(3, 5).scale(5)
     assert fs_exp_sum(3, 0, [(1, form), (2, (4, 0, 1))]) == FormalSeries.one(3, 0).scale(3)
     for c, bad in [(1.0, form), (Fraction(1), form), (1, (1, 0.5, 0)), (1, (Fraction(1, 2), 0, 0))]:
         with pytest.raises(TypeError):
             fs_exp_sum(3, 5, [(c, bad)])
+    for short_or_long in [(1, 0), (1, 0, 0, 0)]:
+        with pytest.raises(ValueError):
+            fs_exp_sum(3, 5, [(1, form), (1, short_or_long)])
+
+
+def exp_quotient_by_fs_exp(form, order):
+    """(exp(l) - 1)/l at ``order``, with exp(l) from the general fs_exp."""
+    return fs_div_linear(exp_linear(form, order + 1) - FormalSeries.one(len(form), order + 1), form)
+
+
+@KERNEL
+@given(st.data(), st.integers(2, 4), st.integers(0, 8))
+def test_exp_quotient_matches_the_general_exp(data, nvars, order):
+    form = data.draw(st.tuples(*[st.integers(-3, 3)] * nvars).filter(any))
+    got = fs_exp_quotient(form, order)
+    assert_canonical(got)
+    assert got == exp_quotient_by_fs_exp(form, order)
+
+
+@KERNEL
+@given(st.data(), st.sampled_from([-2, 2]), st.integers(0, 8))
+def test_unit_factor_matches_the_general_exp(data, r_coeff, order):
+    datum = data.draw(st.sampled_from(DATA[2] + DATA[3]))
+    i = data.draw(st.integers(0, datum.rank - 1))
+    alpha = datum.simple_roots[i]
+    want = (exp_quotient_by_fs_exp(alpha + (r_coeff,), order)
+            * fs_inv(exp_quotient_by_fs_exp(alpha + (0,), order)))
+    assert unit_factor(datum, i, order, r_coeff) == want
 
 
 @KERNEL
@@ -286,8 +317,7 @@ def test_inv_matches_reference(data, nvars, c):
     assert as_ref(got) == want
 
 
-linear_coeffs = st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
-                         min_size=3, max_size=3).filter(any)
+linear_coeffs = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
 
 
 @KERNEL
@@ -297,7 +327,7 @@ def test_div_linear_of_a_multiple_returns_the_factor(data, form):
     g = ref(order, coeffs)
     lin = ref(order + 1, {tuple(int(j == i) for j in range(3)): c for i, c in enumerate(form)})
     f = ref_mul(ref(order + 1, g[1]), lin)
-    q = fs_div_linear(FormalSeries(3, order + 1, f[1]), LinearForm(form))
+    q = fs_div_linear(FormalSeries(3, order + 1, f[1]), form)
     assert as_ref(q) == g
     # multiply back
     assert ref_mul(ref(order + 1, dict(q.coeffs)), lin) == f
@@ -314,7 +344,7 @@ def test_div_linear_rejects_a_remainder(data, form, c, d):
     d = min(d, order + 1)
     f = ref_add(f, ref(order + 1, {tuple(d if j == k else 0 for j in range(3)): c}))
     with pytest.raises(NotDivisible):
-        fs_div_linear(FormalSeries(3, order + 1, f[1]), LinearForm(form))
+        fs_div_linear(FormalSeries(3, order + 1, f[1]), form)
 
 
 @KERNEL
@@ -373,7 +403,7 @@ def test_demazure_table_matches_the_division(demazure_data, data):
     assert_canonical(sf)
     assert_canonical(dem)
     assert sf == fs_weyl(datum, datum.simple(i), f)
-    quotient = fs_div_linear(f - sf, LinearForm(datum.simple_roots[i] + (0,)))
+    quotient = fs_div_linear(f - sf, datum.simple_roots[i] + (0,))
     assert dem == quotient.mul_monomial((0,) * n + (1,), 2)
 
 
@@ -401,8 +431,23 @@ def test_float_coefficients_are_refused():
         FormalSeries.one(2, 3).scale(0.5)
     with pytest.raises(TypeError):
         FormalSeries.one(2, 3).mul_monomial((1, 0), 2.0)
-    with pytest.raises(TypeError):
-        LinearForm([0.5, 0])
+    f = FormalSeries(2, 3, {(1, 0): 1})
+    for bad in [(0.5, 0), (1.0, 0), (Fraction(1, 2), 0), (Fraction(1), 0)]:
+        with pytest.raises(TypeError):
+            fs_div_linear(f, bad)
+        with pytest.raises(TypeError):
+            fs_exp_quotient(bad, 3)
+
+
+def test_forms_of_the_wrong_length_or_zero_are_refused():
+    f = FormalSeries(3, 4, {(1, 0, 0): 1})
+    for bad in [(1, 0), (1, 0, 0, 0), ()]:
+        with pytest.raises(ValueError):
+            fs_div_linear(f, bad)
+    with pytest.raises(ZeroDivisionError):
+        fs_div_linear(f, (0, 0, 0))
+    with pytest.raises(ZeroDivisionError):
+        fs_exp_quotient((0, 0, 0), 3)
 
 
 def test_coeffs_is_a_read_only_fraction_mapping():
@@ -419,7 +464,7 @@ def test_negative_denominators_are_normalized():
     inv = fs_inv(f)
     assert_canonical(inv)
     assert dict(inv.coeffs) == {(0, 0): -1, (1, 0): -1, (2, 0): -1}
-    q = fs_div_linear(FormalSeries(2, 2, {(1, 0): 1, (1, 1): 1}), LinearForm([-1, 0]))
+    q = fs_div_linear(FormalSeries(2, 2, {(1, 0): 1, (1, 1): 1}), (-1, 0))
     assert_canonical(q)
     assert dict(q.coeffs) == {(0, 0): -1, (0, 1): -1}
 
@@ -472,7 +517,7 @@ def test_mul_monomial_beyond_the_exponent_field_is_refused():
     with pytest.raises(OrderTooLarge):
         f.mul_monomial((1, 1, 1))
     with pytest.raises(OrderTooLarge):
-        FormalSeries.zero(2, MAX_ORDER).mul_monomial((0, 1), 0)
+        FormalSeries(2, MAX_ORDER).mul_monomial((0, 1), 0)
 
 
 def test_malformed_exponents_are_refused():

@@ -303,6 +303,23 @@ def test_faulty_graded_quadratic_relation_fails_presentation_by_name(cartan):
     assert rep.witness.startswith("t_s^2 = 1 for s1 fails in the graded algebra"), rep.witness
 
 
+@pytest.mark.parametrize("family", ["A", "B", "G"])
+def test_no_two_relation_factors_are_equal(family):
+    # each factor is mapped once per map, so equal factors (on A2,
+    # s1(th(-w1)) = s2(th(+w2)) = th(1,-1)) must share one name
+    datum = build_root_datum(cartan_matrix(family, 2))
+    # 2 quadratic, 1 braid and 2 x 4 Bernstein (th(+-w1), th(+-w2)) or
+    # 2 x 3 commutation (y1, y2, r) relations
+    for (factors, relations), equal, count in (
+            (verify.k_relations(datum), lambda a, b: a == b, 11),
+            (verify.graded_relations(datum, 3), lambda a, b: a.eq(b), 9)):
+        elements = list(factors.values())
+        for k, a in enumerate(elements):
+            assert not any(equal(a, b) for b in elements[k + 1:]), a
+        assert {name for _, lhs, rhs in relations for p in lhs + rhs for name in p} == set(factors)
+        assert len(relations) == count
+
+
 def test_negative_controls_fail_on_rank_two_as_well():
     assert check_presentation(A2, order=4, _bernstein_sign=-1).status == "fail"
     assert check_diagram(A2, order=4, _conjugate=False).status == "fail"
