@@ -108,6 +108,20 @@ def _unit(nvars, i):
     return (1 << FIELD_BITS * nvars) | (1 << FIELD_BITS * (nvars - 1 - i))
 
 
+def _check_width(a, b):
+    """Refuse to combine series in different numbers of variables."""
+    if a.nvars != b.nvars:
+        raise ValueError("series in %d and in %d variables do not combine"
+                         % (a.nvars, b.nvars))
+
+
+def _check_datum_width(datum, f):
+    """Refuse a series whose width is not rank + 1 (the y's and r) of ``datum``."""
+    if f.nvars != datum.rank + 1:
+        raise ValueError("a series in %d variables on a datum of rank %d, "
+                         "which needs %d" % (f.nvars, datum.rank, datum.rank + 1))
+
+
 def _exact(c):
     """``c`` as a Fraction; floats are refused, not read as binary fractions."""
     if isinstance(c, float):
@@ -230,6 +244,7 @@ class FormalSeries:
                        {e: c for e, c in self.terms.items() if e < limit})
 
     def __add__(self, other):
+        _check_width(self, other)
         order = min(self.order, other.order)
         a, b = self.truncate(order), other.truncate(order)
         g = gcd(a.den, b.den)
@@ -248,6 +263,7 @@ class FormalSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        _check_width(self, other)
         # products by the exact unit are common: L(T_e), series(1), K_e
         if other.den == 1 and other.terms == _ONE_TERMS:
             return self.truncate(other.order)
@@ -287,6 +303,7 @@ class FormalSeries:
         ``order`` defaults to the common trusted order; asking for more
         than both sides trust raises InsufficientPrecision.
         """
+        _check_width(self, other)
         cap = min(self.order, other.order)
         if order is not None:
             if order > cap:
@@ -589,7 +606,7 @@ def fs_weyl(datum, w, f):
     image of y^a r^k is the image of y^a, from the (datum, w) table, times
     r^k, whose key is k in the r field plus k in the degree field.
     """
-    assert f.nvars == datum.rank + 1
+    _check_datum_width(datum, f)
     image_of = _weyl_table(datum, w).image_of
     shift = FIELD_BITS * f.nvars
     out = {}
@@ -613,7 +630,7 @@ def fs_weyl_demazure(datum, i, f):
     r is fixed by s_i and its part of each key is shifted on as in
     :func:`fs_weyl`.
     """
-    assert f.nvars == datum.rank + 1
+    _check_datum_width(datum, f)
     table = _weyl_table(datum, datum.simple(i))
     image_of, dem_of = table.image_of, table.dem_of
     nvars = f.nvars

@@ -14,7 +14,6 @@ reflections; elements are deduplicated by their action on rho = (1,...,1),
 which is a regular weight and hence separates group elements.
 """
 
-from dataclasses import dataclass
 from operator import sub
 
 
@@ -26,13 +25,19 @@ class WeylTooLarge(RuntimeError):
     """Weyl group enumeration exceeded the configured bound."""
 
 
-@dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element with a stored reduced word and matrix action."""
+    """A Weyl group element with a stored reduced word and matrix action.
 
-    key: tuple          # image of rho, canonical identifier
-    word: tuple         # reduced word (simple indices)
-    matrix: tuple       # n x n integer matrix, rows, acting on weight coords
+    Immutable by contract: nothing assigns to an element after it is built.
+    Equality and hash go by ``key`` alone.
+    """
+
+    __slots__ = ("key", "word", "matrix")
+
+    def __init__(self, key, word, matrix):
+        self.key = key          # image of rho, canonical identifier
+        self.word = word        # reduced word (simple indices)
+        self.matrix = matrix    # n x n integer matrix, rows, acting on weight coords
 
     @property
     def length(self):

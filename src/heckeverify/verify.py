@@ -15,7 +15,6 @@ import json
 import operator
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine_hecke import (
@@ -60,12 +59,16 @@ from .root_datum import apply, build_root_datum
 ARTIFACT_VERSION = "0.1.0"
 
 
-@dataclass
 class CheckReport:
-    name: str
-    status: str                 # pass | fail | error
-    elapsed_ms: float = 0.0
-    witness: str = None
+    """The verdict of one check, with the witness of a fail or an error."""
+
+    __slots__ = ("name", "status", "elapsed_ms", "witness")
+
+    def __init__(self, name, status, elapsed_ms=0.0, witness=None):
+        self.name = name
+        self.status = status            # pass | fail | error
+        self.elapsed_ms = elapsed_ms
+        self.witness = witness
 
     def as_dict(self):
         d = {"name": self.name, "status": self.status, "elapsed_ms": round(self.elapsed_ms, 3)}

@@ -279,3 +279,20 @@ def test_python_dash_m_runs_the_cli():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert [c["status"] for c in json.loads(proc.stdout)["checks"]] == ["pass"]
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 10 ms of
+    # start-up that the CLI never uses
+    src = str(pathlib.Path(heckeverify.__file__).resolve().parent.parent)
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    script = "\n".join([
+        "import sys",
+        "sys.path.insert(0, %r)" % src,
+        "import heckeverify.cli",
+        "print(' '.join(m for m in %r if m in sys.modules))" % (heavy,),
+    ])
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -4,6 +4,7 @@ import pytest
 
 from heckeverify.root_datum import (
     InvalidCartan,
+    WeylElement,
     WeylTooLarge,
     apply,
     build_root_datum,
@@ -126,6 +127,35 @@ def test_braid_relation_on_actions():
 def test_rho_keys_are_distinct():
     d = build_root_datum(cartan_matrix("A", 3))
     assert len({w.key for w in d.weyl}) == len(d.weyl) == 24
+
+
+def test_weyl_elements_are_equal_and_hash_by_key():
+    d = build_root_datum(cartan_matrix("A", 2))
+    w = d.longest
+    same = WeylElement(w.key, (1, 0, 1), w.matrix)
+    assert w.word == (0, 1, 0) and same.word != w.word
+    assert same == w and hash(same) == hash(w)
+    assert {w: "w"}[same] == "w"
+    assert WeylElement(d.rho, (0, 0), d.identity.matrix) == d.identity
+    assert w != d.identity and w != w.key
+
+
+def test_weyl_element_repr_and_length():
+    d = build_root_datum(cartan_matrix("A", 2))
+    assert repr(d.identity) == "e"
+    assert repr(d.mul(d.simple(0), d.simple(1))) == "s1.s2"
+    for family, rank in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
+        for w in build_root_datum(cartan_matrix(family, rank)).weyl:
+            assert w.length == len(w.word)
+
+
+def test_weyl_elements_key_dicts_with_their_elements_entry():
+    d = build_root_datum(cartan_matrix("B", 2))
+    by_element = {w: i for i, w in enumerate(d.weyl)}
+    assert len(by_element) == len(d.weyl) == len(d.elements) == 8
+    for i, w in enumerate(d.weyl):
+        assert d.elements[w.key] is w
+        assert by_element[d.elements[w.key]] == i
 
 
 @pytest.mark.parametrize("bad", [

@@ -7,6 +7,9 @@ is checked against it on random series at mixed orders, and every result
 is checked to be in canonical form, on which the structural ``==`` relies.
 """
 
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import heckeverify
 from heckeverify.formal_series import (
     MAX_ORDER,
     FormalSeries,
@@ -437,6 +441,64 @@ def test_float_coefficients_are_refused():
             fs_div_linear(f, bad)
         with pytest.raises(TypeError):
             fs_exp_quotient(bad, 3)
+
+
+def test_series_of_different_widths_do_not_combine():
+    a = FormalSeries(2, 3, {(1, 0): 1})
+    b = FormalSeries(3, 3, {(1, 0, 0): 1})
+    for combine in (lambda x, y: x + y, lambda x, y: x - y,
+                    lambda x, y: x * y, lambda x, y: x.eq(y)):
+        with pytest.raises(ValueError):
+            combine(a, b)
+        with pytest.raises(ValueError):
+            combine(b, a)
+    # the unit-product shortcut does not bypass the check
+    with pytest.raises(ValueError):
+        a * FormalSeries.one(3, 3)
+    with pytest.raises(ValueError):
+        FormalSeries.one(2, 3) * b
+    with pytest.raises(ValueError):
+        FormalSeries(2, 3).eq(FormalSeries(3, 3))
+    assert FormalSeries(3, 3).eq(FormalSeries(3, 3))
+
+
+def test_weyl_maps_refuse_a_series_of_the_wrong_width():
+    datum = DATA[3][0]                  # A2: series in y1, y2, r
+    w = datum.simple(0)
+    assert fs_weyl(datum, w, FormalSeries(3, 2, {(1, 0, 0): 1})).nums == {
+        (1, 0, 0): -1, (0, 1, 0): 1}            # s1: y1 -> y2 - y1
+    for nvars in (2, 4):
+        f = FormalSeries.variable(nvars, 3, 0)
+        with pytest.raises(ValueError):
+            fs_weyl(datum, w, f)
+        with pytest.raises(ValueError):
+            fs_weyl_demazure(datum, 0, f)
+
+
+def test_width_checks_hold_under_python_dash_O():
+    src = str(pathlib.Path(heckeverify.__file__).resolve().parent.parent)
+    script = "\n".join([
+        "import sys",
+        "sys.path.insert(0, %r)" % src,
+        "from heckeverify.formal_series import FormalSeries, fs_weyl, fs_weyl_demazure",
+        "from heckeverify.root_datum import build_root_datum, cartan_matrix",
+        "assert False, 'asserts are stripped under -O'",
+        "a2 = build_root_datum(cartan_matrix('A', 2))",
+        "f2, f3, f4 = (FormalSeries.variable(n, 3, 0) for n in (2, 3, 4))",
+        "cases = [lambda: f2 + f3, lambda: f2 * f3, lambda: f2.eq(f3),",
+        "         lambda: fs_weyl(a2, a2.simple(0), f4),",
+        "         lambda: fs_weyl_demazure(a2, 0, f4)]",
+        "for case in cases:",
+        "    try:",
+        "        case()",
+        "        print('accepted')",
+        "    except Exception as exc:",
+        "        print(type(exc).__name__)",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-I", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 5
 
 
 def test_forms_of_the_wrong_length_or_zero_are_refused():

@@ -18,6 +18,7 @@ from heckeverify.lusztig import _LusztigMap, context
 from heckeverify.normal_form import GeneratorImages
 from heckeverify.root_datum import build_root_datum, cartan_matrix
 from heckeverify.verify import (
+    CheckReport,
     check_diagram,
     check_display_identity,
     check_modules,
@@ -348,6 +349,19 @@ def test_json_report_schema_and_determinism():
     reps2 = run_suites(A1, ["presentation", "diagram"], order=4)
     payload2 = report_json(DESC, 4, 2, 0, reps2)
     assert strip_timing(payload) == strip_timing(payload2)
+
+
+def test_check_report_as_dict_with_and_without_witness():
+    assert CheckReport("diagram", "pass").as_dict() == {
+        "name": "diagram", "status": "pass", "elapsed_ms": 0.0}
+    rep = CheckReport("modules", "fail", 12.34567, "lhs - rhs = 1")
+    assert (rep.name, rep.status, rep.elapsed_ms, rep.witness) == (
+        "modules", "fail", 12.34567, "lhs - rhs = 1")
+    assert rep.as_dict() == {"name": "modules", "status": "fail",
+                             "elapsed_ms": 12.346, "witness": "lhs - rhs = 1"}
+    kw = CheckReport(name="presentation", status="error", witness="E: x", elapsed_ms=1)
+    assert list(kw.as_dict().items()) == [
+        ("name", "presentation"), ("status", "error"), ("elapsed_ms", 1), ("witness", "E: x")]
 
 
 def test_failed_check_records_witness_in_report():
