@@ -15,8 +15,8 @@ from .root_datum import InvalidCartan, WeylTooLarge, build_root_datum, \
     cartan_matrix, read_cartan_file
 from .verify import report_json, report_text, run_suites, SUITES
 
-# The exceptional families have a single rank; --type may spell it or not.
-FIXED_RANK = {"G": 2, "G2": 2, "F": 4, "F4": 4}
+# Types of a single rank; --type may spell it or not (E needs --rank 6).
+FIXED_RANK = {"G": 2, "G2": 2, "F": 4, "F4": 4, "E6": 6}
 
 
 def _parser():
@@ -24,7 +24,7 @@ def _parser():
         prog="heckeverify",
         description="Verify affine Hecke algebra identities modulo a truncation degree.",
     )
-    p.add_argument("--type", dest="family", help="root system family: A, B, C, D, G2, F4")
+    p.add_argument("--type", dest="family", help="root system family: A, B, C, D, E6, G2, F4")
     p.add_argument("--rank", type=int, help="rank (with --type)")
     p.add_argument("--cartan-file", help="file with a Cartan matrix (first line n, then rows)")
     p.add_argument("--order", type=int, default=6, help="truncation order (default 6)")

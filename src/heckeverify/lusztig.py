@@ -147,6 +147,12 @@ def lusztig_l(h, order, guard=0):
     return context(h.datum, order + guard).lusztig_l(h, order)
 
 
+def exp_rho_pair(datum, order):
+    """(exp(-rho.), exp(rho.)) at ``order``, built once in the datum's store."""
+    return datum.memo(("exp_rho", order), lambda: [fs_exp_sum(
+        datum.rank + 1, order, [(1, tuple(s * a for a in datum.rho) + (0,))]) for s in (-1, 1)])
+
+
 def pipeline_K(h, order, guard=DEFAULT_GUARD):
     """Top-then-right route, as exp(-rho.) e_B L_r(m(h)) e_B^{-1} exp(rho.).
 
@@ -154,8 +160,7 @@ def pipeline_K(h, order, guard=DEFAULT_GUARD):
     """
     datum = h.datum
     y = context(datum, order + guard).k_route(twist(datum)(h), order)
-    exp_neg_rho, exp_rho = datum.memo(("exp_rho", order), lambda: [fs_exp_sum(
-        datum.rank + 1, order, [(1, tuple(s * a for a in datum.rho) + (0,))]) for s in (-1, 1)])
+    exp_neg_rho, exp_rho = exp_rho_pair(datum, order)
     return gh_mul(y.scale_left(exp_neg_rho), GradedElement.series(datum, exp_rho))
 
 

@@ -9,12 +9,13 @@ simple reflection acts by
 
     s_i(x) = x - x[i] * alpha_i.
 
-The Weyl group is enumerated by breadth-first search on words in the simple
-reflections; elements are deduplicated by their action on rho = (1,...,1),
-which is a regular weight and hence separates group elements.
+A Weyl group element w is named by its key w(rho), rho = (1,...,1) being
+regular.  A breadth-first search by left multiplication, s_i(key) at O(n)
+cost, finds every key and fills the table (i, key) -> s_i w.  It runs on
+the inverses, so w keeps the word of a right search (w s_i after w), and
+its key is read off the table along that word.  Products, inverses and
+the action on weights follow words; there are no matrices.
 """
-
-from operator import sub
 
 
 class InvalidCartan(ValueError):
@@ -26,18 +27,19 @@ class WeylTooLarge(RuntimeError):
 
 
 class WeylElement:
-    """A Weyl group element with a stored reduced word and matrix action.
+    """A Weyl group element: its key w(rho), a reduced word and the simple
+    roots that :func:`apply` reflects in along the word.
 
     Immutable by contract: nothing assigns to an element after it is built.
     Equality and hash go by ``key`` alone.
     """
 
-    __slots__ = ("key", "word", "matrix")
+    __slots__ = ("key", "word", "roots")
 
-    def __init__(self, key, word, matrix):
+    def __init__(self, key, word, roots):
         self.key = key          # image of rho, canonical identifier
         self.word = word        # reduced word (simple indices)
-        self.matrix = matrix    # n x n integer matrix, rows, acting on weight coords
+        self.roots = roots      # simple roots of the datum, as weights
 
     @property
     def length(self):
@@ -53,22 +55,6 @@ class WeylElement:
         if not self.word:
             return "e"
         return "s" + ".s".join(str(i + 1) for i in self.word)
-
-
-def _mat_apply(m, x):
-    return tuple(sum(row[k] * x[k] for k in range(len(x))) for row in m)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 class RootDatum:
@@ -102,64 +88,59 @@ class RootDatum:
             tuple(cartan[j][i] for j in range(n)) for i in range(n)
         )
         self.rho = (1,) * n
-        self._simple_matrices = tuple(self._reflection_matrix(i) for i in range(n))
         self._enumerate_weyl(weyl_bound)
         self._compute_positive_roots()
         self._memo = {}
         self.rules = {}         # normal-form rule class -> its instance on this datum
 
-    def _reflection_matrix(self, i):
-        n = self.rank
-        alpha = self.simple_roots[i]
-        return tuple(
-            tuple((1 if j == k else 0) - (alpha[j] if k == i else 0) for k in range(n))
-            for j in range(n)
-        )
-
     def _enumerate_weyl(self, bound):
-        n = self.rank
-        ident = WeylElement(self.rho, (), _identity_matrix(n))
-        elements = {self.rho: ident}
-        order = [ident]
-        frontier = [ident]
-        while frontier:
-            new_frontier = []
-            for w in frontier:
-                for i in range(n):
-                    # right multiplication: (w s_i) acts by M_w @ S_i
-                    m = _mat_mul(w.matrix, self._simple_matrices[i])
-                    key = _mat_apply(m, self.rho)
-                    if key not in elements:
-                        elt = WeylElement(key, w.word + (i,), m)
-                        elements[key] = elt
-                        order.append(elt)
-                        new_frontier.append(elt)
-                        if len(elements) > bound:
-                            raise WeylTooLarge(
-                                "Weyl group exceeds %d elements; "
-                                "is the Cartan matrix of finite type?" % bound
-                            )
-            frontier = new_frontier
-        self.elements = elements
-        self.weyl = tuple(order)   # BFS order: sorted by length
-        self.identity = ident
-        self.longest = order[-1]
+        roots = tuple(enumerate(self.simple_roots))
+        # left search on the keys of the inverses: v = w^-1 is found as
+        # s_i v' exactly when w is found as w' s_i, so words[v] is w's word
+        words = {self.rho: ()}
+        queue = [self.rho]      # breadth first: the queue grows as it is read
+        table = {}
+        for v in queue:
+            word = words[v]
+            for i, alpha in roots:
+                c = v[i]
+                u = table[i, v] = tuple([a - c * b for a, b in zip(v, alpha)])
+                if u not in words:
+                    words[u] = word + (i,)
+                    queue.append(u)
+            if len(words) > bound:
+                raise WeylTooLarge("Weyl group exceeds %d elements; "
+                                   "is the Cartan matrix of finite type?" % bound)
+        elements = {}
+        for word in words.values():
+            key = self.rho
+            for i in reversed(word):
+                key = table[i, key]
+            elements[key] = WeylElement(key, word, self.simple_roots)
         # left-multiplication table (i, key) -> WeylElement for rewriting
-        self._left_table = {}
-        for w in order:
-            for i in range(n):
-                m = _mat_mul(self._simple_matrices[i], w.matrix)
-                self._left_table[(i, w.key)] = elements[_mat_apply(m, self.rho)]
+        for ik, u in table.items():
+            table[ik] = elements[u]
+        self._left_table = table
+        self.elements = elements
+        self.weyl = tuple(elements.values())   # BFS order: sorted by length
+        self.identity = self.weyl[0]
+        self.longest = self.weyl[-1]
 
     def _compute_positive_roots(self):
-        # w(alpha_i) is positive exactly when l(w s_i) = l(w) + 1, and
-        # w s_i is found by its key w(rho - alpha_i), as <rho, alpha_i^vee> = 1
-        positive = set()
-        for w in self.weyl:
-            for alpha in self.simple_roots:
-                beta = _mat_apply(w.matrix, alpha)
-                if self.elements[tuple(map(sub, w.key, beta))].length > w.length:
-                    positive.add(beta)
+        # the orbit of the simple roots in simple-root coordinates c; the
+        # weight x of beta = sum_j c_j alpha_j has x[i] = sum_j A[i][j] c_j
+        n, cartan = self.rank, self.cartan
+        orbit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        seen, positive = set(orbit), []
+        for c in orbit:         # breadth first, as in _enumerate_weyl
+            x = tuple(sum(a * b for a, b in zip(row, c)) for row in cartan)
+            if min(c) >= 0:
+                positive.append(x)
+            for i in range(n):
+                s = c[:i] + (c[i] - x[i],) + c[i + 1:]     # s_i(beta)
+                if s not in seen:
+                    seen.add(s)
+                    orbit.append(s)
         self.positive_roots = tuple(sorted(positive))
 
     def memo(self, key, build):
@@ -186,31 +167,34 @@ class RootDatum:
         return self._left_table[(i, w.key)]
 
     def mul(self, u, w):
-        """u * w."""
-        m = _mat_mul(u.matrix, w.matrix)
-        return self.elements[_mat_apply(m, self.rho)]
+        """u * w, by left multiplication along the word of u."""
+        table = self._left_table
+        for i in reversed(u.word):
+            w = table[i, w.key]
+        return w
 
     def inverse(self, w):
-        for u in self.weyl:
-            if self.mul(w, u) is self.identity:
-                return u
-        raise KeyError(w)
+        """w^-1, by left multiplication along the word of w."""
+        table, v = self._left_table, self.identity
+        for i in w.word:
+            v = table[i, v.key]
+        return v
 
     def braid_order(self, i, j):
-        """Order of s_i s_j in W."""
+        """Order of s_i s_j in W, read off a_ij a_ji."""
         if i == j:
             return 1
-        sisj = self.mul(self.simple(i), self.simple(j))
-        m, w = 1, sisj
-        while w is not self.identity:
-            w = self.mul(w, sisj)
-            m += 1
-        return m
+        return (2, 3, 4, 6)[self.cartan[i][j] * self.cartan[j][i]]
 
 
 def apply(w, x):
-    """Action of a Weyl element on a weight."""
-    return _mat_apply(w.matrix, tuple(x))
+    """Action of a Weyl element on a weight, one reflection per letter."""
+    x = tuple(x)
+    for i in reversed(w.word):
+        c = x[i]
+        if c:
+            x = tuple([a - c * b for a, b in zip(x, w.roots[i])])
+    return x
 
 
 def build_root_datum(cartan, weyl_bound=10**6):
@@ -218,18 +202,15 @@ def build_root_datum(cartan, weyl_bound=10**6):
 
 
 def cartan_matrix(family, rank):
-    """Cartan matrix of a classical family ('A','B','C','D') or 'G2'/'F4'."""
+    """Cartan matrix of a classical family ('A','B','C','D') or 'G2'/'F4'/'E6'."""
     family = family.upper()
     n = rank
-    if family == "G" or (family == "G2"):
+    if family == "E6":
+        family, n = "E", 6
+    if family in ("G", "G2"):
         return ((2, -1), (-3, 2))
-    if family == "F" or (family == "F4"):
-        return (
-            (2, -1, 0, 0),
-            (-1, 2, -1, 0),
-            (0, -2, 2, -1),
-            (0, 0, -1, 2),
-        )
+    if family in ("F", "F4"):
+        return ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2))
     if n < 1:
         raise InvalidCartan("rank must be positive")
     m = [[0] * n for _ in range(n)]
@@ -253,6 +234,12 @@ def cartan_matrix(family, rank):
             raise InvalidCartan("type D needs rank >= 3")
         m[n - 1][n - 2] = m[n - 2][n - 1] = 0
         m[n - 1][n - 3] = m[n - 3][n - 1] = -1
+    elif family == "E":
+        if n != 6:
+            raise InvalidCartan("type E is supported in rank 6 only")
+        # Bourbaki labels: 1-3-4-5-6 in a chain, 2 attached to 4
+        m[0][1] = m[1][0] = m[1][2] = m[2][1] = 0
+        m[0][2] = m[2][0] = m[1][3] = m[3][1] = -1
     else:
         raise InvalidCartan("unknown family %r" % family)
     return tuple(tuple(row) for row in m)

@@ -46,6 +46,7 @@ from .lattice_algebra import (
 from .lusztig import (
     context,
     difference_times_scriptG,
+    exp_rho_pair,
     lusztig_l,
     pipeline_H,
     pipeline_K,
@@ -503,8 +504,10 @@ def check_display_identity(datum, order=6, simple_index=None, guard=2,
 
     def body():
         ctx = context(datum, work)
-        rho = tuple((-a if _flip_rho else a) for a in datum.rho)
-        exp_rho = fs_exp_sum(n + 1, order, [(1, rho + (0,))])
+        exp_neg_rho, exp_rho = exp_rho_pair(datum, order)
+        rho = datum.rho
+        if _flip_rho:           # on the private copy: -rho in place of rho
+            exp_rho, rho = exp_neg_rho, tuple(-a for a in rho)
         exp_neg_rho_2r = fs_exp_sum(n + 1, order, [(1, tuple(-a for a in rho) + (-2,))])
         one = GradedElement.one(datum, order)
         for i in indices:

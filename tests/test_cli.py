@@ -175,9 +175,38 @@ def test_datum_type_names_family_and_rank(monkeypatch, capsys, argv, name):
 
 
 @pytest.mark.parametrize("argv", [
+    ("--type", "E6"),
+    ("--type", "e6", "--rank", "6"),
+    ("--type", "E", "--rank", "6"),
+])
+def test_e6_spellings_name_one_datum(monkeypatch, capsys, argv):
+    built = []
+    monkeypatch.setattr(cli, "build_root_datum", built.append)
+    monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: [])
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert built == [cartan_matrix("E", 6)]
+    doc = json.loads(out)
+    assert (doc["datum"]["type"], doc["datum"]["rank"]) == ("E6", 6)
+
+
+@pytest.mark.parametrize("rank", ["5", "7"])
+def test_type_e_of_another_rank_is_refused(monkeypatch, capsys, rank):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a refused datum")
+    monkeypatch.setattr(cli, "build_root_datum", no_work)
+    monkeypatch.setattr(cli, "run_suites", no_work)
+    code, out, err = run_cli(capsys, "--type", "E", "--rank", rank)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("InvalidCartan: ")
+
+
+@pytest.mark.parametrize("argv", [
     ("--type", "G2", "--rank", "5"),
     ("--type", "G", "--rank", "3"),
     ("--type", "F4", "--rank", "2"),
+    ("--type", "E6", "--rank", "5"),
 ])
 def test_rank_contradicting_the_family_is_usage_error(monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):

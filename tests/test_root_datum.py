@@ -13,26 +13,152 @@ from heckeverify.root_datum import (
 )
 
 
+# -- an oracle that shares no code with root_datum ----------------------------
+#
+# W acts on weights (fundamental-weight coordinates) by the reflection
+# matrices S_i[j][k] = delta_jk - delta_ki A[j][i], read off the Cartan
+# rows alone.  A right-multiplication search on matrices gives the keys
+# M_w rho, the words and the order that datum.weyl must reproduce.
+
+def _matmul(a, b):
+    return tuple(tuple(sum(a[r][k] * b[k][c] for k in range(len(b)))
+                       for c in range(len(b[0]))) for r in range(len(a)))
+
+
+def _matvec(m, x):
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in m)
+
+
+def _reflection_matrices(cartan):
+    n = len(cartan)
+    return [tuple(tuple(int(j == k) - (cartan[j][i] if k == i else 0) for k in range(n))
+                  for j in range(n)) for i in range(n)]
+
+
+class Oracle:
+    """W of ``cartan`` by matrices: ``matrix`` and ``word`` map each key, in BFS order."""
+
+    def __init__(self, cartan):
+        n = len(cartan)
+        self.rank = n
+        self.cartan = cartan
+        self.rho = (1,) * n
+        self.simple = _reflection_matrices(cartan)
+        ident = tuple(tuple(int(j == k) for k in range(n)) for j in range(n))
+        self.identity = ident
+        self.matrix = {self.rho: ident}
+        self.word = {self.rho: ()}
+        frontier = [self.rho]
+        while frontier:
+            new = []
+            for key in frontier:
+                for i in range(n):
+                    m = _matmul(self.matrix[key], self.simple[i])
+                    k = _matvec(m, self.rho)
+                    if k not in self.matrix:
+                        self.matrix[k] = m
+                        self.word[k] = self.word[key] + (i,)
+                        new.append(k)
+            frontier = new
+
+    def key(self, m):
+        return _matvec(m, self.rho)
+
+    def positive_roots(self):
+        # w(alpha_i) is positive exactly when l(w s_i) > l(w)
+        alphas = [tuple(row[i] for row in self.cartan) for i in range(self.rank)]
+        positive = set()
+        for key, m in self.matrix.items():
+            for i, alpha in enumerate(alphas):
+                after = self.key(_matmul(m, self.simple[i]))
+                if len(self.word[after]) > len(self.word[key]):
+                    positive.add(_matvec(m, alpha))
+        return tuple(sorted(positive))
+
+    def braid_order(self, i, j):
+        step = _matmul(self.simple[i], self.simple[j])
+        m, power = 1, step
+        while power != self.identity:
+            power, m = _matmul(power, step), m + 1
+        return m
+
+
+ORACLE_TYPES = [("A", 4), ("B", 3), ("C", 3), ("G", 2), ("F", 4), ("D", 5)]
+_ORACLES = {}
+
+
+def oracle_and_datum(family, rank):
+    if (family, rank) not in _ORACLES:
+        cartan = cartan_matrix(family, rank)
+        _ORACLES[family, rank] = Oracle(cartan), build_root_datum(cartan)
+    return _ORACLES[family, rank]
+
+
 def brute_force_order(cartan, max_len):
     """Independent oracle: enumerate all words up to max_len, dedup by matrix."""
-    d = build_root_datum(cartan)
-    seen = {tuple(map(tuple, d.identity.matrix))}
-    frontier = [d.identity.matrix]
+    simple = _reflection_matrices(cartan)
+    n = len(cartan)
+    ident = tuple(tuple(int(j == k) for k in range(n)) for j in range(n))
+    seen = {ident}
+    frontier = [ident]
     for _ in range(max_len):
         new = []
         for m in frontier:
-            for i in range(d.rank):
-                prod = tuple(
-                    tuple(sum(m[a][k] * d._simple_matrices[i][k][b]
-                              for k in range(d.rank))
-                          for b in range(d.rank))
-                    for a in range(d.rank)
-                )
+            for s in simple:
+                prod = _matmul(m, s)
                 if prod not in seen:
                     seen.add(prod)
                     new.append(prod)
         frontier = new
     return len(seen)
+
+
+@pytest.mark.parametrize("family, rank", ORACLE_TYPES)
+def test_weyl_keys_words_and_order_match_the_matrix_oracle(family, rank):
+    oracle, d = oracle_and_datum(family, rank)
+    assert [(w.key, w.word) for w in d.weyl] == list(oracle.word.items())
+    assert all(d.elements[w.key] is w for w in d.weyl)
+
+
+@pytest.mark.parametrize("family, rank", ORACLE_TYPES)
+def test_group_operations_match_the_matrix_oracle(family, rank):
+    oracle, d = oracle_and_datum(family, rank)
+    rng = random.Random(3)
+    for w in d.weyl:
+        m = oracle.matrix[w.key]
+        for i in range(rank):
+            assert d.left_mul(i, w).key == oracle.key(_matmul(oracle.simple[i], m))
+        assert _matmul(m, oracle.matrix[d.inverse(w).key]) == oracle.identity
+        x = tuple(rng.randint(-5, 5) for _ in range(rank))
+        assert apply(w, x) == _matvec(m, x)
+    for _ in range(300):
+        u, w = rng.choice(d.weyl), rng.choice(d.weyl)
+        assert d.mul(u, w).key == oracle.key(_matmul(oracle.matrix[u.key], oracle.matrix[w.key]))
+
+
+@pytest.mark.parametrize("family, rank", ORACLE_TYPES)
+def test_positive_roots_and_braid_orders_match_the_matrix_oracle(family, rank):
+    oracle, d = oracle_and_datum(family, rank)
+    assert d.positive_roots == oracle.positive_roots()
+    for i in range(rank):
+        assert d.braid_order(i, i) == 1
+        for j in range(rank):
+            if i != j:
+                assert d.braid_order(i, j) == oracle.braid_order(i, j)
+
+
+def test_e6_sizes():
+    d = build_root_datum(cartan_matrix("E", 6))
+    assert cartan_matrix("E6", 6) == d.cartan
+    assert len(d.weyl) == 51840
+    assert len(d.positive_roots) == 36
+    assert d.longest.length == 36
+
+
+@pytest.mark.parametrize("rank", [5, 7])
+def test_type_e_is_rank_six_only(rank):
+    with pytest.raises(InvalidCartan):
+        cartan_matrix("E", rank)
 
 
 def test_a1_basics():
@@ -132,11 +258,11 @@ def test_rho_keys_are_distinct():
 def test_weyl_elements_are_equal_and_hash_by_key():
     d = build_root_datum(cartan_matrix("A", 2))
     w = d.longest
-    same = WeylElement(w.key, (1, 0, 1), w.matrix)
+    same = WeylElement(w.key, (1, 0, 1), d.simple_roots)
     assert w.word == (0, 1, 0) and same.word != w.word
     assert same == w and hash(same) == hash(w)
     assert {w: "w"}[same] == "w"
-    assert WeylElement(d.rho, (0, 0), d.identity.matrix) == d.identity
+    assert WeylElement(d.rho, (0, 0), d.simple_roots) == d.identity
     assert w != d.identity and w != w.key
 
 

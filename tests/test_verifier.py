@@ -48,16 +48,18 @@ def test_each_suite_passes_on_rank_one(suite):
 
 # G2 at order 3, B3 and C3 at order 2: non-simply-laced and rank three,
 # where the row/column convention of the Cartan matrix matters.  A4 and D4
-# at order 2: rank four, with 120 and 192 Weyl group elements.  F4 at order
-# 2 (1,152 elements) runs every suite but ``morphisms``, whose construction
-# check walks all of W once per map: 11 s and 120 MB peak RSS in one CLI
-# run on a 2-vCPU VM, past the 5 s budget of one test.
+# at order 2: rank four, with 120 and 192 Weyl group elements.  F4 (1,152
+# elements), D6 (23,040) and E6 (51,840) at order 2 run every suite but
+# ``morphisms``, whose construction check walks all of W once per map: on
+# F4 alone that is 11 s and 120 MB peak RSS in one CLI run on a 2-vCPU VM,
+# past the 5 s budget of one test.  Each datum is built once.
 OTHER_TYPES = [("G", 2, 3), ("B", 3, 2), ("C", 3, 2), ("A", 4, 2), ("D", 4, 2)]
 OTHER_CASES = [(family, rank, order, suite) for family, rank, order in OTHER_TYPES
                for suite in sorted(SUITES)]
-OTHER_CASES += [("F", 4, 2, suite) for suite in sorted(SUITES) if suite != "morphisms"]
+OTHER_CASES += [(family, rank, 2, suite) for family, rank in [("F", 4), ("D", 6), ("E", 6)]
+                for suite in sorted(SUITES) if suite != "morphisms"]
 OTHER_DATA = {(family, rank): build_root_datum(cartan_matrix(family, rank))
-              for family, rank, _, _ in OTHER_CASES}
+              for family, rank in dict.fromkeys(case[:2] for case in OTHER_CASES)}
 
 
 @pytest.mark.parametrize("family, rank, order, suite", OTHER_CASES)
