@@ -29,8 +29,7 @@ def _parser():
     p.add_argument("--cartan-file", help="file with a Cartan matrix (first line n, then rows)")
     p.add_argument("--order", type=int, default=6, help="truncation order (default 6)")
     p.add_argument("--guard", type=int, default=2,
-                   help="extra working order of the unit factors, the only constants "
-                        "that divide by linear forms; changes no result (default 2)")
+                   help="extra working order of the unit factors; changes no result (default 2)")
     p.add_argument("--suite", action="append", default=None,
                    choices=sorted(SUITES) + ["all"],
                    help="suite to run (repeatable; default all)")

@@ -6,7 +6,8 @@ fundamental weight) and a final grading variable r, so exponent keys are
 integer tuples of length n + 1 with the r-degree in the last slot.  A
 series carries an ``order``: coefficients are trusted for total degree <=
 order and discarded above it.  A linear form is an int tuple, one entry
-per variable; :func:`fs_exp_sum` exponentiates forms in closed form.
+per variable; :func:`fs_exp_sum` builds exp, or any series F(l) given the
+derivatives of F at 0, of forms in closed form.
 
 Representation: one positive ``int`` denominator ``den`` shared by every
 coefficient, plus a dict ``terms`` from packed monomial key to nonzero
@@ -54,7 +55,7 @@ division.
 """
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from types import MappingProxyType
 
 from .root_datum import apply
@@ -387,15 +388,33 @@ def _int_form(form, nvars):
     return form
 
 
-def fs_exp_sum(nvars, order, pairs):
-    """sum of c exp(l) over (int c, int form l) in ``pairs``, at ``order``.
+_BERNOULLI = [Fraction(1)]             # B_0, B_1, ..., extended on demand
 
-    The coefficient of the monomial m = y^a r^b is sum_t c_t l_t^m / m!,
-    so over the common denominator order! its numerator is
-    (order!/m!) sum_t c_t l_t^m.  The monomials are walked one variable at
-    a time, each from its parent by one more power of that variable, so
-    every per-term power is one product; a variable that no term uses is
-    skipped.
+
+def bernoulli_weights(order):
+    """B_0 .. B_order (B_1 = -1/2), the weights of l/(exp(l) - 1), by their recurrence."""
+    b = _BERNOULLI
+    for m in range(len(b), order + 1):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b[:order + 1]
+
+
+def quotient_weights(order):
+    """1/(k+1) for k = 0..order, the weights of (exp(l) - 1)/l."""
+    return [Fraction(1, k + 1) for k in range(order + 1)]
+
+
+def fs_exp_sum(nvars, order, pairs, weights=None):
+    """sum of c F(l) over (int c, int form l) in ``pairs``, at ``order``.
+
+    F is exp, or the series with derivatives F^(k)(0) = ``weights[k]``.
+    The coefficient of a monomial m = y^a r^b of degree k is
+    W_k sum_t c_t l_t^m / m!, so over the common denominator order! Q, Q
+    the lcm of the weight denominators, its numerator is
+    (order!/m!) W_k Q sum_t c_t l_t^m.  The monomials are walked one
+    variable at a time, each from its parent by one more power of that
+    variable, so every per-term power is one product; a variable that no
+    term uses is skipped.
     """
     cs, cols = [], []
     for c, form in pairs:
@@ -406,6 +425,11 @@ def fs_exp_sum(nvars, order, pairs):
             cs.append(c)
             cols.append(form)
     _check_order(order)
+    weights = [1] * (order + 1) if weights is None else [_exact(w) for w in weights[:order + 1]]
+    if len(weights) <= order:
+        raise ValueError("%d weights for degrees 0..%d" % (len(weights), order))
+    q = lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (q // w.denominator) for w in weights]     # W_k Q
     top = factorial(max(order, 0))
     nodes = [(0, 0, top, cs)] if cs and order >= 0 else []     # key, degree, order!/m!, c_t l_t^m
     for i, col in enumerate(zip(*cols)):
@@ -420,7 +444,8 @@ def fs_exp_sum(nvars, order, pairs):
                     vals = [v * a for v, a in zip(vals, col)]
                     grown.append((key, deg + e, weight, vals))
             nodes = grown
-    return _series(nvars, order, top, {key: weight * sum(vals) for key, _, weight, vals in nodes})
+    return _series(nvars, order, top * q, {
+        key: weight * scaled[deg] * sum(vals) for key, deg, weight, vals in nodes})
 
 
 def fs_inv(f):
@@ -527,12 +552,6 @@ def fs_div_linear(f, form):
             for e, c in _homogeneous_div(comp, form, pivot).items():
                 out[e] = c * scale
     return _series(f.nvars, f.order - 1, f.den * lead ** max(top, 0), out)
-
-
-def fs_exp_quotient(form, order):
-    """(exp(l) - 1)/l at ``order`` for an int form l; exp runs one degree high for the division."""
-    n = len(form)
-    return fs_div_linear(fs_exp_sum(n, order + 1, [(1, form), (-1, (0,) * n)]), form)
 
 
 class _WeylSubstitution:

@@ -17,13 +17,15 @@ module where t_s collapses to -1.
 from .formal_series import (
     FormalSeries,
     InsufficientPrecision,
+    bernoulli_weights,
     diff,
     fs_div_linear,
-    fs_exp_quotient,
+    fs_exp_sum,
     fs_inv,
     fs_negate_r,
     fs_weyl,
     fs_weyl_demazure,
+    quotient_weights,
 )
 from .normal_form import AsphElement, GeneratorImages, Rule
 
@@ -174,54 +176,61 @@ def fourier_map(a):
     return GradedElement(a.datum, a.order, out)
 
 
-def todd_eB(datum, order):
-    """prod over positive roots of alpha-dot / (1 - exp(-alpha-dot)).
-
-    Each factor is the inverse of the unit (1 - exp(-alpha-dot))/alpha-dot,
-    made at the requested order by :func:`fs_exp_quotient`.  Factors are
-    multiplied in the stored positive-root order for deterministic reports.
-    """
+def _over_positive_roots(datum, order, weights):
+    """prod over positive roots of F(-alpha-dot), F of derivative weights ``weights``."""
     out = FormalSeries.one(datum.rank + 1, order)
     for alpha in datum.positive_roots:
-        out = out * fs_inv(fs_exp_quotient(diff(-a for a in alpha), order))
+        out = out * fs_exp_sum(datum.rank + 1, order, [(1, diff(-a for a in alpha))], weights)
     return out
 
 
-class _Conjugation(GeneratorImages):
-    """a |-> e_B a e_B^{-1} for one e_B, reusing each e_B t_w e_B^{-1}.
+def todd_eB(datum, order):
+    """prod over positive roots of alpha-dot / (1 - exp(-alpha-dot)).
 
-    Series commute with e_B, so with a = sum_w f_w t_w,
+    Each factor is l/(exp(l) - 1) at l = -alpha-dot, a closed form in the
+    Bernoulli numbers (:func:`fs_exp_sum`): nothing divides or inverts.
+    """
+    return _over_positive_roots(datum, order, bernoulli_weights(order))
 
-        e_B a e_B^{-1} = sum_w f_w (e_B t_w e_B^{-1}),
+
+class Conjugation(GeneratorImages):
+    """a |-> S a S^{-1} for one unit series S, reusing each S t_w S^{-1}.
+
+    Series commute with S, so with a = sum_w f_w t_w,
+
+        S a S^{-1} = sum_w f_w (S t_w S^{-1}),
 
     and the conjugate of t_w, the product of the conjugates of its
     letters, is formed once per (w, order) (:class:`GeneratorImages`).
+    ``s_inv`` is S^{-1}, at the order of S.
     """
 
-    def __init__(self, datum, eB):
-        eB_inv = GradedElement.series(datum, fs_inv(eB))
+    def __init__(self, datum, s, s_inv):
+        self.s, self.s_inv = s, s_inv
+        right = GradedElement.series(datum, s_inv)
         super().__init__(GradedRule.of(datum), lambda i, order: gh_mul(
-            GradedElement.ts(datum, i, order), eB_inv).scale_left(eB), eB.order)
+            GradedElement.ts(datum, i, order), right).scale_left(s), s.order)
 
     def __call__(self, a):
         order = min(a.order, self.work_order)
         return GradedElement(self.datum, order, self.evaluate(a, order, lambda f: f))
 
 
+def eB_conjugation(datum, order):
+    """Conjugation by e_B at ``order`` (e_B^{-1} in closed form), kept in the datum's store."""
+    return datum.memo(("conj_eB", order), lambda: Conjugation(
+        datum, todd_eB(datum, order), _over_positive_roots(datum, order, quotient_weights(order))))
+
+
 def conj_eB(a, eB=None):
     """e_B * a * e_B^{-1}, full noncommutative conjugation.
 
-    Without ``eB``, e_B is the Todd series at the order of ``a``; it, its
-    inverse and the conjugates e_B t_w e_B^{-1} are built once per (datum,
-    order) and shared by every later call.  An explicit ``eB`` gets a
-    throwaway conjugation and leaves the datum's store alone.
+    Without ``eB``, e_B is the Todd series at the order of ``a``, and the
+    conjugation (:func:`eB_conjugation`) is shared by every later call.  An
+    explicit ``eB`` is inverted by :func:`fs_inv` for a throwaway
+    conjugation that leaves the datum's store alone.
     """
-    datum = a.datum
-    if eB is None:
-        conj = datum.memo(("conj_eB", a.order),
-                          lambda: _Conjugation(datum, todd_eB(datum, a.order)))
-    else:
-        conj = _Conjugation(datum, eB)
+    conj = eB_conjugation(a.datum, a.order) if eB is None else Conjugation(a.datum, eB, fs_inv(eB))
     return conj(a)
 
 

@@ -15,42 +15,44 @@ where u(alpha) is the unit series
 The fraction form (v^2 theta_alpha - 1)/(theta_alpha - 1) is never
 materialized on the series side: its denominator maps to a non-unit, and
 the closed form above is unit-times-unit after the shared linear factors
-cancel.  Each exp is computed one degree above the working order so the
-single exact division per factor lands exactly at the working order.
+cancel.  Each factor is a series sum_k F^(k)(0) l^k/k! of one linear form
+l, with F^(k)(0) = 1/(k+1) for (exp(l) - 1)/l and the Bernoulli number B_k
+for l/(exp(l) - 1), built in closed form by :func:`fs_exp_sum`.
 
 The two diagram routes are
 
     pipeline_K: h |-> e_B * L_r( parity(duality(koszul(h))) ) * e_B^{-1}
-                    = e_B exp(-rho.) * L_r( m(h) ) * exp(rho.) e_B^{-1}
+                    = S * L_r( m(h) ) * S^{-1},   S = e_B exp(-rho.)
     pipeline_H: h |-> fourier( L_l(h) )
 
 and the verifier checks they agree modulo degree > order.  The second
 form is evaluated: parity o duality o koszul = Ad(theta_{-rho}) o m for
 m: v |-> v^-1, theta_x |-> theta_x, T_s |-> -v^-2 T_s (:func:`twist`),
-which sends T_w to a single term.
+which sends T_w to a single term, and e_B commutes with exp(-rho.).
 
 Everything these routes reuse that depends only on the root datum and an
 order is built once: the :class:`Context` of a work order holds the unit
-factors, both Lusztig maps and the K-route images K_w = e_B L_r(T_w)
-e_B^{-1}, each a map given on generators (:class:`GeneratorImages`);
-e_B and its conjugates (:func:`conj_eB`), exp(+-rho.), the map m and the
-Weyl substitution tables live in the datum's store (:meth:`RootDatum.memo`).
-Series commute with e_B, so the K-route evaluates as sum_w series(x_w) K_w
+factors, both Lusztig maps, the conjugation by S at each compared order
+and the K-route images K_w = S L_r(T_w) S^{-1}, each a map given on
+generators (:class:`GeneratorImages`); e_B, its inverse and its
+conjugates (:func:`conj_eB`), exp(+-rho.), the map m and the Weyl
+substitution tables live in the datum's store (:meth:`RootDatum.memo`).
+Series commute with S, so the K-route evaluates as sum_w series(x_w) K_w
 on the normal form x = m(h) = sum_w x_w T_w.
 
-Only the unit factors divide by linear forms, so only they are built at
-the work order order + guard; every product after them runs at the order
-a case compares.  Series products stop at the lower order of their
-factors and t_s keeps degrees, so truncation commutes with every step and
-the guard changes no value.
+Only the unit factors are built at the work order order + guard; every
+product after them runs at the order a case compares.  Series products
+stop at the lower order of their factors and t_s keeps degrees, so
+truncation commutes with every step and the guard changes no value.
 """
 
 from .affine_hecke import twist
-from .formal_series import diff, fs_div_linear, fs_exp_quotient, fs_exp_sum, fs_inv
+from .formal_series import bernoulli_weights, diff, fs_div_linear, fs_exp_sum, quotient_weights
 from .graded_hecke import (
+    Conjugation,
     GradedElement,
     GradedRule,
-    conj_eB,
+    eB_conjugation,
     fourier_map,
     gh_mul,
 )
@@ -67,9 +69,10 @@ def series_of_group_algebra(datum, ga, order):
 
 
 def unit_factor(datum, i, order, r_coeff=2):
-    """(exp(a + cr) - 1)/(a + cr) * a/(exp(a) - 1)  with a = alpha_i-dot."""
-    alpha = datum.simple_roots[i]
-    return fs_exp_quotient(alpha + (r_coeff,), order) * fs_inv(fs_exp_quotient(diff(alpha), order))
+    """(exp(a + cr) - 1)/(a + cr) * a/(exp(a) - 1)  with a = alpha_i-dot, in closed form."""
+    alpha, n = datum.simple_roots[i], datum.rank + 1
+    return (fs_exp_sum(n, order, [(1, alpha + (r_coeff,))], quotient_weights(order))
+            * fs_exp_sum(n, order, [(1, diff(alpha))], bernoulli_weights(order)))
 
 
 def _ts_image(datum, i, order, side, u):
@@ -107,7 +110,8 @@ class Context:
     """The Lusztig side of one (root datum, work order), built once.
 
     Values (see the module docstring) are filled on first use and never
-    change afterwards; ``units`` maps i to the unit factor u(alpha_i).
+    change afterwards; ``units`` maps i to the unit factor u(alpha_i), and
+    ``conjugations`` a compared order to the conjugation by S there.
     :func:`context` returns the shared instance.
     """
 
@@ -115,11 +119,12 @@ class Context:
         self.datum = datum
         self.order = order
         self.units = {}
+        self.conjugations = {}
         self.lusztig_r = _LusztigMap(datum, order, "r", self.unit)
         self.lusztig_l = _LusztigMap(datum, order, "l", self.unit)
-        # K_s = e_B L_r(T_s) e_B^{-1}, with e_B and its conjugates at the compared order
-        self.k_route_images = GeneratorImages(GradedRule.of(datum), lambda i, o: conj_eB(
-            self.lusztig_r.image(datum.simple(i), o)), order)
+        # K_s = S L_r(T_s) S^{-1}, with S and its conjugates at the compared order
+        self.k_route_images = GeneratorImages(GradedRule.of(datum), lambda i, o: (
+            self.conjugation(o)(self.lusztig_r.image(datum.simple(i), o))), order)
 
     def unit(self, i):
         u = self.units.get(i)
@@ -127,8 +132,17 @@ class Context:
             u = self.units[i] = unit_factor(self.datum, i, self.order)
         return u
 
+    def conjugation(self, order):
+        """Ad(S), S = e_B exp(-rho.) at ``order``, from e_B^{+-1} and exp(-+rho.) in the store."""
+        if order not in self.conjugations:
+            exp_neg_rho, exp_rho = exp_rho_pair(self.datum, order)
+            eB = eB_conjugation(self.datum, order)
+            self.conjugations[order] = Conjugation(
+                self.datum, eB.s * exp_neg_rho, eB.s_inv * exp_rho)
+        return self.conjugations[order]
+
     def k_route(self, h, order):
-        """e_B L_r(h) e_B^{-1} to ``order``, as sum_w series(h_w) K_w: series commute with e_B."""
+        """S L_r(h) S^{-1} to ``order``, as sum_w series(h_w) K_w: series commute with S."""
         return _ch_images(self.k_route_images, h, order)
 
 
@@ -154,14 +168,11 @@ def exp_rho_pair(datum, order):
 
 
 def pipeline_K(h, order, guard=DEFAULT_GUARD):
-    """Top-then-right route, as exp(-rho.) e_B L_r(m(h)) e_B^{-1} exp(rho.).
+    """Top-then-right route, as S L_r(m(h)) S^{-1} with S = e_B exp(-rho.).
 
-    At ``order``, through the order + guard context.
+    At ``order``, through the order + guard context (:meth:`Context.k_route`).
     """
-    datum = h.datum
-    y = context(datum, order + guard).k_route(twist(datum)(h), order)
-    exp_neg_rho, exp_rho = exp_rho_pair(datum, order)
-    return gh_mul(y.scale_left(exp_neg_rho), GradedElement.series(datum, exp_rho))
+    return context(h.datum, order + guard).k_route(twist(h.datum)(h), order)
 
 
 def pipeline_H(h, order, guard=DEFAULT_GUARD):
@@ -177,11 +188,10 @@ def transport(m, order):
 
 
 def _scriptG_factor(datum, i, order):
-    """a/(exp(a)-1) * (exp(a + 2r) - 1) at ``order``, with a = alpha_i-dot."""
-    alpha = datum.simple_roots[i]
-    n = datum.rank + 1
-    last = fs_exp_sum(n, order, [(1, alpha + (2,)), (-1, (0,) * n)])
-    return fs_inv(fs_exp_quotient(diff(alpha), order)) * last
+    """a/(exp(a)-1) * (exp(a + 2r) - 1) at ``order``, with a = alpha_i-dot, in closed form."""
+    alpha, n = datum.simple_roots[i], datum.rank + 1
+    return (fs_exp_sum(n, order, [(1, diff(alpha))], bernoulli_weights(order))
+            * fs_exp_sum(n, order, [(1, alpha + (2,)), (-1, (0,) * n)]))
 
 
 def difference_times_scriptG(datum, i, x, order):

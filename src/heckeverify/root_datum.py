@@ -98,13 +98,15 @@ class RootDatum:
         # left search on the keys of the inverses: v = w^-1 is found as
         # s_i v' exactly when w is found as w' s_i, so words[v] is w's word
         words = {self.rho: ()}
+        found = {self.rho: self.rho}    # each key to the one tuple kept for it
         queue = [self.rho]      # breadth first: the queue grows as it is read
         table = {}
         for v in queue:
             word = words[v]
             for i, alpha in roots:
                 c = v[i]
-                u = table[i, v] = tuple([a - c * b for a, b in zip(v, alpha)])
+                u = tuple([a - c * b for a, b in zip(v, alpha)])
+                table[i, v] = found.setdefault(u, u)
                 if u not in words:
                     words[u] = word + (i,)
                     queue.append(u)

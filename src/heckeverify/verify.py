@@ -28,6 +28,7 @@ from .affine_hecke import (
 )
 from .formal_series import FormalSeries, fs_exp_sum, fs_weyl
 from .graded_hecke import (
+    Conjugation,
     GradedElement,
     GradedRule,
     conj_eB,
@@ -373,15 +374,17 @@ def check_morphisms(datum, order=6, seed=0, guard=2, _unit_r_coeff=2):
     the verdict is complete, not sampled.  parity o duality o koszul must
     equal Ad(theta_{-rho}) o m, m = :func:`twist`, on v, theta_{+-omega_j}
     and each T_s; so m's generator images satisfy the relations too, and
-    the factorization holds everywhere.  L_r, L_l, m and the Fourier map, which the verdicts
-    apply to general normal forms, are checked to be the product of their
-    generator images there (:func:`_construction_failure`); the Koszul
-    chain is evaluated only on generators.  For the Lusztig maps the
-    Bernstein relation at +-omega_j suffices because ch, the image
-    v^k theta_x |-> exp(x-dot + k r) of the commutative part, is a ring
-    map: by the twisted Leibniz rule Dem_s(theta_{x+y}) = Dem_s(theta_x)
-    theta_y + theta_{sx} Dem_s(theta_y), the relation at x and at y gives
-    it at x + y, and every weight is a sum of +-omega_j.  Only the unit
+    the factorization holds everywhere.  The suites apply L_r, L_l, m and
+    the Fourier map only to generators, 1 + T_s and relation factors (all
+    supported on {e, s_i}); as the library routes take any normal form, each
+    is checked to be the product of its generator images on every T_w
+    (:func:`_construction_failure`).  The Koszul chain is evaluated only on
+    generators.  For the Lusztig maps the Bernstein relation at +-omega_j
+    suffices because ch, the image v^k theta_x |-> exp(x-dot + k r) of the
+    commutative part, is a ring map: by the twisted Leibniz rule
+    Dem_s(theta_{x+y}) = Dem_s(theta_x) theta_y + theta_{sx} Dem_s(theta_y),
+    the relation at x and at y gives it at x + y, and every weight is a sum
+    of +-omega_j.  Only the unit
     factors of the Lusztig maps are built at order + guard.  ``seed`` is
     accepted for callers that pass one to every check
     (``benchmarks/child.py``) and is not used.
@@ -462,22 +465,29 @@ def check_diagram(datum, order=6, seed=0, guard=2, _conjugate=True):
     So the elements where the routes agree form a subalgebra; it holds the
     generators.  Complete together with a ``morphisms`` pass on the same
     datum and order, which proves those maps homomorphisms and the Koszul
-    chain equal to Ad(theta_{-rho}) o m.  ``seed`` is accepted for callers
-    that pass one to every check (``benchmarks/child.py``) and is not used.
+    chain equal to Ad(theta_{-rho}) o m.  It fails unless it compared the
+    1 + 3n generators, n the size of the Cartan matrix.  ``seed`` is
+    accepted for callers that pass one to every check
+    (``benchmarks/child.py``) and is not used.
     """
     if not _conjugate:
-        # the K-route of a private context with e_B dropped is L_r alone
+        # a private context whose K-route conjugates by exp(-rho.) alone: e_B is dropped
         datum = _private_copy(datum)
-        ctx = context(datum, order + guard)
-        ctx.k_route_images = ctx.lusztig_r
+        context(datum, order + guard).conjugations[order] = Conjugation(
+            datum, *exp_rho_pair(datum, order))
+    n = len(datum.cartan)
 
     def body():
-        for name, h in hecke_generators(datum):
+        gens = hecke_generators(datum)
+        for name, h in gens:
             left = pipeline_K(h, order, guard)
             right = pipeline_H(h, order, guard)
             if not left.eq(right, order):
                 return "diagram routes disagree on %s:\n  K-route: %r\n  H-route: %r" % (
                     name, left, right)
+        if len(gens) != 1 + 3 * n:
+            return "diagram compared %d generators, not 1 + 3n = %d for rank %d" % (
+                len(gens), 1 + 3 * n, n)
         return None
 
     return _run("diagram", body)

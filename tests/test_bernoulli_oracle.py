@@ -1,33 +1,34 @@
 """Bernoulli-number oracles for e_B and the unit factor on A1.
 
 Bernoulli numbers come from their recurrence, and the expected series are
-assembled from them by binomial expansion.  Nothing here inverts or
-divides a series, so these checks share no code path with ``fs_inv`` or
-``fs_div_linear``, which both functions under test rely on.
+assembled from them by binomial expansion, coefficient by coefficient.
+The code under test builds both series in closed form from its own
+Bernoulli numbers and the weighted walk of ``fs_exp_sum``, with no
+division or inversion; these checks share neither that walk nor any
+series product with it.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 
+from heckeverify.formal_series import bernoulli_weights
 from heckeverify.graded_hecke import todd_eB
 from heckeverify.lusztig import unit_factor
 from heckeverify.root_datum import build_root_datum
+
+from linear_series import bernoulli
 
 ORDER = 8
 A1 = build_root_datum([[2]])      # alpha-dot = 2 y_1
 
 
-def bernoulli(n):
-    """B_0 .. B_n with B_1 = -1/2, from sum_{j=0..m} C(m+1, j) B_j = 0."""
-    b = [Fraction(1)]
-    for m in range(1, n + 1):
-        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    return b
-
-
 def test_bernoulli_recurrence():
     assert bernoulli(8) == [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30),
                             0, Fraction(1, 42), 0, Fraction(-1, 30)]
+    # the package's numbers, asked for out of order: the cache only grows
+    assert bernoulli_weights(3) == bernoulli(3)
+    assert bernoulli_weights(20) == bernoulli(20)
+    assert bernoulli_weights(0) == [1]
 
 
 def test_todd_eB_a1_is_the_bernoulli_series():

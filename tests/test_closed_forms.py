@@ -1,0 +1,73 @@
+"""The closed-form constants against the division and inversion route.
+
+``todd_eB``, ``unit_factor``, ``_scriptG_factor`` and the K-route's
+S = e_B exp(-rho.) with its inverse are built from the weighted walk of
+``fs_exp_sum``, with no division or inversion.  The oracle here builds each
+from the general ``fs_exp``, exact division by the form and ``fs_inv``
+(:mod:`linear_series`), the way the package built them before.
+"""
+
+import sys
+
+import pytest
+
+from heckeverify import formal_series, lusztig
+from heckeverify.formal_series import FormalSeries, diff, fs_inv
+from heckeverify.graded_hecke import eB_conjugation, todd_eB
+from heckeverify.lusztig import context, unit_factor
+from heckeverify.root_datum import build_root_datum, cartan_matrix
+
+from linear_series import bernoulli_quotient, exp_linear, fs_exp_quotient
+
+DATA = [("A", 2, 6), ("B", 2, 6), ("G", 2, 5), ("A", 3, 4)]
+
+
+def todd_by_inversion(datum, order):
+    out = FormalSeries.one(datum.rank + 1, order)
+    for alpha in datum.positive_roots:
+        out = out * bernoulli_quotient(diff(-a for a in alpha), order)
+    return out
+
+
+@pytest.mark.parametrize("family, rank, top", DATA)
+def test_constants_match_the_division_route(family, rank, top):
+    datum = build_root_datum(cartan_matrix(family, rank))
+    n = rank + 1
+    neg_rho = diff(-a for a in datum.rho)
+    for order in range(top + 1):
+        eB = todd_by_inversion(datum, order)
+        assert todd_eB(datum, order) == eB
+        by_eB = eB_conjugation(datum, order)
+        assert (by_eB.s, by_eB.s_inv) == (eB, fs_inv(eB))
+        for i, alpha in enumerate(datum.simple_roots):
+            bern = bernoulli_quotient(diff(alpha), order)
+            for r in (2, -2):
+                want = fs_exp_quotient(alpha + (r,), order) * bern
+                assert unit_factor(datum, i, order, r) == want
+            last = exp_linear(alpha + (2,), order) - FormalSeries.one(n, order)
+            assert lusztig._scriptG_factor(datum, i, order) == bern * last
+        conj = context(datum, top).conjugation(order)
+        s = eB * exp_linear(neg_rho, order)
+        assert (conj.s, conj.s_inv) == (s, fs_inv(s))
+        assert conj.s * conj.s_inv == FormalSeries.one(n, order)
+
+
+def test_no_constant_divides_or_inverts(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a closed form divided or inverted a series")
+
+    for name in ("fs_inv", "fs_div_linear"):
+        original = getattr(formal_series, name)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("heckeverify")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, refuse)
+    for family, rank, order in DATA:
+        datum = build_root_datum(cartan_matrix(family, rank))
+        todd_eB(datum, order)
+        eB_conjugation(datum, order)
+        context(datum, order).conjugation(order)
+        for i in range(rank):
+            for r in (2, -2):
+                unit_factor(datum, i, order, r)
+            lusztig._scriptG_factor(datum, i, order)

@@ -9,11 +9,12 @@ import gc
 import json
 import pathlib
 import random
+import sys
 import weakref
 
 import pytest
 
-from heckeverify import affine_hecke, graded_hecke, lusztig
+from heckeverify import affine_hecke, formal_series, graded_hecke, lusztig
 from heckeverify.affine_hecke import HeckeElement, h_mul
 from heckeverify.lusztig import context, pipeline_H, pipeline_K
 from heckeverify.root_datum import RootDatum, build_root_datum, cartan_matrix
@@ -199,11 +200,14 @@ def test_no_caller_mutates_a_shared_value():
 def test_store_dies_with_its_datum():
     datum = build_root_datum(cartan_matrix("A", 2))
     pipeline_K(HeckeElement.Ts(datum, 0), 3)
+    # the K-route conjugates by S = e_B exp(-rho.) in its context, from
+    # e_B and its inverse in the datum's store
     refs = [weakref.ref(datum), weakref.ref(context(datum, 5)),
+            weakref.ref(context(datum, 5).conjugations[3]),
             weakref.ref(datum._memo[("conj_eB", 3)])]
     del datum
     gc.collect()
-    assert [ref() for ref in refs] == [None, None, None]
+    assert [ref() for ref in refs] == [None, None, None, None]
 
 
 @pytest.fixture
@@ -224,28 +228,38 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
     datum = build_root_datum(cartan_matrix("B", 2))
     ctx = context(datum, 5)
     assert context(datum, 5) is ctx
-    # K_s = e_B L_r(T_s) e_B^{-1} is the only conjugation the K-route runs:
-    # once per (s, compared order), over an e_B built at the compared order;
-    # every longer K_w is a product of them
-    conjugated = []
-    conj_eB = lusztig.conj_eB
-    monkeypatch.setattr(lusztig, "conj_eB", lambda a: conjugated.append(a) or conj_eB(a))
-    k_images = ctx.k_route_images._images
+    # K_s = S L_r(T_s) S^{-1}, S = e_B exp(-rho.), is the only conjugation
+    # the K-route runs: one conjugation by S per compared order, built at
+    # that order, and each K_s once per (s, compared order); every longer
+    # K_w is a product of them
+    conjugations = []
+    conjugation = lusztig.Conjugation
+    monkeypatch.setattr(lusztig, "Conjugation",
+                        lambda *args: conjugations.append(args) or conjugation(*args))
+    k_built = []
+    k_images = ctx.k_route_images
+    ts_image = k_images.ts_image
+    monkeypatch.setattr(k_images, "ts_image",
+                        lambda i, o: k_built.append((i, o)) or ts_image(i, o))
     for order, guard in ((3, 2), (4, 1)):
-        before = len(conjugated)
-        runs = []
         for _ in range(2):
             assert check_diagram(datum, order=order, seed=0, guard=guard).status == "pass"
-            runs.append(len(conjugated) - before)
-        built = conjugated[before:]
-        assert 0 < runs[0] == runs[1] <= datum.rank
-        assert [a.order for a in built] == [order] * runs[0]
-        assert sum(1 for w, o in k_images if o == order and len(w.word) == 1) == runs[0]
-        # each e_B t_w e_B^{-1} is built once, for the w that some L_r(T_s) reaches
-        conj = datum._memo[("conj_eB", order)]
-        assert set(conj._images) == {(w, order) for a in built for w in a.coeffs}
-    assert sum(1 for w, _ in k_images if len(w.word) == 1) == len(conjugated)
-    assert ("conj_eB", 5) not in datum._memo
+        s, s_inv = conjugations[-1][1:]
+        assert (s.order, s_inv.order) == (order, order)
+        assert ctx.conjugations[order].s is s
+        assert [o for _, o in k_built].count(order) == datum.rank
+        # each S t_w S^{-1} is built once, for the w that some L_r(T_s) reaches
+        reached = {w for i in range(datum.rank)
+                   for w in ctx.lusztig_r.image(datum.simple(i), order).coeffs}
+        assert set(ctx.conjugations[order]._images) == {(w, order) for w in reached}
+    assert len(conjugations) == 2 and sorted(ctx.conjugations) == [3, 4]
+    assert sorted(k_built) == [(i, o) for i in range(datum.rank) for o in (3, 4)]
+    assert sorted({o for _, o in k_images._images}) == [3, 4]
+    # e_B, e_B^{-1} and exp(+-rho.) are stored at the compared orders only,
+    # and S conjugates nothing by e_B alone
+    assert sorted(key for key in datum._memo if key[0] in ("exp_rho", "conj_eB")) == [
+        ("conj_eB", 3), ("conj_eB", 4), ("exp_rho", 3), ("exp_rho", 4)]
+    assert all(not datum._memo[("conj_eB", o)]._images for o in (3, 4))
     # the unit factors stay at the work order; every image is per compared order
     assert {u.order for u in ctx.units.values()} == {5}
     assert {order for _, order in ctx.lusztig_r._images} == {3, 4}
@@ -263,3 +277,30 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
     assert sorted(key for key in datum._memo if key[0] == "scriptG") == [
         ("scriptG", i, order) for i in range(datum.rank) for order in (3, 4)]
     assert calls == {"todd_eB": 2, "unit_factor": 2}
+
+
+def test_a_warm_diagram_check_builds_nothing(monkeypatch):
+    # every constant and image of the K- and H-routes is cached: a second
+    # run on the same datum multiplies no graded elements and rebuilds,
+    # divides or inverts nothing
+    datum = build_root_datum(cartan_matrix("B", 2))
+    assert check_diagram(datum, order=4).status == "pass"
+    called = []
+    for module, name in ((graded_hecke, "gh_mul"), (graded_hecke, "todd_eB"),
+                         (lusztig, "unit_factor"), (formal_series, "fs_inv"),
+                         (formal_series, "fs_div_linear")):
+        original = getattr(module, name)
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            called.append(_name)
+            return _fn(*args, **kwargs)
+        # rebind the name in every module that imported it by value
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("heckeverify")
+                    and getattr(mod, name, None) is original):
+                monkeypatch.setattr(mod, name, counted)
+    assert check_diagram(datum, order=4).status == "pass"
+    assert called == []
+    # the counters see a cold run
+    assert check_diagram(build_root_datum(cartan_matrix("B", 2)), order=4).status == "pass"
+    assert set(called) == {"gh_mul", "todd_eB", "unit_factor"}

@@ -1,8 +1,8 @@
 """The K-route and the conjugation by e_B against their literal products.
 
 ``pipeline_K`` evaluates e_B L_r(parity(duality(koszul(h)))) e_B^{-1} as
-exp(-rho.) e_B L_r(m(h)) e_B^{-1} exp(rho.), from cached images
-e_B L_r(T_w) e_B^{-1}, and ``conj_eB`` from cached conjugates
+S L_r(m(h)) S^{-1} with S = e_B exp(-rho.), from cached images
+S L_r(T_w) S^{-1}, and ``conj_eB`` from cached conjugates
 e_B t_w e_B^{-1}.  The oracle here applies the literal Koszul chain and
 multiplies the three factors out with ``gh_mul`` on a second copy of the
 datum, so it shares no cache with the code under test, and the results

@@ -24,21 +24,22 @@ from heckeverify.formal_series import (
     InsufficientPrecision,
     NotDivisible,
     OrderTooLarge,
+    bernoulli_weights,
     fs_div_linear,
     fs_exp,
-    fs_exp_quotient,
     fs_exp_sum,
     fs_inv,
     fs_negate_r,
     fs_set_r_zero,
     fs_weyl,
     fs_weyl_demazure,
+    quotient_weights,
 )
 from heckeverify.graded_hecke import GradedElement
 from heckeverify.lusztig import unit_factor
 from heckeverify.root_datum import apply, build_root_datum, cartan_matrix, read_cartan_file
 
-from linear_series import exp_linear
+from linear_series import bernoulli, exp_linear, fs_exp_quotient
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                   suppress_health_check=[HealthCheck.too_slow])
@@ -274,18 +275,50 @@ def test_exp_sum_edge_cases_and_refusals():
             fs_exp_sum(3, 5, [(1, form), (1, short_or_long)])
 
 
-def exp_quotient_by_fs_exp(form, order):
-    """(exp(l) - 1)/l at ``order``, with exp(l) from the general fs_exp."""
-    return fs_div_linear(exp_linear(form, order + 1) - FormalSeries.one(len(form), order + 1), form)
-
-
 @KERNEL
 @given(st.data(), st.integers(2, 4), st.integers(0, 8))
 def test_exp_quotient_matches_the_general_exp(data, nvars, order):
     form = data.draw(st.tuples(*[st.integers(-3, 3)] * nvars).filter(any))
-    got = fs_exp_quotient(form, order)
+    got = fs_exp_sum(nvars, order, [(1, form)], quotient_weights(order))
     assert_canonical(got)
-    assert got == exp_quotient_by_fs_exp(form, order)
+    assert got == fs_exp_quotient(form, order)
+
+
+# (name, derivative weights W_k for fs_exp_sum, sign of the form fed to the
+# walk, reference coefficient of l^k): exp, (e^l - 1)/l, l/(e^l - 1), and
+# a/(1 - e^{-a}) as the Bernoulli weights on -a against B_k^+ = (-1)^k B_k
+WEIGHT_FAMILIES = [
+    ("exp", lambda order: None, 1, lambda k: Fraction(1, factorial(k))),
+    ("quotient", quotient_weights, 1, lambda k: Fraction(1, factorial(k + 1))),
+    ("bernoulli", bernoulli_weights, 1, lambda k: bernoulli(k)[k] / factorial(k)),
+    ("todd", bernoulli_weights, -1, lambda k: (-1) ** k * bernoulli(k)[k] / factorial(k)),
+]
+
+
+@KERNEL
+@given(st.data(), st.integers(2, 4), st.integers(0, 8), st.sampled_from(WEIGHT_FAMILIES))
+def test_weighted_walk_matches_the_reference_power_series(data, nvars, order, family):
+    _, weights, sign, coefficient = family
+    forms = st.tuples(*[st.integers(-4, 4)] * nvars)
+    pairs = data.draw(st.lists(st.tuples(st.integers(-3, 3), forms), min_size=1, max_size=2))
+    got = fs_exp_sum(nvars, order, [(c, tuple(sign * a for a in form)) for c, form in pairs],
+                     weights(order))
+    assert_canonical(got)
+    want = ref(order, {})
+    for c, form in pairs:
+        linear = ref(order, {tuple(int(j == i) for j in range(nvars)): a
+                             for i, a in enumerate(form)})
+        series = ref_power_series(linear, nvars, [coefficient(k) for k in range(order + 1)])
+        want = ref_add(want, ref_scale(series, c))
+    assert as_ref(got) == want
+
+
+def test_weighted_walk_needs_a_weight_per_degree():
+    assert fs_exp_sum(2, 3, [(1, (1, 2))], [1, 1, 1, 1, 5]) == fs_exp_sum(2, 3, [(1, (1, 2))])
+    with pytest.raises(ValueError):
+        fs_exp_sum(2, 3, [(1, (1, 2))], [1, 1, 1])
+    with pytest.raises(TypeError):
+        fs_exp_sum(2, 3, [(1, (1, 2))], [1, 0.5, 1, 1])
 
 
 @KERNEL
@@ -294,8 +327,8 @@ def test_unit_factor_matches_the_general_exp(data, r_coeff, order):
     datum = data.draw(st.sampled_from(DATA[2] + DATA[3]))
     i = data.draw(st.integers(0, datum.rank - 1))
     alpha = datum.simple_roots[i]
-    want = (exp_quotient_by_fs_exp(alpha + (r_coeff,), order)
-            * fs_inv(exp_quotient_by_fs_exp(alpha + (0,), order)))
+    want = (fs_exp_quotient(alpha + (r_coeff,), order)
+            * fs_inv(fs_exp_quotient(alpha + (0,), order)))
     assert unit_factor(datum, i, order, r_coeff) == want
 
 
@@ -440,7 +473,7 @@ def test_float_coefficients_are_refused():
         with pytest.raises(TypeError):
             fs_div_linear(f, bad)
         with pytest.raises(TypeError):
-            fs_exp_quotient(bad, 3)
+            fs_exp_sum(3, 3, [(1, bad)], quotient_weights(3))
 
 
 def test_series_of_different_widths_do_not_combine():
@@ -508,8 +541,12 @@ def test_forms_of_the_wrong_length_or_zero_are_refused():
             fs_div_linear(f, bad)
     with pytest.raises(ZeroDivisionError):
         fs_div_linear(f, (0, 0, 0))
+    # the oracle divides by the form; the closed form at the zero form is
+    # the value W_0 of its series there, with no division to refuse
     with pytest.raises(ZeroDivisionError):
         fs_exp_quotient((0, 0, 0), 3)
+    for weights in (quotient_weights(3), bernoulli_weights(3)):
+        assert fs_exp_sum(3, 3, [(1, (0, 0, 0))], weights) == FormalSeries.one(3, 3)
 
 
 def test_coeffs_is_a_read_only_fraction_mapping():

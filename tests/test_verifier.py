@@ -95,6 +95,18 @@ def test_dropped_conjugation_fails():
     assert rep.witness
 
 
+def test_diagram_fails_when_it_compares_fewer_generators(monkeypatch):
+    # a generator list that skips T(s_n) would leave the routes unchecked
+    # there; the suite counts what it compared against 1 + 3n
+    generators = verify.hecke_generators
+    monkeypatch.setattr(verify, "hecke_generators", lambda datum: generators(datum)[:-1])
+    for datum in (A1, A2):
+        rep = check_diagram(datum, order=3)
+        n = datum.rank
+        assert (rep.status, rep.witness) == ("fail", "diagram compared %d generators, "
+                                             "not 1 + 3n = %d for rank %d" % (3 * n, 3 * n + 1, n))
+
+
 def test_flipped_display_weight_fails():
     rep = check_display_identity(A1, order=5, _flip_rho=True)
     assert rep.status == "fail"
