@@ -185,8 +185,7 @@ class _GeneratorMap(GeneratorImages):
     That this is an algebra homomorphism is not assumed here: the
     ``morphisms`` suite checks that the generator images satisfy every
     defining relation (:func:`heckeverify.verify.k_relations`), and for m
-    (:func:`twist`) that normal forms map to the products of generator
-    images.
+    (:func:`twist`) that the evaluator is multiplicative on T_e and the T_s.
     """
 
     def __init__(self, datum, vexp_image, sign, negate_weights, ts_image):

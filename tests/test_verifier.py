@@ -30,6 +30,8 @@ from heckeverify.verify import (
     SUITES,
 )
 
+from construction_walk import walk_failure
+
 A1 = build_root_datum([[2]])
 A2 = build_root_datum(cartan_matrix("A", 2))
 DESC = {"type": "A", "rank": 1}
@@ -49,15 +51,12 @@ def test_each_suite_passes_on_rank_one(suite):
 # G2 at order 3, B3 and C3 at order 2: non-simply-laced and rank three,
 # where the row/column convention of the Cartan matrix matters.  A4 and D4
 # at order 2: rank four, with 120 and 192 Weyl group elements.  F4 (1,152
-# elements), D6 (23,040) and E6 (51,840) at order 2 run every suite but
-# ``morphisms``, whose construction check walks all of W once per map: on
-# F4 alone that is 11 s and 120 MB peak RSS in one CLI run on a 2-vCPU VM,
-# past the 5 s budget of one test.  Each datum is built once.
-OTHER_TYPES = [("G", 2, 3), ("B", 3, 2), ("C", 3, 2), ("A", 4, 2), ("D", 4, 2)]
+# elements), D6 (23,040) and E6 (51,840) at order 2: no suite walks W, so
+# their cost is the datum build, which each datum pays once here.
+OTHER_TYPES = [("G", 2, 3), ("B", 3, 2), ("C", 3, 2), ("A", 4, 2), ("D", 4, 2),
+               ("F", 4, 2), ("D", 6, 2), ("E", 6, 2)]
 OTHER_CASES = [(family, rank, order, suite) for family, rank, order in OTHER_TYPES
                for suite in sorted(SUITES)]
-OTHER_CASES += [(family, rank, 2, suite) for family, rank in [("F", 4), ("D", 6), ("E", 6)]
-                for suite in sorted(SUITES) if suite != "morphisms"]
 OTHER_DATA = {(family, rank): build_root_datum(cartan_matrix(family, rank))
               for family, rank in dict.fromkeys(case[:2] for case in OTHER_CASES)}
 
@@ -133,7 +132,19 @@ def test_corrupted_module_sign_fails():
 #
 # Each fault is planted in the maps of a private datum, so the shared store
 # of A2 is never touched; check_morphisms must fail and name the map and
-# the relation, factorization or construction step that breaks.
+# the relation, factorization or construction step that breaks.  A fault
+# that shows only on T_w with l(w) >= 2, where no suite evaluates a map,
+# must fail the construction walk of the library maps instead.
+
+def _morphisms_witness(datum):
+    rep = check_morphisms(datum, order=3)
+    assert rep.status == "fail"
+    return rep.witness
+
+
+def _walk_witness(datum):
+    return walk_failure(datum, 3)
+
 
 def _koszul_ts(datum, scalar, right_shift=True):
     rho = datum.rho
@@ -186,7 +197,8 @@ def _plant_duality_fixing_ts(datum, maps):
 
 
 def _plant_letter_times_prefix(datum, maps):
-    # m is the only K-side map evaluated on T_w with l(w) > 1
+    # the walk evaluates m on every T_w; the Koszul chain it factors is
+    # evaluated only on generators
     twist(datum).__class__ = _LetterTimesPrefix
 
 
@@ -201,29 +213,28 @@ def _plant_weights_not_negated(datum, maps):
         fmap.__class__ = _WeightsNotNegated
 
 
-@pytest.mark.parametrize("plant, expected", [
-    pytest.param(_plant_koszul_plus_v2,
+@pytest.mark.parametrize("plant, check, expected", [
+    pytest.param(_plant_koszul_plus_v2, _morphisms_witness,
                  "koszul image of quadratic relation for s1 fails", id="koszul-plus-v2"),
-    pytest.param(_plant_koszul_without_right_shift,
+    pytest.param(_plant_koszul_without_right_shift, _morphisms_witness,
                  "koszul image of quadratic relation for s1 fails", id="koszul-no-right-shift"),
-    pytest.param(_plant_duality_fixing_ts,
+    pytest.param(_plant_duality_fixing_ts, _morphisms_witness,
                  "duality image of quadratic relation for s1 fails", id="duality-fixes-ts"),
-    pytest.param(_plant_letter_times_prefix,
+    pytest.param(_plant_letter_times_prefix, _walk_witness,
                  "twist map m: image of T(s1.s2) is not the product along its word",
                  id="letter-times-prefix"),
-    pytest.param(_plant_twist_plus_v2,
+    pytest.param(_plant_twist_plus_v2, _morphisms_witness,
                  "factorization of the Koszul chain through m fails on T(s1)",
                  id="twist-plus-v2"),
-    pytest.param(_plant_weights_not_negated,
+    pytest.param(_plant_weights_not_negated, _morphisms_witness,
                  "koszul image of Bernstein relation for s1 and th(+w1) fails",
                  id="weights-not-negated"),
 ])
-def test_faulty_k_side_map_fails_by_name(plant, expected):
+def test_faulty_k_side_map_fails_by_name(plant, check, expected):
     datum = build_root_datum(A2.cartan)
     plant(datum, k_side_maps(datum))
-    rep = check_morphisms(datum, order=3)
-    assert rep.status == "fail"
-    assert rep.witness.startswith(expected), rep.witness
+    witness = check(datum)
+    assert witness is not None and witness.startswith(expected), witness
 
 
 def _fourier_without_r(a):
@@ -237,18 +248,21 @@ def _fourier_sign_off_identity(a):
                                             for w, f in a.coeffs.items()})
 
 
-@pytest.mark.parametrize("fault, expected", [
-    pytest.param(_fourier_without_r,
+@pytest.mark.parametrize("fault, walk, expected", [
+    pytest.param(_fourier_without_r, False,
                  "fourier image of commutation rule for s1 and y1 fails", id="r-kept"),
-    pytest.param(_fourier_sign_off_identity,
+    pytest.param(_fourier_sign_off_identity, True,
                  "fourier map: image of T(s1.s2) is not the product along its word",
                  id="sign-off-identity"),
 ])
-def test_faulty_fourier_map_fails_by_name(monkeypatch, fault, expected):
-    monkeypatch.setattr(verify, "fourier_map", fault)
-    rep = check_morphisms(build_root_datum(A2.cartan), order=3)
-    assert rep.status == "fail"
-    assert rep.witness.startswith(expected), rep.witness
+def test_faulty_fourier_map_fails_by_name(monkeypatch, fault, walk, expected):
+    datum = build_root_datum(A2.cartan)
+    if walk:
+        witness = walk_failure(datum, 3, fourier=fault)
+    else:
+        monkeypatch.setattr(verify, "fourier_map", fault)
+        witness = _morphisms_witness(datum)
+    assert witness is not None and witness.startswith(expected), witness
 
 
 class _LusztigLetterTimesPrefix(_LusztigMap):
@@ -257,14 +271,56 @@ class _LusztigLetterTimesPrefix(_LusztigMap):
 
 @pytest.mark.parametrize("side", ["r", "l"])
 def test_faulty_lusztig_map_fails_by_name(side):
-    # T_s and theta images stay right, so only the construction check sees it
+    # T_s and theta images stay right, so only the construction walk sees it
     datum = build_root_datum(A2.cartan)
     lmap = getattr(context(datum, 3 + 2), "lusztig_" + side)
     lmap.__class__ = _LusztigLetterTimesPrefix
+    witness = walk_failure(datum, 3, guard=2)
+    assert witness is not None and witness.startswith(
+        "L_%s map: image of T(s1.s2) is not the product along its word" % side), witness
+
+
+def _on_identity_only(self, h, order, coeff_image):
+    """``GeneratorImages.evaluate`` that maps the coefficient of T_e only:
+    c T_w goes to image(T_w) for w != e."""
+    one = GroupAlgebraElement.one(self.datum.rank)
+    h = HeckeElement(self.datum, {w: c if w.length == 0 else one for w, c in h.coeffs.items()})
+    return GeneratorImages.evaluate(self, h, order, coeff_image)
+
+
+class _TwistDroppingCoefficients(_GeneratorMap):
+    evaluate = _on_identity_only
+
+
+class _LusztigDroppingCoefficients(_LusztigMap):
+    evaluate = _on_identity_only
+
+
+def _plant_twist_dropping_coefficients(datum):
+    twist(datum).__class__ = _TwistDroppingCoefficients
+
+
+def _plant_lusztig_dropping_coefficients(side):
+    def plant(datum):
+        getattr(context(datum, 3 + 2), "lusztig_" + side).__class__ = \
+            _LusztigDroppingCoefficients
+    return plant
+
+
+@pytest.mark.parametrize("plant, name", [
+    pytest.param(_plant_twist_dropping_coefficients, "twist map m", id="m"),
+    pytest.param(_plant_lusztig_dropping_coefficients("r"), "L_r map", id="r"),
+    pytest.param(_plant_lusztig_dropping_coefficients("l"), "L_l map", id="l"),
+])
+def test_map_dropping_coefficients_off_identity_fails_morphisms_by_name(plant, name):
+    # generators and relation factors carry coefficient 1 on T_s, so only
+    # the scoped construction check, at c = v theta_{w1}, sees it
+    datum = build_root_datum(A2.cartan)
+    plant(datum)
     rep = check_morphisms(datum, order=3, guard=2)
     assert rep.status == "fail"
     assert rep.witness.startswith(
-        "L_%s map: image of T(s1.s2) is not the product along its word" % side), rep.witness
+        "%s: image of c*T(s1) is not image(c)*image(T(s1))" % name), rep.witness
 
 
 def _ch_of_negated_weights(datum, ga, order):
