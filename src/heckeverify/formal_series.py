@@ -42,20 +42,24 @@ division loses a degree and the multiplication by the degree-one monomial
 2r wins it back.  A comparison asked for above the order both sides trust
 raises InsufficientPrecision instead of quietly comparing fewer degrees.
 
-Products, exp and inverse work on homogeneous components, so a pair of
-terms whose degrees sum above the order is never formed.  Division by a
-linear form is exact division of each homogeneous component, solved one
-power of a pivot variable at a time; a nonzero remainder raises
-NotDivisible, which in practice means a formula was transcribed wrongly
-upstream.  The Weyl action is a linear substitution, which keeps degrees;
-for a simple reflection s_i, the same table holds the Demazure images
+A product is one loop: each term of the operand with fewer terms runs over
+the other's terms, sorted once by key and cut by bisection at the order, so
+no pair of terms whose degrees sum above the order is formed.  exp and
+inverse work on homogeneous components.  Division by a linear form is
+exact division of each homogeneous component, solved one power of a pivot
+variable at a time; a nonzero remainder raises NotDivisible, which in
+practice means a formula was transcribed wrongly upstream.  The Weyl
+action is a linear substitution, which keeps degrees; for a simple
+reflection s_i, the same table holds the Demazure images
 (m - s_i(m))/alpha_i-dot of monomials with int coefficients, so
 :func:`fs_weyl_demazure` gives both terms of the graded rule with no
 division.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
+from operator import mul
 from types import MappingProxyType
 
 from .root_datum import apply
@@ -264,6 +268,11 @@ class FormalSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product at the lower order, in one loop cut at that order.
+
+        e1 + e2 < (order + 1) << FIELD_BITS * nvars exactly when the degrees
+        sum to at most the order, so bisection on the sorted keys cuts it.
+        """
         _check_width(self, other)
         # products by the exact unit are common: L(T_e), series(1), K_e
         if other.den == 1 and other.terms == _ONE_TERMS:
@@ -271,14 +280,17 @@ class FormalSeries:
         if self.den == 1 and self.terms == _ONE_TERMS:
             return other.truncate(self.order)
         order = min(self.order, other.order)
-        left = _components(self.terms, order, self.nvars)
-        right = _components(other.terms, order, self.nvars)
+        a, b = self.terms, other.terms
+        a, b = (a, b) if len(a) <= len(b) else (b, a)
+        keys = sorted(b)
+        items = [(e, b[e]) for e in keys]
+        limit = (order + 1) << FIELD_BITS * self.nvars
         out = {}
-        for d1, a in enumerate(left):
-            if a:
-                for b in right[:order + 1 - d1]:
-                    if b:
-                        _mul_add(out, a, b)
+        get = out.get
+        for e1, c1 in a.items():
+            for e2, c2 in items[:bisect_left(keys, limit - e1)]:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
         return _series(self.nvars, order, self.den * other.den, out)
 
     def scale(self, value):
@@ -441,7 +453,7 @@ def fs_exp_sum(nvars, order, pairs, weights=None):
                 for e in range(1, order - deg + 1):
                     key += unit
                     weight //= e
-                    vals = [v * a for v, a in zip(vals, col)]
+                    vals = list(map(mul, vals, col))
                     grown.append((key, deg + e, weight, vals))
             nodes = grown
     return _series(nvars, order, top * q, {

@@ -12,6 +12,8 @@ from heckeverify.root_datum import (
     read_cartan_file,
 )
 
+from shared_data import shared_datum
+
 
 # -- an oracle that shares no code with root_datum ----------------------------
 #
@@ -148,7 +150,7 @@ def test_positive_roots_and_braid_orders_match_the_matrix_oracle(family, rank):
 
 
 def test_e6_sizes():
-    d = build_root_datum(cartan_matrix("E", 6))
+    d = shared_datum("E", 6)
     assert cartan_matrix("E6", 6) == d.cartan
     assert len(d.weyl) == 51840
     assert len(d.positive_roots) == 36

@@ -165,6 +165,50 @@ def test_mul_by_the_unit_matches_the_general_product(data, nvars, k):
         assert product.order == min(a.order, k)
 
 
+# term counts for the product tests: raw_series draws at most 6 terms,
+# too few for the loop over the smaller operand to matter
+SIZES = {"zero": (0, 0), "sparse": (1, 3), "dense": (24, 40), "any": (0, 40)}
+
+
+@st.composite
+def sized_series(draw, nvars, size):
+    """(order 0-8, up to 40 terms); exponents reach degree 12 or 9, so some
+    terms lie above the order and many pairs sum above it."""
+    low, high = SIZES[size]
+    order = draw(st.integers(0, 8))
+    exps = st.tuples(*[st.integers(0, 6 if nvars == 2 else 3)] * nvars)
+    return order, draw(st.dictionaries(exps, nonzero, min_size=low, max_size=high))
+
+
+@KERNEL
+@given(st.data(), nvars_st, st.sampled_from([
+    ("dense", "sparse"), ("sparse", "dense"), ("dense", "dense"),
+    ("dense", "zero"), ("zero", "sparse"), ("any", "any")]))
+def test_mul_of_operands_of_unequal_size_matches_reference(data, nvars, sizes):
+    ra, rb = (data.draw(sized_series(nvars, size)) for size in sizes)
+    a, b = build(nvars, ra), build(nvars, rb)
+    want = ref_mul(ref(*ra), ref(*rb))
+    ab, ba = a * b, b * a
+    assert as_ref(ab) == want           # as_ref also checks the canonical form
+    assert as_ref(ba) == want
+    assert ab == ba
+
+
+def test_mul_of_a_dense_and_a_smaller_operand_matches_reference():
+    # every monomial of degree <= 6 in y1, y2, r (84 terms) against every
+    # one in y1, y2 (28 terms), at orders where most pairs lie above the cut
+    dense = {(i, j, k): i - 2 * j + 3 * k + 1 for i in range(7) for j in range(7)
+             for k in range(7) if i + j + k <= 6}
+    small = {(i, j, 0): Fraction(j - i, i + 1) or 5 for i in range(7) for j in range(7)
+             if i + j <= 6}
+    assert (len(dense), len(small)) == (84, 28)
+    for da, db in [(6, 6), (6, 3), (2, 6), (0, 4)]:
+        a, b = FormalSeries(3, da, dense), FormalSeries(3, db, small)
+        want = ref_mul(ref(da, dense), ref(db, small))
+        assert as_ref(a * b) == want
+        assert as_ref(b * a) == want
+
+
 @KERNEL
 @given(st.data(), nvars_st, rationals)
 def test_scale_matches_reference(data, nvars, k):

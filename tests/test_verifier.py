@@ -31,6 +31,7 @@ from heckeverify.verify import (
 )
 
 from construction_walk import walk_failure
+from shared_data import shared_datum
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum(cartan_matrix("A", 2))
@@ -52,18 +53,17 @@ def test_each_suite_passes_on_rank_one(suite):
 # where the row/column convention of the Cartan matrix matters.  A4 and D4
 # at order 2: rank four, with 120 and 192 Weyl group elements.  F4 (1,152
 # elements), D6 (23,040) and E6 (51,840) at order 2: no suite walks W, so
-# their cost is the datum build, which each datum pays once here.
+# their cost is the datum build, paid once per test process through
+# ``shared_datum`` and not at collection.
 OTHER_TYPES = [("G", 2, 3), ("B", 3, 2), ("C", 3, 2), ("A", 4, 2), ("D", 4, 2),
                ("F", 4, 2), ("D", 6, 2), ("E", 6, 2)]
 OTHER_CASES = [(family, rank, order, suite) for family, rank, order in OTHER_TYPES
                for suite in sorted(SUITES)]
-OTHER_DATA = {(family, rank): build_root_datum(cartan_matrix(family, rank))
-              for family, rank in dict.fromkeys(case[:2] for case in OTHER_CASES)}
 
 
 @pytest.mark.parametrize("family, rank, order, suite", OTHER_CASES)
 def test_suite_passes_on_other_types(family, rank, order, suite):
-    datum = OTHER_DATA[(family, rank)]
+    datum = shared_datum(family, rank)
     (rep,) = run_suites(datum, [suite], order=order, guard=2, seed=0)
     assert rep.status == "pass", rep.witness
 
