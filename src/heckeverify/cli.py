@@ -11,6 +11,7 @@ import os
 import sys
 
 from .formal_series import MAX_ORDER
+from .lusztig import DEFAULT_GUARD
 from .root_datum import InvalidCartan, WeylTooLarge, build_root_datum, \
     cartan_matrix, read_cartan_file
 from .verify import report_json, report_text, run_suites, SUITES
@@ -28,8 +29,9 @@ def _parser():
     p.add_argument("--rank", type=int, help="rank (with --type)")
     p.add_argument("--cartan-file", help="file with a Cartan matrix (first line n, then rows)")
     p.add_argument("--order", type=int, default=6, help="truncation order (default 6)")
-    p.add_argument("--guard", type=int, default=2,
-                   help="extra working order of the unit factors; changes no result (default 2)")
+    p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
+                   help="extra working order of the unit factors; changes no result "
+                        "(default %(default)s)")
     p.add_argument("--suite", action="append", default=None,
                    choices=sorted(SUITES) + ["all"],
                    help="suite to run (repeatable; default all)")

@@ -89,6 +89,19 @@ class OrderTooLarge(ValueError):
     """An order above MAX_ORDER would overflow the packed exponent fields."""
 
 
+def compared_order(a, b, order):
+    """The degree an ``eq`` of ``a`` and ``b`` compares to: ``order``, by
+    default the lower of their trusted orders, above which it raises
+    InsufficientPrecision."""
+    cap = min(a.order, b.order)
+    if order is None:
+        return cap
+    if order > cap:
+        raise InsufficientPrecision(
+            "comparison to degree %d, but one side is trusted only to %d" % (order, cap))
+    return order
+
+
 def _check_order(order):
     if order > MAX_ORDER:
         raise OrderTooLarge("order %d does not fit the %d-bit exponent fields "
@@ -317,13 +330,7 @@ class FormalSeries:
         than both sides trust raises InsufficientPrecision.
         """
         _check_width(self, other)
-        cap = min(self.order, other.order)
-        if order is not None:
-            if order > cap:
-                raise InsufficientPrecision(
-                    "comparison to degree %d, but one side is trusted only to %d"
-                    % (order, cap))
-            cap = order
+        cap = compared_order(self, other, order)
         a, b = self.truncate(cap), other.truncate(cap)
         return a.den == b.den and a.terms == b.terms
 

@@ -16,12 +16,11 @@ module where t_s collapses to -1.
 
 from .formal_series import (
     FormalSeries,
-    InsufficientPrecision,
     bernoulli_weights,
+    compared_order,
     diff,
     fs_div_linear,
     fs_exp_sum,
-    fs_inv,
     fs_negate_r,
     fs_weyl,
     fs_weyl_demazure,
@@ -93,13 +92,7 @@ class GradedElement:
         ``order`` defaults to the common trusted order; asking for more
         than both sides trust raises InsufficientPrecision.
         """
-        cap = min(self.order, other.order)
-        if order is not None:
-            if order > cap:
-                raise InsufficientPrecision(
-                    "comparison to degree %d, but one side is trusted only to %d"
-                    % (order, cap))
-            cap = order
+        cap = compared_order(self, other, order)
         keys = set(self.coeffs) | set(other.coeffs)
         zero = FormalSeries(self.datum.rank + 1, cap)
         for w in keys:
@@ -222,16 +215,10 @@ def eB_conjugation(datum, order):
         datum, todd_eB(datum, order), _over_positive_roots(datum, order, quotient_weights(order))))
 
 
-def conj_eB(a, eB=None):
-    """e_B * a * e_B^{-1}, full noncommutative conjugation.
-
-    Without ``eB``, e_B is the Todd series at the order of ``a``, and the
-    conjugation (:func:`eB_conjugation`) is shared by every later call.  An
-    explicit ``eB`` is inverted by :func:`fs_inv` for a throwaway
-    conjugation that leaves the datum's store alone.
-    """
-    conj = eB_conjugation(a.datum, a.order) if eB is None else Conjugation(a.datum, eB, fs_inv(eB))
-    return conj(a)
+def conj_eB(a):
+    """e_B * a * e_B^{-1}, full noncommutative conjugation, with e_B the
+    Todd series at the order of ``a`` (:func:`eB_conjugation`)."""
+    return eB_conjugation(a.datum, a.order)(a)
 
 
 def g_asph_act(a, m):

@@ -59,7 +59,7 @@ from .graded_hecke import (
 from .normal_form import AsphElement, GeneratorImages
 from .root_datum import apply
 
-DEFAULT_GUARD = 2
+DEFAULT_GUARD = 2          # every guard default of the package and the CLI reads this
 
 
 def series_of_group_algebra(datum, ga, order):

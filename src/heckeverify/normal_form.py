@@ -40,11 +40,8 @@ class Rule:
 
     @classmethod
     def of(cls, datum):
-        """The rule of ``datum``, built once per datum (``datum.rules``)."""
-        rule = datum.rules.get(cls)
-        if rule is None:
-            rule = datum.rules[cls] = cls(datum)
-        return rule
+        """The rule of ``datum``, built once per datum in its store."""
+        return datum.memo(("rule", cls), lambda: cls(datum))
 
     def install(self):
         """Make this the rule of its datum, which nothing may have used yet.
@@ -52,7 +49,7 @@ class Rule:
         A negative control installs a corrupted instance on its private
         datum copy, so every entry point there runs on it.
         """
-        if self.datum.rules.setdefault(type(self), self) is not self:
+        if self.datum.memo(("rule", type(self)), lambda: self) is not self:
             raise ValueError("the datum already runs on a %s" % type(self).__name__)
 
     def add_product(self, acc, w, c, d):

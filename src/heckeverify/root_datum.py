@@ -61,9 +61,9 @@ class RootDatum:
     """Root datum of a semisimple simply connected group, rank n.
 
     Built by :func:`build_root_datum`; immutable afterwards apart from
-    :meth:`memo`, a store of derived values filled on first use, and
-    ``rules``, the normal-form rules (:meth:`Rule.of`).  Threads may share
-    a datum: two first uses of one key may each build the value, and the
+    :meth:`memo`, a store of derived values filled on first use, the
+    normal-form rules (:meth:`Rule.of`) among them.  Threads may share a
+    datum: two first uses of one key may each build the value, and the
     copies are equal.
     """
 
@@ -91,7 +91,6 @@ class RootDatum:
         self._enumerate_weyl(weyl_bound)
         self._compute_positive_roots()
         self._memo = {}
-        self.rules = {}         # normal-form rule class -> its instance on this datum
 
     def _enumerate_weyl(self, bound):
         roots = tuple(enumerate(self.simple_roots))

@@ -8,7 +8,8 @@ which can be re-evaluated by hand.
 
 All random sampling goes through a seeded ``random.Random`` with a fixed
 recipe: weight coordinates uniform in -3..3, v-exponents in -2..2,
-polynomial coefficients rationals of height at most 8.
+polynomials of degree at most 4 with rational coefficients of height at
+most 8.
 """
 
 import json
@@ -45,6 +46,7 @@ from .lattice_algebra import (
     mul_by_scriptG,
 )
 from .lusztig import (
+    DEFAULT_GUARD,
     context,
     difference_times_scriptG,
     exp_rho_pair,
@@ -113,11 +115,11 @@ def rand_weight(rng, n):
     return tuple(rng.randint(-3, 3) for _ in range(n))
 
 
-def rand_polynomial(rng, n, order, max_degree=4):
+def rand_polynomial(rng, n, order):
     """Random polynomial in y_1..y_n, r with height-bounded rationals."""
     coeffs = {}
     for _ in range(rng.randint(2, 4)):
-        deg = rng.randint(0, min(max_degree, order))
+        deg = rng.randint(0, min(4, order))
         exp = [0] * (n + 1)
         for _ in range(deg):
             exp[rng.randrange(n + 1)] += 1
@@ -354,7 +356,7 @@ def check_presentation(datum, seed=0, order=6, _bernstein_sign=1):
     return _run("presentation", body)
 
 
-def check_morphisms(datum, order=6, seed=0, guard=2, _unit_r_coeff=2):
+def check_morphisms(datum, order=6, seed=0, guard=DEFAULT_GUARD, _unit_r_coeff=2):
     """The maps of the diagram are algebra homomorphisms, proved from
     generators and relations, modulo degree > order for the Lusztig maps.
 
@@ -447,7 +449,7 @@ def check_morphisms(datum, order=6, seed=0, guard=2, _unit_r_coeff=2):
     return _run("morphisms", body)
 
 
-def check_diagram(datum, order=6, seed=0, guard=2, _conjugate=True):
+def check_diagram(datum, order=6, seed=0, guard=DEFAULT_GUARD, _conjugate=True):
     """The two routes around the main diagram agree modulo degree > order,
     checked on :func:`hecke_generators`.
 
@@ -486,22 +488,20 @@ def check_diagram(datum, order=6, seed=0, guard=2, _conjugate=True):
     return _run("diagram", body)
 
 
-def check_display_identity(datum, order=6, simple_index=None, guard=2,
-                           _flip_rho=False):
+def check_display_identity(datum, order=6, guard=DEFAULT_GUARD, _flip_rho=False):
     """Standalone graded-algebra identity equivalent to the diagram on
     1 + T_s, computed without the Lusztig or K-side maps:
 
         u_minus(alpha) (1 - t_s)
           = 1 - exp(-rho. - 2r) e_B ((t_s+1) u_plus(alpha) - 1) e_B^{-1} exp(rho.)
 
-    with u_plus/minus the unit factors with r-coefficient +-2.  The unit
-    factors are built at order + guard and truncated; every product runs at
-    ``order``, and the conjugation shares its e_B t_w e_B^{-1} with the
-    K-route at ``order``.
+    with u_plus/minus the unit factors with r-coefficient +-2, for every
+    simple s.  The unit factors are built at order + guard and truncated;
+    every product runs at ``order``.  The K-route conjugates by
+    S = e_B exp(-rho.), so it shares only e_B^{+-1} with :func:`conj_eB`.
     """
     n = datum.rank
     work = order + guard
-    indices = range(n) if simple_index is None else [simple_index]
     if _flip_rho:
         datum = _private_copy(datum)
 
@@ -513,7 +513,7 @@ def check_display_identity(datum, order=6, simple_index=None, guard=2,
             exp_rho, rho = exp_neg_rho, tuple(-a for a in rho)
         exp_neg_rho_2r = fs_exp_sum(n + 1, order, [(1, tuple(-a for a in rho) + (-2,))])
         one = GradedElement.one(datum, order)
-        for i in indices:
+        for i in range(n):
             u_minus = unit_factor(datum, i, work, r_coeff=-2).truncate(order)
             u_plus = ctx.unit(i).truncate(order)
             ts = GradedElement.ts(datum, i, order)
@@ -530,7 +530,7 @@ def check_display_identity(datum, order=6, simple_index=None, guard=2,
     return _run("display", body)
 
 
-def check_modules(datum, order=6, seed=0, guard=2, _sign_value=-1):
+def check_modules(datum, order=6, seed=0, guard=DEFAULT_GUARD, _sign_value=-1):
     """Module-transport battery.
 
     Exact K-side antispherical action formula, the transport intertwining
@@ -593,7 +593,7 @@ SUITES = {
 }
 
 
-def run_suites(datum, names, order=6, guard=2, seed=0):
+def run_suites(datum, names, order=6, guard=DEFAULT_GUARD, seed=0):
     """Run the named suites and return reports sorted by name."""
     if "all" in names:
         names = SUITES

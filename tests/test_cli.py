@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import pathlib
@@ -7,9 +8,13 @@ import sys
 import pytest
 
 import heckeverify
-from heckeverify import cli
+from heckeverify import cli, lusztig, verify
 from heckeverify.root_datum import cartan_matrix
 from heckeverify.verify import CheckReport
+
+
+def _src():
+    return str(pathlib.Path(heckeverify.__file__).resolve().parent.parent)
 
 
 def run_cli(capsys, *argv):
@@ -299,7 +304,7 @@ def test_order_beyond_the_exponent_field_is_usage_error(monkeypatch, capsys):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = str(pathlib.Path(heckeverify.__file__).resolve().parent.parent)
+    src = _src()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -313,7 +318,7 @@ def test_python_dash_m_runs_the_cli():
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # dataclasses pulls in inspect, ast, dis and tokenize: about 10 ms of
     # start-up that the CLI never uses
-    src = str(pathlib.Path(heckeverify.__file__).resolve().parent.parent)
+    src = _src()
     heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
     script = "\n".join([
         "import sys",
@@ -325,3 +330,47 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_every_guard_default_is_default_guard(capsys):
+    defaults = {fn.__name__: inspect.signature(fn).parameters["guard"].default
+                for fn in (verify.check_morphisms, verify.check_diagram,
+                           verify.check_display_identity, verify.check_modules,
+                           verify.run_suites, lusztig.pipeline_K, lusztig.pipeline_H)}
+    defaults["cli"] = cli._parser().parse_args(["--type", "A", "--rank", "1"]).guard
+    assert defaults == dict.fromkeys(defaults, lusztig.DEFAULT_GUARD)
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert "changes no result (default %d)" % lusztig.DEFAULT_GUARD in " ".join(out.split())
+
+
+def test_importing_the_package_loads_no_submodule():
+    script = "\n".join([
+        "import sys",
+        "sys.path.insert(0, %r)" % _src(),
+        "import heckeverify",
+        "print(' '.join(m for m in sys.modules if m.startswith('heckeverify.')))",
+    ])
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_the_console_script_entry_point_runs():
+    # the entry point of the ``heckeverify`` command, as pyproject.toml names it
+    pyproject = (pathlib.Path(_src()).parent / "pyproject.toml").read_text()
+    (entry,) = [line.split("=", 1)[1].strip().strip('"')
+                for line in pyproject.splitlines() if line.startswith("heckeverify =")]
+    module, func = entry.split(":")
+    script = "\n".join([
+        "import importlib, sys",
+        "sys.path.insert(0, %r)" % _src(),
+        "sys.argv = ['heckeverify', '--type', 'A', '--rank', '1', '--order', '2',"
+        " '--suite', 'diagram', '--format', 'json']",
+        "getattr(importlib.import_module(%r), %r)()" % (module, func),
+    ])
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [c["status"] for c in json.loads(proc.stdout)["checks"]] == ["pass"]

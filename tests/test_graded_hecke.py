@@ -11,6 +11,7 @@ from heckeverify.formal_series import (
     fs_weyl,
 )
 from heckeverify.graded_hecke import (
+    Conjugation,
     GradedElement,
     GradedRule,
     conj_eB,
@@ -191,13 +192,13 @@ def test_conj_eB():
     eB = todd_eB(A1, order)
     eBinv = fs_inv(eB)
     ts = GradedElement.ts(A1, 0, order)
-    got = conj_eB(ts, eB)
     s = A1.simple(0)
     r_exp = (0, 1)
     want = GradedElement(A1, order, {s: eB * fs_weyl(A1, s, eBinv)}) + \
         GradedElement.series(
             A1, eB * demazure_series(A1, eBinv, 0).mul_monomial(r_exp, 2))
-    assert got.eq(want, order)
+    for got in (conj_eB(ts), Conjugation(A1, eB, eBinv)(ts)):
+        assert got.eq(want, order)
 
 
 def test_graded_antispherical():

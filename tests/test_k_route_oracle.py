@@ -3,10 +3,10 @@
 ``pipeline_K`` evaluates e_B L_r(parity(duality(koszul(h)))) e_B^{-1} as
 S L_r(m(h)) S^{-1} with S = e_B exp(-rho.), from cached images
 S L_r(T_w) S^{-1}, and ``conj_eB`` from cached conjugates
-e_B t_w e_B^{-1}.  The oracle here applies the literal Koszul chain and
-multiplies the three factors out with ``gh_mul`` on a second copy of the
-datum, so it shares no cache with the code under test, and the results
-must be equal in canonical form.
+e_B t_w e_B^{-1}; ``Conjugation`` does the same for any unit.  The oracle
+here applies the literal Koszul chain and multiplies the three factors out
+with ``gh_mul`` on a second copy of the datum, so it shares no cache with
+the code under test, and the results must be equal in canonical form.
 """
 
 import random
@@ -16,7 +16,7 @@ import pytest
 
 from heckeverify.affine_hecke import HeckeElement, pipeline_K_h
 from heckeverify.formal_series import FormalSeries, fs_inv
-from heckeverify.graded_hecke import GradedElement, conj_eB, gh_mul, todd_eB
+from heckeverify.graded_hecke import Conjugation, GradedElement, conj_eB, gh_mul, todd_eB
 from heckeverify.lusztig import DEFAULT_GUARD, lusztig_r, pipeline_K
 from heckeverify.root_datum import build_root_datum, cartan_matrix
 from heckeverify.verify import hecke_generators
@@ -86,24 +86,5 @@ def test_conj_eB_is_the_literal_conjugate(family, order):
         assert canonical(conj_eB(a)) == canonical(literal_conjugate(b, eB))
         unit = random_unit(rng, datum.rank + 1, order)
         assert unit == random_unit(rng_oracle, datum.rank + 1, order)
-        assert canonical(conj_eB(a, unit)) == canonical(literal_conjugate(b, unit))
-
-
-def test_explicit_eB_leaves_the_store_alone():
-    datum = build_root_datum(cartan_matrix("B", 2))
-    rng = random.Random(3)
-    elements = [rand_graded(rng, datum, 4) for _ in range(5)]
-    unit = random_unit(rng, datum.rank + 1, 4)
-    for a in elements:
-        conj_eB(a)
-    conjugation = datum._memo[("conj_eB", 4)]
-    before, images = dict(datum._memo), dict(conjugation._images)
-    for a in elements:
-        conj_eB(a, unit)
-    assert datum._memo.keys() == before.keys()
-    assert all(datum._memo[key] is value for key, value in before.items())
-    assert conjugation._images == images
-    # on a fresh datum it stores only the substitution tables of fs_weyl
-    fresh = build_root_datum(datum.cartan)
-    conj_eB(rand_graded(random.Random(3), fresh, 4), unit)
-    assert all(key[0] == "fs_weyl" for key in fresh._memo)
+        conjugation = Conjugation(datum, unit, fs_inv(unit))
+        assert canonical(conjugation(a)) == canonical(literal_conjugate(b, unit))

@@ -1,10 +1,10 @@
 """Every module-level function and class of the package has a use.
 
 A definition in ``src/heckeverify/`` must be referenced somewhere in
-``src/`` outside its own body: a name, an attribute or an import
-(``__init__`` re-exports count).  The exception is a span that
-``benchmarks/tracer.py`` wraps by name (its TARGETS), which must stay a
-function of its own even when nothing in the package calls it.
+``src/`` outside its own body: a name, an attribute or an import.  The
+exception is a span that ``benchmarks/tracer.py`` wraps by name (its
+TARGETS), which must stay a function of its own even when nothing in the
+package calls it.
 """
 
 import ast
