@@ -54,12 +54,14 @@ from .lusztig import (
     pipeline_H,
     pipeline_K,
     series_of_group_algebra,
-    transport,
     unit_factor,
 )
 from .normal_form import AsphElement
 from .root_datum import apply, build_root_datum
 
+# the version of the report format, not of the package: it moves only when
+# the JSON report changes shape, independently of pyproject.toml and
+# heckeverify.__version__
 ARTIFACT_VERSION = "0.1.0"
 
 
@@ -241,6 +243,23 @@ def graded_relations(datum, order):
         None, GradedElement.one(datum, order), ("t_s^2 = 1", "commutation rule"), coefficients)
 
 
+def _count_failure(datum, k_rels, g_rels):
+    """A witness unless both relation lists hold every defining relation, or None.
+
+    Each list has n quadratic and n(n-1)/2 braid relations, then per s the
+    2n Bernstein relations at theta_{+-omega_j} (``k_rels``) or the n + 1
+    commutation rules at y_j and r (``g_rels``); n is the size of the
+    Cartan matrix, not read from the lists.
+    """
+    n = len(datum.cartan)
+    for algebra, (_, relations), per_s in (("Hecke", k_rels, 2 * n), ("graded", g_rels, n + 1)):
+        want = n + n * (n - 1) // 2 + n * per_s
+        if len(relations) != want:
+            return "the %s relation list has %d relations, not %d for rank %d" % (
+                algebra, len(relations), want, n)
+    return None
+
+
 def _relation_failure(relation_list, image, equal):
     """(label, lhs - rhs) of the first relation whose images differ, or None.
 
@@ -299,7 +318,8 @@ def check_presentation(datum, seed=0, order=6, _bernstein_sign=1):
     right-hand side divides by alpha-dot (:func:`demazure_series`), then
     the relation list :func:`graded_relations` (t_s^2 = 1, braid and
     commutation relations).  The morphism check evaluates the same two
-    lists under each map.
+    lists under each map.  Both checks fail unless each list holds every
+    relation its presentation has (:func:`_count_failure`).
     """
     rng = random.Random(seed)
     n = datum.rank
@@ -325,7 +345,8 @@ def check_presentation(datum, seed=0, order=6, _bernstein_sign=1):
             rhs2 = HeckeElement(datum, {datum.identity: mul_by_scriptG(datum, x, i)})
             if lhs2 != rhs2:
                 return "script-G reformulation fails at x=%r, i=%d" % (x, i)
-        failed = _relation_failure(k_relations(datum), lambda h: h, operator.eq)
+        k_rels = k_relations(datum)
+        failed = _relation_failure(k_rels, lambda h: h, operator.eq)
         if failed:
             return "%s fails in the Hecke algebra: lhs - rhs = %r" % failed
         # graded side
@@ -347,11 +368,11 @@ def check_presentation(datum, seed=0, order=6, _bernstein_sign=1):
             rhs2 = GradedElement.series(datum, (phi - sphi) + dem)
             if not lhs2.eq(rhs2, order):
                 return "graded script-g reformulation fails at i=%d" % i
-        failed = _relation_failure(graded_relations(datum, order), lambda g: g,
-                                   lambda a, b: a.eq(b, order))
+        g_rels = graded_relations(datum, order)
+        failed = _relation_failure(g_rels, lambda g: g, lambda a, b: a.eq(b, order))
         if failed:
             return "%s fails in the graded algebra: lhs - rhs = %r" % failed
-        return None
+        return _count_failure(datum, k_rels, g_rels)
 
     return _run("presentation", body)
 
@@ -380,9 +401,10 @@ def check_morphisms(datum, order=6, seed=0, guard=DEFAULT_GUARD, _unit_r_coeff=2
     map: by the twisted Leibniz rule
     Dem_s(theta_{x+y}) = Dem_s(theta_x) theta_y + theta_{sx} Dem_s(theta_y),
     the relation at x and at y gives it at x + y, and every weight is a sum
-    of +-omega_j.  Only the unit factors of the Lusztig maps are built at
-    order + guard.  ``seed`` is accepted for callers that pass one to every
-    check (``benchmarks/child.py``) and is not used.
+    of +-omega_j.  It fails unless both lists hold every relation
+    (:func:`_count_failure`).  Only the unit factors of the Lusztig maps
+    are built at order + guard.  ``seed`` is accepted for callers that
+    pass one to every check (``benchmarks/child.py``) and is not used.
     """
     n = datum.rank
     work = order + guard
@@ -436,7 +458,8 @@ def check_morphisms(datum, order=6, seed=0, guard=DEFAULT_GUARD, _unit_r_coeff=2
         failed = _construction_failure(datum, m, k_term, v_theta, operator.eq)
         if failed:
             return "twist map m: %s" % failed
-        failed = _relation_failure(graded_relations(datum, order), fourier_map, g_equal)
+        g_rels = graded_relations(datum, order)
+        failed = _relation_failure(g_rels, fourier_map, g_equal)
         if failed:
             return "fourier image of %s fails: lhs - rhs = %r" % (
                 failed[0], failed[1].truncate(order))
@@ -444,7 +467,7 @@ def check_morphisms(datum, order=6, seed=0, guard=DEFAULT_GUARD, _unit_r_coeff=2
         failed = _construction_failure(datum, fourier_map, g_term, y1_plus_r, g_equal)
         if failed:
             return "fourier map: %s" % failed
-        return None
+        return _count_failure(datum, k_rels, g_rels)
 
     return _run("morphisms", body)
 
@@ -531,12 +554,33 @@ def check_display_identity(datum, order=6, guard=DEFAULT_GUARD, _flip_rho=False)
 
 
 def check_modules(datum, order=6, seed=0, guard=DEFAULT_GUARD, _sign_value=-1):
-    """Module-transport battery.
+    """Module battery: the K-side antispherical action formula, the module
+    transport decided on generators, and the action of L_l(1 + T_s) on
+    exp(x-dot) . 1 against its closed form.
 
-    Exact K-side antispherical action formula, the transport intertwining
-    transport(h . m) = L_l(h) . transport(m), and the action of
-    L_l(1 + T_s) on exp(x-dot) . 1 against its closed form.  Only the
-    unit factors of L_l are built at order + guard.
+    Transport c.1 |-> ch(c).1 intertwines h with L_l(h) modulo degree >
+    order once L_l(T_s).1 = -1 for each s; the suite checks those n signs,
+    n the size of the Cartan matrix, and fails unless it made all n.  Both
+    modules are induced from the sign character: an action is the
+    engine's product followed by pi(sum_w a_w T_w) = sum_w (-1)^{l(w)} a_w
+    (:meth:`Rule.act`).  On Z[v,v^-1][X], L_l is ch, the
+    :func:`series_of_group_algebra` that :func:`transport` applies, and a
+    series coefficient sits on the left, so pi_g(f g) = f pi_g(g).  For
+    h c = sum_w a_w T_w:
+
+        transport(h.(c.1)) = sum_w ch(a_w) (-1)^{l(w)},
+        L_l(h).(ch(c).1) = pi_g(L_l(h c)) = sum_w ch(a_w) pi_g(L_l(T_w)),
+
+    the middle step because L_l is a homomorphism modulo degree > order.
+    For l(sw) > l(w), pi_g(L_l(T_{sw})) = L_l(T_s).(pi_g(L_l(T_w)).1), so
+    pi_g(L_l(T_w)) = (-1)^{l(w)} by induction from
+    L_l(T_s).1 = (u(alpha) (t_s + 1)).1 - 1 = -1.  Complete given a
+    ``morphisms`` pass (L_l a homomorphism) and a ``presentation`` pass
+    (the graded product satisfies the relations, so the kernel of pi_g is
+    a left ideal and pi_g(a b) = a.(pi_g(b).1)) on the same datum and
+    order.  The identity itself is a tier-1 contract of the library on
+    every generator (``tests/test_lusztig.py``).  Only the unit factors of
+    L_l are built at order + guard.
     """
     rng = random.Random(seed)
     n = datum.rank
@@ -555,18 +599,15 @@ def check_modules(datum, order=6, seed=0, guard=DEFAULT_GUARD, _sign_value=-1):
             if got != want:
                 return "antispherical action fails at x=%r, i=%d: %r vs %r" % (
                     x, i, got, want)
-        gens = hecke_generators(datum)
-        samples = [AsphElement(datum, GroupAlgebraElement.one(n))]
-        for _ in range(20):
-            samples.append(AsphElement(datum, GroupAlgebraElement.theta(rand_weight(rng, n))))
-        transported = [transport(m, order) for m in samples]
-        for name, h in gens:
-            img = lusztig_l(h, order, guard)
-            for m, tm in zip(samples, transported):
-                lhs = transport(asph_act_left(h, m), order)
-                rhs = g_asph_act(img, tm)
-                if not lhs.eq(rhs, order):
-                    return "transport fails to intertwine %s on %r" % (name, m)
+        base = AsphElement(datum, FormalSeries.one(n + 1, order))
+        signs = [g_asph_act(lusztig_l(HeckeElement.Ts(datum, i), order, guard), base)
+                 for i in range(n)]
+        for i, sign in enumerate(signs):
+            if not sign.eq(-base, order):
+                return "L_l(T(s%d)).1 is %r, not -1" % (i + 1, sign)
+        if len(signs) != len(datum.cartan):
+            return "modules made %d sign checks, not n = %d for rank %d" % (
+                len(signs), len(datum.cartan), len(datum.cartan))
         # closed form of the action of L_l(1+T_s) on exp(x.)
         for _ in range(20):
             x = rand_weight(rng, n)

@@ -104,20 +104,26 @@ def test_transport():
     assert transport(m2, 4).value.eq(want)
 
 
-@pytest.mark.parametrize("datum", [A1, A2])
+@pytest.mark.parametrize("datum", [A1, A2, build_root_datum(cartan_matrix("B", 2)),
+                                   build_root_datum(cartan_matrix("G", 2))])
 def test_transport_intertwines_ts_action(datum):
+    # transport(h . m) = L_l(h) . transport(m) on every generator h; the
+    # modules suite checks only L_l(T_s) . 1 = -1 and derives this identity
     order, work = 5, 7
     rng = random.Random(0)
-    one = HeckeElement.one(datum)
-    for i in range(datum.rank):
-        h = HeckeElement.Ts(datum, i) + one
+    samples = [AsphElement(datum, GroupAlgebraElement.one(datum.rank))]
+    for _ in range(9):
+        x = tuple(rng.randint(-2, 2) for _ in range(datum.rank))
+        scalar = LaurentScalar({rng.randint(-2, 2): rng.choice([-2, -1, 1, 3])})
+        samples.append(AsphElement(datum, GroupAlgebraElement.theta(x, scalar)))
+    gens = verify.hecke_generators(datum)
+    assert len(gens) == 1 + 3 * datum.rank
+    for name, h in gens:
         img = lusztig_l(h, work)
-        for _ in range(10):
-            x = tuple(rng.randint(-2, 2) for _ in range(datum.rank))
-            m = AsphElement(datum, GroupAlgebraElement.theta(x))
+        for m in samples:
             lhs = transport(asph_act_left(h, m), work)
             rhs = g_asph_act(img, transport(m, work))
-            assert lhs.value.eq(rhs.value, order)
+            assert lhs.value.eq(rhs.value, order), (name, m)
 
 
 def test_closed_form_action_instance():

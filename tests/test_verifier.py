@@ -5,6 +5,7 @@ import pytest
 
 from heckeverify import lusztig, verify
 from heckeverify.affine_hecke import (
+    BernsteinRule,
     HeckeElement,
     _GeneratorMap,
     k_side_maps,
@@ -126,6 +127,36 @@ def test_corrupted_module_sign_fails():
     rep = check_modules(A1, order=5, _sign_value=1)
     assert rep.status == "fail"
     assert rep.witness
+
+
+def _plant_graded_sign(datum, order):
+    GradedRule(datum, sign=1).install()
+
+
+def _plant_k_sign(datum, order):
+    BernsteinRule(datum, sign=1).install()
+
+
+def _plant_unit_r_coeff_3(datum, order):
+    work = order + lusztig.DEFAULT_GUARD
+    context(datum, work).units.update(
+        {i: lusztig.unit_factor(datum, i, work, r_coeff=3) for i in range(datum.rank)})
+
+
+@pytest.mark.parametrize("family, order", [("A", 6), ("B", 5), ("G", 3)])
+@pytest.mark.parametrize("plant, expected", [
+    (_plant_graded_sign, "L_l(T(s1)).1 is "),
+    (_plant_k_sign, "antispherical action fails at "),
+    (_plant_unit_r_coeff_3, "closed-form action fails at "),
+], ids=["graded-sign", "k-sign", "unit-r-coeff-3"])
+def test_module_fault_fails_its_loop(family, order, plant, expected):
+    # the sign check, the antispherical loop and the closed-form loop each
+    # catch a fault the other two pass; each is planted in a private datum
+    datum = build_root_datum(cartan_matrix(family, 2))
+    plant(datum, order)
+    rep = check_modules(datum, order=order)
+    assert rep.status == "fail"
+    assert rep.witness.startswith(expected), rep.witness
 
 
 # -- faults in the K-side maps and the Fourier map ---------------------------
@@ -389,6 +420,29 @@ def test_no_two_relation_factors_are_equal(family):
             assert not any(equal(a, b) for b in elements[k + 1:]), a
         assert {name for _, lhs, rhs in relations for p in lhs + rhs for name in p} == set(factors)
         assert len(relations) == count
+
+
+def _dropping(relations, label):
+    """``relations`` without the relations whose label starts with ``label``."""
+    def wrapper(*args):
+        factors, rels = relations(*args)
+        return factors, [rel for rel in rels if not rel[0].startswith(label)]
+    return wrapper
+
+
+@pytest.mark.parametrize("family", ["A", "B", "G"])
+def test_relation_list_missing_a_relation_fails(monkeypatch, family):
+    # every relation left in the lists holds, so only the count sees the gap
+    datum = build_root_datum(cartan_matrix(family, 2))
+    for target, label, want in (
+            ("_relations", "braid", "Hecke relation list has 10 relations, not 11"),
+            ("graded_relations", "commutation rule for s2 and r",
+             "graded relation list has 8 relations, not 9")):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, target, _dropping(getattr(verify, target), label))
+            for check in (check_presentation, check_morphisms):
+                rep = check(datum, order=3)
+                assert (rep.status, rep.witness) == ("fail", "the %s for rank 2" % want)
 
 
 def test_negative_controls_fail_on_rank_two_as_well():
