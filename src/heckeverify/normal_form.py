@@ -81,19 +81,10 @@ class Rule:
         T_{s_i} (T_{s_i w} b) with i the first letter of w, so the terms
         of ``a`` share their suffixes.
         """
-        datum = self.datum
-        pushed = {datum.identity: b}
-
-        def tw_b(w):
-            got = pushed.get(w)
-            if got is None:
-                i = w.word[0]
-                got = pushed[w] = self.push(i, tw_b(datum.left_mul(i, w)))
-            return got
-
+        pushed = {self.datum.identity: b}
         acc = {}
         for w, aw in a.items():
-            for u, c in tw_b(w).items():
+            for u, c in self._along_word(pushed, w, self.push).items():
                 self.add_product(acc, u, aw, c)
         return self.close(acc)
 
@@ -105,25 +96,41 @@ class Rule:
         T_{s_i w} . (value.1).  The result is the module coordinate;
         ``zero()`` makes the zero coefficient, for a sum that vanishes.
         """
-        datum = self.datum
-        e = datum.identity
+        e = self.datum.identity
         images = {e: value}
 
-        def image(w):
-            got = images.get(w)
-            if got is None:
-                i = w.word[0]
-                sh, dh = self.commute(i, image(datum.left_mul(i, w)))
-                acc = {}
-                self.add(acc, e, sh, self.sign)
-                self.add(acc, e, dh)
-                got = images[w] = self.close(acc).get(e) or zero()
-            return got
+        def step(i, h):
+            sh, dh = self.commute(i, h)
+            acc = {}
+            self.add(acc, e, sh, self.sign)
+            self.add(acc, e, dh)
+            return self.close(acc).get(e) or zero()
 
         acc = {}
         for w, aw in a.items():
-            self.add_product(acc, e, aw, image(w))
+            self.add_product(acc, e, aw, self._along_word(images, w, step))
         return self.close(acc).get(e) or zero()
+
+    def _along_word(self, images, w, step):
+        """images[w], after filling in each missing suffix of w's word.
+
+        images[w] = step(i, images[s_i w]) with i the first letter of w:
+        walk back to the longest suffix already in ``images``, then step
+        forward.  It loops rather than recursing through a closure over
+        ``images``, which would leave each call's dict in a reference cycle
+        for the collector.
+        """
+        left_mul = self.datum.left_mul
+        missing = []
+        got = images.get(w)
+        while got is None:
+            i = w.word[0]
+            missing.append((i, w))
+            w = left_mul(i, w)
+            got = images.get(w)
+        for i, w in reversed(missing):
+            got = images[w] = step(i, got)
+        return got
 
 
 class AsphElement:

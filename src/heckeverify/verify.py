@@ -9,7 +9,8 @@ which can be re-evaluated by hand.
 All random sampling goes through a seeded ``random.Random`` with a fixed
 recipe: weight coordinates uniform in -3..3, v-exponents in -2..2,
 polynomials of degree at most 4 with rational coefficients of height at
-most 8.
+most 8.  A loop over (weight x, simple index i) cases makes all its draws
+and checks each distinct case once, in draw order (:func:`_distinct_cases`).
 """
 
 import json
@@ -115,6 +116,17 @@ def _private_copy(datum, *rules):
 
 def rand_weight(rng, n):
     return tuple(rng.randint(-3, 3) for _ in range(n))
+
+
+def _distinct_cases(rng, n, count):
+    """The distinct (x, i) among ``count`` draws of a weight x and a simple
+    index i, in first-draw order.
+
+    ``rng`` advances by all ``count`` draws.  Each case checks a
+    deterministic identity, so a repeat could only pass again, and the
+    first failure is always a first occurrence.
+    """
+    return list(dict.fromkeys((rand_weight(rng, n), rng.randrange(n)) for _ in range(count)))
 
 
 def rand_polynomial(rng, n, order):
@@ -310,9 +322,10 @@ def check_presentation(datum, seed=0, order=6, _bernstein_sign=1):
     """Exact relation battery for both algebras.
 
     K side: the Bernstein commutation rule at random weights against an
-    independently assembled right-hand side, the script-G reformulation,
-    then the relation list :func:`k_relations` (quadratic, braid and
-    Bernstein relations).  Graded side, at the given order: the
+    independently assembled right-hand side and the script-G
+    reformulation, on the distinct (x, i) of 100 draws in draw order, then
+    the relation list :func:`k_relations` (quadratic, braid and Bernstein
+    relations).  Graded side, at the given order: the
     divided-difference commutation rule at random series and the script-g
     reformulation, where ``gh_mul`` reads Dem_s from integer tables and the
     right-hand side divides by alpha-dot (:func:`demazure_series`), then
@@ -329,9 +342,7 @@ def check_presentation(datum, seed=0, order=6, _bernstein_sign=1):
 
     def body():
         one = HeckeElement.one(datum)
-        for _ in range(100):
-            x = rand_weight(rng, n)
-            i = rng.randrange(n)
+        for x, i in _distinct_cases(rng, n, 100):
             s = datum.simple(i)
             lhs = HeckeElement.Ts(datum, i) * HeckeElement.theta(datum, x)
             sx = apply(s, x)
@@ -556,7 +567,8 @@ def check_display_identity(datum, order=6, guard=DEFAULT_GUARD, _flip_rho=False)
 def check_modules(datum, order=6, seed=0, guard=DEFAULT_GUARD, _sign_value=-1):
     """Module battery: the K-side antispherical action formula, the module
     transport decided on generators, and the action of L_l(1 + T_s) on
-    exp(x-dot) . 1 against its closed form.
+    exp(x-dot) . 1 against its closed form.  The two action loops check the
+    distinct (x, i) of 100 and of 20 draws, in draw order.
 
     Transport c.1 |-> ch(c).1 intertwines h with L_l(h) modulo degree >
     order once L_l(T_s).1 = -1 for each s; the suite checks those n signs,
@@ -590,9 +602,7 @@ def check_modules(datum, order=6, seed=0, guard=DEFAULT_GUARD, _sign_value=-1):
 
     def body():
         one = HeckeElement.one(datum)
-        for _ in range(100):
-            x = rand_weight(rng, n)
-            i = rng.randrange(n)
+        for x, i in _distinct_cases(rng, n, 100):
             ts1 = HeckeElement.Ts(datum, i) + one
             got = asph_act_left(ts1, AsphElement(datum, GroupAlgebraElement.theta(x)))
             want = AsphElement(datum, mul_by_scriptG(datum, x, i))
@@ -609,9 +619,7 @@ def check_modules(datum, order=6, seed=0, guard=DEFAULT_GUARD, _sign_value=-1):
             return "modules made %d sign checks, not n = %d for rank %d" % (
                 len(signs), len(datum.cartan), len(datum.cartan))
         # closed form of the action of L_l(1+T_s) on exp(x.)
-        for _ in range(20):
-            x = rand_weight(rng, n)
-            i = rng.randrange(n)
+        for x, i in _distinct_cases(rng, n, 20):
             ts1 = HeckeElement.Ts(datum, i) + one
             img = lusztig_l(ts1, order, guard)
             m = AsphElement(datum, series_of_group_algebra(

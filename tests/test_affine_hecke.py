@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -13,7 +14,8 @@ from heckeverify.affine_hecke import (
     pipeline_K_h,
     ts_inverse,
 )
-from heckeverify.graded_hecke import fourier_map, gh_mul
+from heckeverify.formal_series import FormalSeries
+from heckeverify.graded_hecke import GradedElement, fourier_map, g_asph_act, gh_mul
 from heckeverify.lattice_algebra import (
     GroupAlgebraElement,
     LaurentScalar,
@@ -167,6 +169,39 @@ def test_fourier_map_is_a_ring_morphism(datum):
         a = rand_graded(rng, datum, 6)
         b = rand_graded(rng, datum, 6)
         assert fourier_map(gh_mul(a, b)).eq(gh_mul(fourier_map(a), fourier_map(b)), 6)
+
+
+def _engine_calls():
+    """One call of each normal-form entry point on A2, with factors of
+    length 3 so that every call walks suffixes of a reduced word."""
+    ts = [HeckeElement.Ts(A2, i) for i in range(2)]
+    h = (ts[0] + HeckeElement.theta(A2, (1, -1))) * ts[1] * ts[0]
+    gs = [GradedElement.ts(A2, i, 4) for i in range(2)]
+    y1 = GradedElement.series(A2, FormalSeries(3, 4, {(1, 0, 0): 1}))
+    g = (gs[0] + y1) * gs[1] * gs[0]
+    return {
+        "h_mul": lambda: h_mul(h, h),
+        "gh_mul": lambda: gh_mul(g, g),
+        "asph_act_left": lambda: asph_act_left(
+            h, AsphElement(A2, GroupAlgebraElement.theta((1, -1)))),
+        "g_asph_act": lambda: g_asph_act(g, AsphElement(A2, FormalSeries.one(3, 4))),
+    }
+
+
+@pytest.mark.parametrize("name", ["h_mul", "gh_mul", "asph_act_left", "g_asph_act"])
+def test_engine_call_leaves_no_reference_cycle(name):
+    # the suffix walk of Rule.product and Rule.act keeps its images in a
+    # dict; a recursive closure over that dict would leave it in a cycle
+    # that only the collector frees, after every call
+    call = _engine_calls()[name]
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_duality_parity_are_involutions():

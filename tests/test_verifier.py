@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -76,6 +77,34 @@ def test_run_all_is_every_suite_sorted():
 
 
 # -- negative controls: each corruption must produce a fail with a witness --
+
+@pytest.mark.parametrize("count", [20, 100])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_distinct_cases_keep_first_draws_and_make_every_draw(n, count):
+    for seed in range(20):
+        raw = random.Random(seed)
+        draws = [(tuple(raw.randint(-3, 3) for _ in range(n)), raw.randrange(n))
+                 for _ in range(count)]
+        rng = random.Random(seed)
+        assert verify._distinct_cases(rng, n, count) == list(dict.fromkeys(draws))
+        assert rng.getstate() == raw.getstate()
+
+
+@pytest.mark.parametrize("datum, distinct", [(A1, 7), (A2, 64)], ids=["A1", "A2"])
+@pytest.mark.parametrize("check", [check_presentation, check_modules])
+def test_each_distinct_sampled_case_runs_once(monkeypatch, check, datum, distinct):
+    # the presentation K loop and the modules antispherical loop each call
+    # mul_by_scriptG once per case: every distinct case runs, and no repeat
+    cases = verify._distinct_cases(random.Random(0), datum.rank, 100)
+    calls = []
+    scriptG = verify.mul_by_scriptG
+    monkeypatch.setattr(verify, "mul_by_scriptG",
+                        lambda d, x, i: calls.append((x, i)) or scriptG(d, x, i))
+    rep = check(datum, seed=0)
+    assert rep.status == "pass", rep.witness
+    assert len(cases) == distinct
+    assert calls == cases
+
 
 def test_corrupted_bernstein_sign_fails():
     rep = check_presentation(A1, order=5, _bernstein_sign=-1)
