@@ -10,20 +10,17 @@ simple reflection acts by
     s_i(x) = x - x[i] * alpha_i.
 
 A Weyl group element w is named by its key w(rho), rho = (1,...,1) being
-regular.  A breadth-first search by left multiplication, s_i(key) at O(n)
-cost, finds every key and fills the table (i, key) -> s_i w.  It runs on
-the inverses, so w keeps the word of a right search (w s_i after w), and
-its key is read off the table along that word.  Products, inverses and
-the action on weights follow words; there are no matrices.
+regular.  W is never enumerated: :meth:`RootDatum.element` makes the
+element of a key on first use, and :meth:`RootDatum.left_mul` reflects a
+key, s_i(key) at O(n) cost, the first time it meets (i, key).  The word
+of w is its lexicographically least reduced word: s_i is a left descent
+exactly when key[i] < 0, and the smallest such i comes first.  Products,
+inverses and the action on weights follow words; there are no matrices.
 """
 
 
 class InvalidCartan(ValueError):
     """The input matrix violates the Cartan matrix axioms."""
-
-
-class WeylTooLarge(RuntimeError):
-    """Weyl group enumeration exceeded the configured bound."""
 
 
 class WeylElement:
@@ -60,14 +57,16 @@ class WeylElement:
 class RootDatum:
     """Root datum of a semisimple simply connected group, rank n.
 
-    Built by :func:`build_root_datum`; immutable afterwards apart from
-    :meth:`memo`, a store of derived values filled on first use, the
+    Built by :func:`build_root_datum`, which rejects a matrix not of finite
+    type.  Immutable afterwards apart from three stores filled on first
+    use: the Weyl elements by key (:meth:`element`), the products s_i w
+    (:meth:`left_mul`) and :meth:`memo`, the derived values, the
     normal-form rules (:meth:`Rule.of`) among them.  Threads may share a
     datum: two first uses of one key may each build the value, and the
     copies are equal.
     """
 
-    def __init__(self, cartan, weyl_bound=10**6):
+    def __init__(self, cartan):
         cartan = tuple(tuple(int(c) for c in row) for row in cartan)
         n = len(cartan)
         if n == 0 or any(len(row) != n for row in cartan):
@@ -88,44 +87,11 @@ class RootDatum:
             tuple(cartan[j][i] for j in range(n)) for i in range(n)
         )
         self.rho = (1,) * n
-        self._enumerate_weyl(weyl_bound)
         self._compute_positive_roots()
+        self.identity = WeylElement(self.rho, (), self.simple_roots)
+        self._elements = {self.rho: self.identity}
+        self._left = {}
         self._memo = {}
-
-    def _enumerate_weyl(self, bound):
-        roots = tuple(enumerate(self.simple_roots))
-        # left search on the keys of the inverses: v = w^-1 is found as
-        # s_i v' exactly when w is found as w' s_i, so words[v] is w's word
-        words = {self.rho: ()}
-        found = {self.rho: self.rho}    # each key to the one tuple kept for it
-        queue = [self.rho]      # breadth first: the queue grows as it is read
-        table = {}
-        for v in queue:
-            word = words[v]
-            for i, alpha in roots:
-                c = v[i]
-                u = tuple([a - c * b for a, b in zip(v, alpha)])
-                table[i, v] = found.setdefault(u, u)
-                if u not in words:
-                    words[u] = word + (i,)
-                    queue.append(u)
-            if len(words) > bound:
-                raise WeylTooLarge("Weyl group exceeds %d elements; "
-                                   "is the Cartan matrix of finite type?" % bound)
-        elements = {}
-        for word in words.values():
-            key = self.rho
-            for i in reversed(word):
-                key = table[i, key]
-            elements[key] = WeylElement(key, word, self.simple_roots)
-        # left-multiplication table (i, key) -> WeylElement for rewriting
-        for ik, u in table.items():
-            table[ik] = elements[u]
-        self._left_table = table
-        self.elements = elements
-        self.weyl = tuple(elements.values())   # BFS order: sorted by length
-        self.identity = self.weyl[0]
-        self.longest = self.weyl[-1]
 
     def _compute_positive_roots(self):
         # the orbit of the simple roots in simple-root coordinates c; the
@@ -133,7 +99,10 @@ class RootDatum:
         n, cartan = self.rank, self.cartan
         orbit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         seen, positive = set(orbit), []
-        for c in orbit:         # breadth first, as in _enumerate_weyl
+        for c in orbit:         # breadth first: the list grows as it is read
+            # a rank-k component has at most 2k^2 roots, bar G2, F4, E7, E8 (<= 240)
+            if len(orbit) > 2 * n * n + 240:
+                raise InvalidCartan("matrix is not of finite type")
             x = tuple(sum(a * b for a, b in zip(row, c)) for row in cartan)
             if min(c) >= 0:
                 positive.append(x)
@@ -159,26 +128,49 @@ class RootDatum:
 
     # -- group operations ------------------------------------------------
 
+    def _reflect(self, i, key):
+        """s_i(key) = key - key[i] alpha_i."""
+        c = key[i]
+        return tuple([a - c * b for a, b in zip(key, self.simple_roots[i])])
+
+    def element(self, key):
+        """The Weyl element w with w(rho) = ``key``, made on first use."""
+        w = self._elements.get(key)
+        if w is None:
+            descents, v = [], key
+            while w is None:
+                i = next((j for j, c in enumerate(v) if c < 0), None)
+                if i is None:       # dominant but not rho: not in the orbit W rho
+                    raise KeyError(key)
+                descents.append((v, i))
+                v = self._reflect(i, v)
+                w = self._elements.get(v)
+            for v, i in reversed(descents):
+                w = self._elements[v] = WeylElement(v, (i,) + w.word, self.simple_roots)
+        return w
+
     def simple(self, i):
         """The simple reflection s_i as a WeylElement."""
-        return self._left_table[(i, self.rho)]
+        return self.left_mul(i, self.identity)
 
     def left_mul(self, i, w):
         """s_i * w."""
-        return self._left_table[(i, w.key)]
+        u = self._left.get((i, w.key))
+        if u is None:
+            u = self._left[i, w.key] = self.element(self._reflect(i, w.key))
+        return u
 
     def mul(self, u, w):
         """u * w, by left multiplication along the word of u."""
-        table = self._left_table
         for i in reversed(u.word):
-            w = table[i, w.key]
+            w = self.left_mul(i, w)
         return w
 
     def inverse(self, w):
         """w^-1, by left multiplication along the word of w."""
-        table, v = self._left_table, self.identity
+        v = self.identity
         for i in w.word:
-            v = table[i, v.key]
+            v = self.left_mul(i, v)
         return v
 
     def braid_order(self, i, j):
@@ -198,16 +190,17 @@ def apply(w, x):
     return x
 
 
-def build_root_datum(cartan, weyl_bound=10**6):
-    return RootDatum(cartan, weyl_bound=weyl_bound)
+def build_root_datum(cartan):
+    return RootDatum(cartan)
 
 
 def cartan_matrix(family, rank):
-    """Cartan matrix of a classical family ('A','B','C','D') or 'G2'/'F4'/'E6'."""
+    """Cartan matrix of a classical family ('A','B','C','D'), of 'E' at rank
+    6-8, or of 'G2'/'F4'/'E6'/'E7'/'E8'."""
     family = family.upper()
     n = rank
-    if family == "E6":
-        family, n = "E", 6
+    if family in ("E6", "E7", "E8"):
+        family, n = "E", int(family[1])
     if family in ("G", "G2"):
         return ((2, -1), (-3, 2))
     if family in ("F", "F4"):
@@ -236,9 +229,9 @@ def cartan_matrix(family, rank):
         m[n - 1][n - 2] = m[n - 2][n - 1] = 0
         m[n - 1][n - 3] = m[n - 3][n - 1] = -1
     elif family == "E":
-        if n != 6:
-            raise InvalidCartan("type E is supported in rank 6 only")
-        # Bourbaki labels: 1-3-4-5-6 in a chain, 2 attached to 4
+        if n not in (6, 7, 8):
+            raise InvalidCartan("type E needs rank 6, 7 or 8")
+        # Bourbaki labels: 1-3-4-...-n in a chain, 2 attached to 4
         m[0][1] = m[1][0] = m[1][2] = m[2][1] = 0
         m[0][2] = m[2][0] = m[1][3] = m[3][1] = -1
     else:

@@ -18,6 +18,8 @@ from heckeverify.graded_hecke import GradedElement, fourier_map
 from heckeverify.lattice_algebra import GroupAlgebraElement, LS_V
 from heckeverify.lusztig import context
 
+from weyl_group import weyl_elements
+
 
 def construction_failure(datum, image, term, c, equal, one=None):
     """Where ``image`` is not the product of generator images on normal forms.
@@ -38,7 +40,7 @@ def construction_failure(datum, image, term, c, equal, one=None):
             p = products[word] = ts[word[0]] * along(word[1:])
         return p
 
-    for w in datum.weyl:
+    for w in weyl_elements(datum):
         image_w = image(term(w))
         if not equal(image_w, along(w.word)):
             return "image of T(%r) is not the product along its word" % (w,)

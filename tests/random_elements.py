@@ -10,6 +10,8 @@ from heckeverify.graded_hecke import GradedElement
 from heckeverify.lattice_algebra import GroupAlgebraElement, LaurentScalar, LS_ONE
 from heckeverify.verify import rand_polynomial, rand_weight
 
+from weyl_group import weyl_elements
+
 
 def rand_laurent(rng):
     out = LaurentScalar()
@@ -29,7 +31,7 @@ def rand_group_algebra(rng, n):
 def rand_hecke(rng, datum):
     out = HeckeElement(datum)
     for _ in range(rng.randint(1, 2)):
-        w = rng.choice(datum.weyl)
+        w = rng.choice(weyl_elements(datum))
         out = out + HeckeElement(datum, {w: rand_group_algebra(rng, datum.rank)})
     return out if out.coeffs else HeckeElement.one(datum)
 
@@ -37,6 +39,6 @@ def rand_hecke(rng, datum):
 def rand_graded(rng, datum, order):
     out = GradedElement(datum, order)
     for _ in range(rng.randint(1, 2)):
-        w = rng.choice(datum.weyl)
+        w = rng.choice(weyl_elements(datum))
         out = out + GradedElement(datum, order, {w: rand_polynomial(rng, datum.rank, order)})
     return out if out.coeffs else GradedElement.one(datum, order)

@@ -116,6 +116,20 @@ def test_bad_cartan_file_is_usage_error(tmp_path, capsys):
     assert err
 
 
+def test_cartan_file_not_of_finite_type_is_refused(monkeypatch, tmp_path, capsys):
+    # affine A1: W is infinite, so the datum is refused before any suite runs
+    path = tmp_path / "affine.txt"
+    path.write_text("2\n2 -2\n-2 2\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("suites ran on a refused datum")
+    monkeypatch.setattr(cli, "run_suites", no_work)
+    code, out, err = run_cli(capsys, "--cartan-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("InvalidCartan: ")
+
+
 def test_unknown_suite_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "--type", "A", "--rank", "1",
                          "--suite", "nonsense")
@@ -169,6 +183,8 @@ def test_order_one_and_guard_zero_are_accepted(capsys):
     (("--type", "F4"), "F4"),
     (("--type", "F", "--rank", "4"), "F4"),
     (("--type", "C", "--rank", "3"), "C3"),
+    (("--type", "E7"), "E7"),
+    (("--type", "e", "--rank", "8"), "E8"),
 ])
 def test_datum_type_names_family_and_rank(monkeypatch, capsys, argv, name):
     monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: [])
@@ -195,7 +211,7 @@ def test_e6_spellings_name_one_datum(monkeypatch, capsys, argv):
     assert (doc["datum"]["type"], doc["datum"]["rank"]) == ("E6", 6)
 
 
-@pytest.mark.parametrize("rank", ["5", "7"])
+@pytest.mark.parametrize("rank", ["5", "9"])
 def test_type_e_of_another_rank_is_refused(monkeypatch, capsys, rank):
     def no_work(*args, **kwargs):
         raise AssertionError("work started on a refused datum")

@@ -22,6 +22,7 @@ from heckeverify.root_datum import build_root_datum, cartan_matrix
 from heckeverify.verify import hecke_generators
 
 from random_elements import rand_graded, rand_group_algebra
+from weyl_group import weyl_elements
 
 CASES = [("A", 4), ("B", 4), ("G", 3)]
 # the K-route also at rank three, on words of length up to six
@@ -42,7 +43,7 @@ def literal_conjugate(a, eB):
 
 
 def two_term_hecke(rng, datum):
-    w1, w2 = rng.sample(datum.weyl, 2)
+    w1, w2 = rng.sample(weyl_elements(datum), 2)
     return HeckeElement(datum, {w1: rand_group_algebra(rng, datum.rank),
                                 w2: rand_group_algebra(rng, datum.rank)})
 

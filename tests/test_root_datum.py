@@ -5,14 +5,13 @@ import pytest
 from heckeverify.root_datum import (
     InvalidCartan,
     WeylElement,
-    WeylTooLarge,
     apply,
     build_root_datum,
     cartan_matrix,
     read_cartan_file,
 )
 
-from shared_data import shared_datum
+from weyl_group import weyl_elements
 
 
 # -- an oracle that shares no code with root_datum ----------------------------
@@ -20,7 +19,8 @@ from shared_data import shared_datum
 # W acts on weights (fundamental-weight coordinates) by the reflection
 # matrices S_i[j][k] = delta_jk - delta_ki A[j][i], read off the Cartan
 # rows alone.  A right-multiplication search on matrices gives the keys
-# M_w rho, the words and the order that datum.weyl must reproduce.
+# M_w rho, the words that datum.element must give and the order that
+# weyl_elements must reproduce.
 
 def _matmul(a, b):
     return tuple(tuple(sum(a[r][k] * b[k][c] for k in range(len(b)))
@@ -96,6 +96,11 @@ def oracle_and_datum(family, rank):
     return _ORACLES[family, rank]
 
 
+def longest(d):
+    """w0, whose key is w0(rho) = -rho."""
+    return d.element(tuple(-c for c in d.rho))
+
+
 def brute_force_order(cartan, max_len):
     """Independent oracle: enumerate all words up to max_len, dedup by matrix."""
     simple = _reflection_matrices(cartan)
@@ -118,15 +123,18 @@ def brute_force_order(cartan, max_len):
 @pytest.mark.parametrize("family, rank", ORACLE_TYPES)
 def test_weyl_keys_words_and_order_match_the_matrix_oracle(family, rank):
     oracle, d = oracle_and_datum(family, rank)
-    assert [(w.key, w.word) for w in d.weyl] == list(oracle.word.items())
-    assert all(d.elements[w.key] is w for w in d.weyl)
+    fresh = build_root_datum(oracle.cartan)
+    for key in reversed(oracle.word):       # longest first, walking down from each key
+        assert fresh.element(key).word == oracle.word[key]
+    assert [(w.key, w.word) for w in weyl_elements(d)] == list(oracle.word.items())
+    assert all(d.element(w.key) is w for w in weyl_elements(d))
 
 
 @pytest.mark.parametrize("family, rank", ORACLE_TYPES)
 def test_group_operations_match_the_matrix_oracle(family, rank):
     oracle, d = oracle_and_datum(family, rank)
     rng = random.Random(3)
-    for w in d.weyl:
+    for w in weyl_elements(d):
         m = oracle.matrix[w.key]
         for i in range(rank):
             assert d.left_mul(i, w).key == oracle.key(_matmul(oracle.simple[i], m))
@@ -134,7 +142,7 @@ def test_group_operations_match_the_matrix_oracle(family, rank):
         x = tuple(rng.randint(-5, 5) for _ in range(rank))
         assert apply(w, x) == _matvec(m, x)
     for _ in range(300):
-        u, w = rng.choice(d.weyl), rng.choice(d.weyl)
+        u, w = rng.choice(weyl_elements(d)), rng.choice(weyl_elements(d))
         assert d.mul(u, w).key == oracle.key(_matmul(oracle.matrix[u.key], oracle.matrix[w.key]))
 
 
@@ -150,22 +158,21 @@ def test_positive_roots_and_braid_orders_match_the_matrix_oracle(family, rank):
 
 
 def test_e6_sizes():
-    d = shared_datum("E", 6)
+    d = build_root_datum(cartan_matrix("E", 6))
     assert cartan_matrix("E6", 6) == d.cartan
-    assert len(d.weyl) == 51840
     assert len(d.positive_roots) == 36
-    assert d.longest.length == 36
+    assert longest(d).length == 36
 
 
-@pytest.mark.parametrize("rank", [5, 7])
-def test_type_e_is_rank_six_only(rank):
+@pytest.mark.parametrize("rank", [5, 9])
+def test_type_e_of_another_rank_is_refused(rank):
     with pytest.raises(InvalidCartan):
         cartan_matrix("E", rank)
 
 
 def test_a1_basics():
     d = build_root_datum([[2]])
-    assert len(d.weyl) == 2
+    assert len(weyl_elements(d)) == 2
     assert d.positive_roots == ((2,),)
     assert d.rho == (1,)
 
@@ -173,22 +180,23 @@ def test_a1_basics():
 def test_a2_orders_against_bfs_oracle():
     cartan = cartan_matrix("A", 2)
     d = build_root_datum(cartan)
-    assert len(d.weyl) == brute_force_order(cartan, 3) == 6
+    assert len(weyl_elements(d)) == brute_force_order(cartan, 3) == 6
     assert len(d.positive_roots) == 3
 
 
 def test_b2_orders_against_bfs_oracle():
     cartan = cartan_matrix("B", 2)
     d = build_root_datum(cartan)
-    assert len(d.weyl) == brute_force_order(cartan, 4) == 8
+    assert len(weyl_elements(d)) == brute_force_order(cartan, 4) == 8
     assert len(d.positive_roots) == 4
-    assert d.longest.length == 4
+    assert longest(d).length == 4
 
 
 def test_longest_length_equals_number_of_positive_roots():
-    for fam, rank in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)]:
+    for fam, rank, positive in [("A", 1, 1), ("A", 2, 3), ("A", 3, 6), ("B", 2, 4), ("G", 2, 6),
+                                ("E7", 7, 63), ("E8", 8, 120)]:
         d = build_root_datum(cartan_matrix(fam, rank))
-        assert d.longest.length == len(d.positive_roots)
+        assert longest(d).length == len(d.positive_roots) == positive
 
 
 def test_apply_examples():
@@ -213,7 +221,7 @@ def test_simple_reflection_is_involution():
 def test_length_changes_by_one_under_left_multiplication():
     for fam, rank in [("A", 2), ("B", 2), ("A", 3)]:
         d = build_root_datum(cartan_matrix(fam, rank))
-        for w in d.weyl:
+        for w in weyl_elements(d):
             for i in range(d.rank):
                 assert abs(d.left_mul(i, w).length - w.length) == 1
 
@@ -223,7 +231,7 @@ def test_stored_words_are_prefix_closed():
     # w s_i, i the last letter of w's word; this is the word they rely on.
     for fam, rank in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
         d = build_root_datum(cartan_matrix(fam, rank))
-        for w in d.weyl[1:]:
+        for w in weyl_elements(d)[1:]:
             prefix = d.mul(w, d.simple(w.word[-1]))
             assert prefix.word == w.word[:-1]
 
@@ -231,7 +239,7 @@ def test_stored_words_are_prefix_closed():
 def test_inverse_roundtrip():
     d = build_root_datum(cartan_matrix("A", 2))
     rng = random.Random(7)
-    for w in d.weyl:
+    for w in weyl_elements(d):
         winv = d.inverse(w)
         for _ in range(100):
             x = tuple(rng.randint(-3, 3) for _ in range(2))
@@ -254,12 +262,12 @@ def test_braid_relation_on_actions():
 
 def test_rho_keys_are_distinct():
     d = build_root_datum(cartan_matrix("A", 3))
-    assert len({w.key for w in d.weyl}) == len(d.weyl) == 24
+    assert len({w.key for w in weyl_elements(d)}) == len(weyl_elements(d)) == 24
 
 
 def test_weyl_elements_are_equal_and_hash_by_key():
     d = build_root_datum(cartan_matrix("A", 2))
-    w = d.longest
+    w = longest(d)
     same = WeylElement(w.key, (1, 0, 1), d.simple_roots)
     assert w.word == (0, 1, 0) and same.word != w.word
     assert same == w and hash(same) == hash(w)
@@ -273,17 +281,24 @@ def test_weyl_element_repr_and_length():
     assert repr(d.identity) == "e"
     assert repr(d.mul(d.simple(0), d.simple(1))) == "s1.s2"
     for family, rank in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
-        for w in build_root_datum(cartan_matrix(family, rank)).weyl:
+        for w in weyl_elements(build_root_datum(cartan_matrix(family, rank))):
             assert w.length == len(w.word)
 
 
 def test_weyl_elements_key_dicts_with_their_elements_entry():
     d = build_root_datum(cartan_matrix("B", 2))
-    by_element = {w: i for i, w in enumerate(d.weyl)}
-    assert len(by_element) == len(d.weyl) == len(d.elements) == 8
-    for i, w in enumerate(d.weyl):
-        assert d.elements[w.key] is w
-        assert by_element[d.elements[w.key]] == i
+    by_element = {w: i for i, w in enumerate(weyl_elements(d))}
+    assert len(by_element) == len(weyl_elements(d)) == 8
+    for i, w in enumerate(weyl_elements(d)):
+        assert d.element(w.key) is w
+        assert by_element[d.element(w.key)] == i
+
+
+def test_element_refuses_a_key_outside_the_orbit_of_rho():
+    d = build_root_datum(cartan_matrix("A", 2))
+    for key in [(2, 1), (0, 1), (-1, 3)]:
+        with pytest.raises(KeyError):
+            d.element(key)
 
 
 @pytest.mark.parametrize("bad", [
@@ -297,10 +312,22 @@ def test_invalid_cartan_rejected(bad):
         build_root_datum(bad)
 
 
-def test_weyl_too_large():
-    # affine A1 matrix generates an infinite group
-    with pytest.raises(WeylTooLarge):
-        build_root_datum([[2, -2], [-2, 2]], weyl_bound=100)
+@pytest.mark.parametrize("cartan", [
+    [[2, -2], [-2, 2]],
+    [[2, -3], [-3, 2]],
+    [[2, -1, 0], [-1, 2, -2], [0, -2, 2]],
+], ids=["affine-A1", "hyperbolic-rank-2", "indefinite-rank-3"])
+def test_matrix_not_of_finite_type_is_rejected(cartan):
+    # an infinite W has infinitely many roots: the root orbit outgrows its bound
+    with pytest.raises(InvalidCartan, match="not of finite type"):
+        build_root_datum(cartan)
+
+
+def test_finite_type_with_many_roots_in_few_ranks_builds():
+    # E8 + A1: 242 roots at rank 9, more than max(2 * 9^2, 240)
+    e8 = cartan_matrix("E", 8)
+    d = build_root_datum([list(row) + [0] for row in e8] + [[0] * 8 + [2]])
+    assert len(d.positive_roots) == 121
 
 
 def test_cartan_file_roundtrip(tmp_path):

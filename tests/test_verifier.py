@@ -33,7 +33,6 @@ from heckeverify.verify import (
 )
 
 from construction_walk import walk_failure
-from shared_data import shared_datum
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum(cartan_matrix("A", 2))
@@ -54,18 +53,18 @@ def test_each_suite_passes_on_rank_one(suite):
 # G2 at order 3, B3 and C3 at order 2: non-simply-laced and rank three,
 # where the row/column convention of the Cartan matrix matters.  A4 and D4
 # at order 2: rank four, with 120 and 192 Weyl group elements.  F4 (1,152
-# elements), D6 (23,040) and E6 (51,840) at order 2: no suite walks W, so
-# their cost is the datum build, paid once per test process through
-# ``shared_datum`` and not at collection.
+# elements), D6 (23,040), E6 (51,840), E7 (2,903,040) and E8 (696,729,600)
+# at order 2: no suite walks W, and the datum makes only the elements a
+# suite touches, so each builds in milliseconds.
 OTHER_TYPES = [("G", 2, 3), ("B", 3, 2), ("C", 3, 2), ("A", 4, 2), ("D", 4, 2),
-               ("F", 4, 2), ("D", 6, 2), ("E", 6, 2)]
+               ("F", 4, 2), ("D", 6, 2), ("E", 6, 2), ("E", 7, 2), ("E", 8, 2)]
 OTHER_CASES = [(family, rank, order, suite) for family, rank, order in OTHER_TYPES
                for suite in sorted(SUITES)]
 
 
 @pytest.mark.parametrize("family, rank, order, suite", OTHER_CASES)
 def test_suite_passes_on_other_types(family, rank, order, suite):
-    datum = shared_datum(family, rank)
+    datum = build_root_datum(cartan_matrix(family, rank))
     (rep,) = run_suites(datum, [suite], order=order, guard=2, seed=0)
     assert rep.status == "pass", rep.witness
 
@@ -154,6 +153,20 @@ def test_flipped_display_weight_gives_its_golden_witness(guard):
 
 def test_corrupted_module_sign_fails():
     rep = check_modules(A1, order=5, _sign_value=1)
+    assert rep.status == "fail"
+    assert rep.witness
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+@pytest.mark.parametrize("check, fault", [
+    (check_presentation, {"_bernstein_sign": -1}),
+    (check_morphisms, {"_unit_r_coeff": 3}),
+    (check_diagram, {"_conjugate": False}),
+    (check_display_identity, {"_flip_rho": True}),
+    (check_modules, {"_sign_value": 1}),
+], ids=["bernstein-sign", "unit-r-coeff", "conjugate", "flip-rho", "module-sign"])
+def test_negative_controls_fail_on_e7_and_e8(check, fault, rank):
+    rep = check(build_root_datum(cartan_matrix("E", rank)), order=2, **fault)
     assert rep.status == "fail"
     assert rep.witness
 

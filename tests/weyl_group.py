@@ -1,0 +1,25 @@
+"""Every element of a finite Weyl group, for the tests that walk or sample W.
+
+The library makes each element on first use and never lists W; the tests
+that need all of it search it here, by left multiplication, once per datum.
+"""
+
+import weakref
+
+_ELEMENTS = weakref.WeakKeyDictionary()
+
+
+def weyl_elements(datum):
+    """The elements of W, sorted by (length, word), found once per datum."""
+    elements = _ELEMENTS.get(datum)
+    if elements is None:
+        found = [datum.identity]
+        seen = set(found)
+        for w in found:     # the list grows as it is read
+            for i in range(datum.rank):
+                u = datum.left_mul(i, w)
+                if u not in seen:
+                    seen.add(u)
+                    found.append(u)
+        elements = _ELEMENTS[datum] = tuple(sorted(found, key=lambda w: (w.length, w.word)))
+    return elements
