@@ -12,12 +12,9 @@ import sys
 
 from .formal_series import MAX_ORDER
 from .lusztig import DEFAULT_GUARD
-from .root_datum import InvalidCartan, build_root_datum, cartan_matrix, \
+from .root_datum import FIXED_RANK, InvalidCartan, build_root_datum, cartan_matrix, \
     read_cartan_file
 from .verify import report_json, report_text, run_suites, SUITES
-
-# Types of a single rank; --type may spell it or not (E needs --rank 6-8).
-FIXED_RANK = {"G": 2, "G2": 2, "F": 4, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
 
 
 def _parser():

@@ -234,18 +234,26 @@ def demazure_quotient(datum, x, i):
                                 for y, sign in demazure_terms(datum, tuple(x), i)})
 
 
+def scriptG_terms(datum, x, i):
+    """The terms (c, y, k) of c v^k theta_y in :func:`mul_by_scriptG`, 2|m| of them.
+
+    (theta_x - theta_{sx})/(theta_alpha - 1) telescopes to theta_{-alpha}
+    times :func:`demazure_quotient`, sum_y sign_y theta_y, so the product
+    with v^2 theta_alpha - 1 is sum_y sign_y (v^2 theta_y - theta_{y-alpha}).
+    """
+    alpha = datum.simple_roots[i]
+    for y, sign in demazure_terms(datum, tuple(x), i):
+        yield sign, y, 2
+        yield -sign, tuple(a - b for a, b in zip(y, alpha)), 0
+
+
 def mul_by_scriptG(datum, x, i):
     """(theta_x - theta_{s_i x}) * (v^2 theta_alpha - 1)/(theta_alpha - 1).
 
-    Uses (theta_x - theta_{sx})/(theta_alpha - 1)
-       = theta_{-alpha} * demazure_quotient(x, i),
-    so the result is (v^2 theta_alpha - 1) * theta_{-alpha} * quotient; it
-    always lands back in Z[v,v^-1][X].
+    The plain sum of :func:`scriptG_terms`; it always lands back in
+    Z[v,v^-1][X].
     """
-    alpha = datum.simple_roots[i]
-    q = demazure_quotient(datum, x, i)
-    neg_alpha = tuple(-a for a in alpha)
-    factor = GroupAlgebraElement(
-        {tuple(alpha): LS_V2, (0,) * datum.rank: -LS_ONE}
-    )
-    return factor * GroupAlgebraElement.theta(neg_alpha) * q
+    acc = {}
+    for c, y, k in scriptG_terms(datum, x, i):     # no (y, k) twice: the y are distinct
+        acc.setdefault(y, {})[k] = c
+    return from_plain(acc)

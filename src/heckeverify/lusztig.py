@@ -47,7 +47,7 @@ truncation commutes with every step and the guard changes no value.
 """
 
 from .affine_hecke import twist
-from .formal_series import bernoulli_weights, diff, fs_div_linear, fs_exp_sum, quotient_weights
+from .formal_series import bernoulli_weights, diff, fs_exp_sum, quotient_weights
 from .graded_hecke import (
     Conjugation,
     GradedElement,
@@ -56,8 +56,8 @@ from .graded_hecke import (
     fourier_map,
     gh_mul,
 )
+from .lattice_algebra import scriptG_terms
 from .normal_form import AsphElement, GeneratorImages
-from .root_datum import apply
 
 DEFAULT_GUARD = 2          # every guard default of the package and the CLI reads this
 
@@ -187,28 +187,13 @@ def transport(m, order):
     )
 
 
-def _scriptG_factor(datum, i, order):
-    """a/(exp(a)-1) * (exp(a + 2r) - 1) at ``order``, with a = alpha_i-dot, in closed form."""
-    alpha, n = datum.simple_roots[i], datum.rank + 1
-    return (fs_exp_sum(n, order, [(1, diff(alpha))], bernoulli_weights(order))
-            * fs_exp_sum(n, order, [(1, alpha + (2,)), (-1, (0,) * n)]))
-
-
 def difference_times_scriptG(datum, i, x, order):
     """Series image of (theta_x - theta_{sx}) * (v^2 theta_alpha - 1)/(theta_alpha - 1).
 
     The image of the fraction alone has a pole, but the product is regular:
-    exp(x-dot) - exp(sx-dot) is exactly divisible by alpha-dot, so the
-    product rearranges to
-
-        (exp(x.) - exp(sx.))/a * a/(exp(a)-1) * (exp(a + 2r) - 1)
-
-    with a = alpha-dot, every factor a genuine truncated series.  The last
-    two factors do not depend on x; their product is built once per
-    (datum, i, order) in the datum's store.
+    it is ch of the K-side value :func:`mul_by_scriptG`, the one exp-sum
+    sum_y sign_y (exp(y. + 2r) - exp((y - alpha).)) over :func:`scriptG_terms`,
+    with no division and no series product.
     """
-    difference = fs_exp_sum(datum.rank + 1, order + 1, [
-        (1, tuple(x) + (0,)), (-1, apply(datum.simple(i), x) + (0,))])
-    quotient = fs_div_linear(difference, diff(datum.simple_roots[i]))
-    return quotient * datum.memo(("scriptG", i, order),
-                                 lambda: _scriptG_factor(datum, i, order))
+    return fs_exp_sum(datum.rank + 1, order, [
+        (c, y + (k,)) for c, y, k in scriptG_terms(datum, x, i)])

@@ -194,18 +194,24 @@ def build_root_datum(cartan):
     return RootDatum(cartan)
 
 
+# Types of a single rank; a name may spell it or not (E needs rank 6-8).
+FIXED_RANK = {"G": 2, "G2": 2, "F": 4, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
+
+
 def cartan_matrix(family, rank):
     """Cartan matrix of a classical family ('A','B','C','D'), of 'E' at rank
-    6-8, or of 'G2'/'F4'/'E6'/'E7'/'E8'."""
+    6-8, or of 'G2'/'F4'/'E6'/'E7'/'E8', whose ``rank`` is None or their own."""
     family = family.upper()
-    n = rank
+    n = FIXED_RANK.get(family, rank)
+    if rank not in (None, n):
+        raise InvalidCartan("type %s has rank %d, got rank %r" % (family, n, rank))
     if family in ("E6", "E7", "E8"):
-        family, n = "E", int(family[1])
+        family = "E"
     if family in ("G", "G2"):
         return ((2, -1), (-3, 2))
     if family in ("F", "F4"):
         return ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2))
-    if n < 1:
+    if n is None or n < 1:
         raise InvalidCartan("rank must be positive")
     m = [[0] * n for _ in range(n)]
     for i in range(n):

@@ -568,7 +568,11 @@ def check_modules(datum, order=6, seed=0, guard=DEFAULT_GUARD, _sign_value=-1):
     """Module battery: the K-side antispherical action formula, the module
     transport decided on generators, and the action of L_l(1 + T_s) on
     exp(x-dot) . 1 against its closed form.  The two action loops check the
-    distinct (x, i) of 100 and of 20 draws, in draw order.
+    distinct (x, i) of 100 and of 20 draws, in draw order.  The closed form
+    :func:`difference_times_scriptG` is ch of the K-side value
+    :func:`mul_by_scriptG`, so the last loop is the transport of the
+    antispherical loop at (1 + T_s, theta_x); it builds each L_l(1 + T_s)
+    once, before the loop.
 
     Transport c.1 |-> ch(c).1 intertwines h with L_l(h) modulo degree >
     order once L_l(T_s).1 = -1 for each s; the suite checks those n signs,
@@ -618,13 +622,12 @@ def check_modules(datum, order=6, seed=0, guard=DEFAULT_GUARD, _sign_value=-1):
         if len(signs) != len(datum.cartan):
             return "modules made %d sign checks, not n = %d for rank %d" % (
                 len(signs), len(datum.cartan), len(datum.cartan))
-        # closed form of the action of L_l(1+T_s) on exp(x.)
+        # closed form of the action of L_l(1+T_s) on exp(x.), L_l(1+T_s) built once per s
+        images = [lusztig_l(HeckeElement.Ts(datum, i) + one, order, guard) for i in range(n)]
         for x, i in _distinct_cases(rng, n, 20):
-            ts1 = HeckeElement.Ts(datum, i) + one
-            img = lusztig_l(ts1, order, guard)
             m = AsphElement(datum, series_of_group_algebra(
                 datum, GroupAlgebraElement.theta(x), order))
-            got = g_asph_act(img, m)
+            got = g_asph_act(images[i], m)
             want = AsphElement(datum, difference_times_scriptG(datum, i, x, order))
             if not got.eq(want, order):
                 return "closed-form action fails at x=%r, i=%d" % (x, i)

@@ -1,25 +1,41 @@
 """The closed-form constants against the division and inversion route.
 
-``todd_eB``, ``unit_factor``, ``_scriptG_factor`` and the K-route's
-S = e_B exp(-rho.) with its inverse are built from the weighted walk of
-``fs_exp_sum``, with no division or inversion.  The oracle here builds each
-from the general ``fs_exp``, exact division by the form and ``fs_inv``
-(:mod:`linear_series`), the way the package built them before.
+``todd_eB``, ``unit_factor``, ``difference_times_scriptG`` and the
+K-route's S = e_B exp(-rho.) with its inverse are built from the weighted
+walk of ``fs_exp_sum``, with no division or inversion.  The oracle here
+builds each from the general ``fs_exp``, exact division by the form and
+``fs_inv`` (:mod:`linear_series`), the way the package built them before.
 """
 
 import sys
 
 import pytest
 
-from heckeverify import formal_series, lusztig
-from heckeverify.formal_series import FormalSeries, diff, fs_inv
+from heckeverify import formal_series
+from heckeverify.formal_series import FormalSeries, diff, fs_div_linear, fs_inv
 from heckeverify.graded_hecke import eB_conjugation, todd_eB
-from heckeverify.lusztig import context, unit_factor
-from heckeverify.root_datum import build_root_datum, cartan_matrix
+from heckeverify.lusztig import context, difference_times_scriptG, unit_factor
+from heckeverify.root_datum import apply, build_root_datum, cartan_matrix
 
 from linear_series import bernoulli_quotient, exp_linear, fs_exp_quotient
 
 DATA = [("A", 2, 6), ("B", 2, 6), ("G", 2, 5), ("A", 3, 4)]
+
+
+def scriptG_weights(rank, i):
+    """Weights x with m = x[i] > 0, = 0 and < 0."""
+    return [tuple(m if j == i else (j + 1) * (-1) ** j for j in range(rank)) for m in (3, 0, -2)]
+
+
+def scriptG_by_division(datum, i, x, order):
+    """(exp(x.) - exp(sx.))/a * a/(exp(a) - 1) * (exp(a + 2r) - 1), a = alpha_i-dot:
+    the difference one degree high divided exactly by a, then two products."""
+    alpha = datum.simple_roots[i]
+    sx = apply(datum.simple(i), x)
+    difference = exp_linear(diff(x), order + 1) - exp_linear(diff(sx), order + 1)
+    last = exp_linear(alpha + (2,), order) - FormalSeries.one(datum.rank + 1, order)
+    return (fs_div_linear(difference, diff(alpha)) * bernoulli_quotient(diff(alpha), order)
+            * last)
 
 
 def todd_by_inversion(datum, order):
@@ -44,8 +60,9 @@ def test_constants_match_the_division_route(family, rank, top):
             for r in (2, -2):
                 want = fs_exp_quotient(alpha + (r,), order) * bern
                 assert unit_factor(datum, i, order, r) == want
-            last = exp_linear(alpha + (2,), order) - FormalSeries.one(n, order)
-            assert lusztig._scriptG_factor(datum, i, order) == bern * last
+            for x in scriptG_weights(rank, i):
+                assert difference_times_scriptG(datum, i, x, order) == scriptG_by_division(
+                    datum, i, x, order)
         conj = context(datum, top).conjugation(order)
         s = eB * exp_linear(neg_rho, order)
         assert (conj.s, conj.s_inv) == (s, fs_inv(s))
@@ -70,4 +87,5 @@ def test_no_constant_divides_or_inverts(monkeypatch):
         for i in range(rank):
             for r in (2, -2):
                 unit_factor(datum, i, order, r)
-            lusztig._scriptG_factor(datum, i, order)
+            for x in scriptG_weights(rank, i):
+                difference_times_scriptG(datum, i, x, order)

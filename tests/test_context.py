@@ -216,7 +216,7 @@ def calls(monkeypatch):
     counts = {}
     for module, name in ((graded_hecke, "todd_eB"), (lusztig, "unit_factor"),
                          (affine_hecke, "koszul_map"), (affine_hecke, "duality_map"),
-                         (affine_hecke, "parity_map"), (lusztig, "_scriptG_factor")):
+                         (affine_hecke, "parity_map")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             counts[_name] = counts.get(_name, 0) + 1
             return _fn(*args, **kwargs)
@@ -268,14 +268,13 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
     # the K-route goes through m alone: the Koszul chain is never built
     assert calls == {"todd_eB": 2, "unit_factor": 2}
     assert "twist" in datum._memo and "k_side_maps" not in datum._memo
-    # the x-free factors of the closed form: once per (i, order)
+    # the closed form of the modules check is one exp-sum per case: it
+    # stores nothing and builds no constant
     for _ in range(2):
         assert check_modules(datum, order=3, seed=0).status == "pass"
         for i in range(datum.rank):
             lusztig.difference_times_scriptG(datum, i, (1, -1), 4)
-    assert calls.pop("_scriptG_factor") == 4
-    assert sorted(key for key in datum._memo if key[0] == "scriptG") == [
-        ("scriptG", i, order) for i in range(datum.rank) for order in (3, 4)]
+    assert not [key for key in datum._memo if key[0] == "scriptG"]
     assert calls == {"todd_eB": 2, "unit_factor": 2}
 
 

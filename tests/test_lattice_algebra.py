@@ -16,6 +16,7 @@ from heckeverify.root_datum import apply, build_root_datum, cartan_matrix
 A1 = build_root_datum([[2]])
 A2 = build_root_datum(cartan_matrix("A", 2))
 B2 = build_root_datum(cartan_matrix("B", 2))
+G2 = build_root_datum(cartan_matrix("G", 2))
 
 
 def theta(x, scalar=LS_ONE):
@@ -72,6 +73,25 @@ def test_scriptG_a1_examples():
     got = mul_by_scriptG(A1, (2,), 0)
     want = theta((2,), LS_V2) + theta((0,), LS_V2) - theta((0,)) - theta((-2,))
     assert got == want
+
+
+def scriptG_by_products(datum, x, i):
+    """(v^2 theta_alpha - 1) * theta_{-alpha} * demazure_quotient(x, i), two products."""
+    alpha = datum.simple_roots[i]
+    factor = theta(alpha, LS_V2) - GroupAlgebraElement.one(datum.rank)
+    return factor * theta(tuple(-a for a in alpha)) * demazure_quotient(datum, x, i)
+
+
+@pytest.mark.parametrize("datum", [A1, A2, B2, G2], ids=["A1", "A2", "B2", "G2"])
+def test_scriptG_sum_equals_the_product_formula(datum):
+    rng = random.Random(13)
+    n = datum.rank
+    for _ in range(100):
+        x, i = rand_weight(rng, n), rng.randrange(n)
+        # m = <x, alpha_i^vee> > 0, = 0 and < 0 at each draw
+        for m in (rng.randint(1, 4), 0, -rng.randint(1, 4)):
+            y = x[:i] + (m,) + x[i + 1:]
+            assert mul_by_scriptG(datum, y, i) == scriptG_by_products(datum, y, i)
 
 
 @pytest.mark.parametrize("datum", [A1, A2, B2])

@@ -14,6 +14,7 @@ from heckeverify.lattice_algebra import (
     LaurentScalar,
     LS_V,
     demazure_quotient,
+    mul_by_scriptG,
 )
 from heckeverify.lusztig import (
     difference_times_scriptG,
@@ -143,6 +144,20 @@ def test_closed_form_action_instance():
             got = g_asph_act(img, m)
             want = difference_times_scriptG(datum, i, x, work)
             assert got.value.eq(want, order)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_closed_form_is_ch_of_the_k_side_value(family, rank):
+    # the graded closed form is the Chern character of the K-side one
+    datum = build_root_datum(cartan_matrix(family, rank))
+    rng = random.Random(4)
+    for _ in range(10):
+        x = tuple(rng.randint(-3, 3) for _ in range(rank))
+        i = rng.randrange(rank)
+        k_side = mul_by_scriptG(datum, x, i)
+        for order in range(1, 7):
+            assert series_of_group_algebra(datum, k_side, order) == difference_times_scriptG(
+                datum, i, x, order)
 
 
 def test_series_of_group_algebra_is_multiplicative():

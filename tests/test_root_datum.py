@@ -170,6 +170,19 @@ def test_type_e_of_another_rank_is_refused(rank):
         cartan_matrix("E", rank)
 
 
+@pytest.mark.parametrize("family, rank", [("E7", 5), ("G2", 5), ("F", 9), ("G", 3), ("E8", 6)])
+def test_a_rank_against_a_fixed_rank_name_is_refused(family, rank):
+    with pytest.raises(InvalidCartan, match="has rank"):
+        cartan_matrix(family, rank)
+
+
+@pytest.mark.parametrize("family, rank", [("G", 2), ("G2", 2), ("F", 4), ("F4", 4),
+                                          ("E6", 6), ("E7", 7), ("E8", 8)])
+def test_a_fixed_rank_name_takes_its_rank_or_none(family, rank):
+    assert cartan_matrix(family, None) == cartan_matrix(family, rank)
+    assert len(cartan_matrix(family, rank)) == rank
+
+
 def test_a1_basics():
     d = build_root_datum([[2]])
     assert len(weyl_elements(d)) == 2

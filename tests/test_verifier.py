@@ -105,6 +105,23 @@ def test_each_distinct_sampled_case_runs_once(monkeypatch, check, datum, distinc
     assert calls == cases
 
 
+@pytest.mark.parametrize("datum", [A1, A2, build_root_datum(cartan_matrix("B", 2))],
+                         ids=["A1", "A2", "B2"])
+def test_modules_builds_each_closed_form_image_once(monkeypatch, datum):
+    # n sign checks L_l(T_s).1 and n images L_l(1 + T_s), however many
+    # distinct closed-form cases the suite draws
+    rng = random.Random(0)
+    verify._distinct_cases(rng, datum.rank, 100)
+    cases = verify._distinct_cases(rng, datum.rank, 20)
+    assert len(cases) > datum.rank
+    calls = []
+    lusztig_l = verify.lusztig_l
+    monkeypatch.setattr(verify, "lusztig_l",
+                        lambda h, *args: calls.append(h) or lusztig_l(h, *args))
+    assert check_modules(datum, order=3, seed=0).status == "pass"
+    assert len(calls) == 2 * datum.rank
+
+
 def test_corrupted_bernstein_sign_fails():
     rep = check_presentation(A1, order=5, _bernstein_sign=-1)
     assert rep.status == "fail"
