@@ -23,30 +23,37 @@ class InvalidCartan(ValueError):
     """The input matrix violates the Cartan matrix axioms."""
 
 
-class WeylElement:
+class WeylElement(tuple):
     """A Weyl group element: its key w(rho), a reduced word and the simple
     roots that :func:`apply` reflects in along the word.
 
-    Immutable by contract: nothing assigns to an element after it is built.
-    Equality and hash go by ``key`` alone.
+    A tuple of its key, so it hashes in C: ``len(w)`` is the rank, and
+    ``w.length`` the word length.  Immutable by contract: nothing assigns
+    to an element after it is built.  Equality and hash go by ``key``
+    alone; an element equals no plain tuple, its own key included.
     """
 
-    __slots__ = ("key", "word", "roots")
-
-    def __init__(self, key, word, roots):
+    def __new__(cls, key, word, roots):
+        self = tuple.__new__(cls, key)
         self.key = key          # image of rho, canonical identifier
         self.word = word        # reduced word (simple indices)
         self.roots = roots      # simple roots of the datum, as weights
+        return self
+
+    def __getnewargs__(self):
+        return self.key, self.word, self.roots
 
     @property
     def length(self):
         return len(self.word)
 
-    def __hash__(self):
-        return hash(self.key)
+    __hash__ = tuple.__hash__
 
     def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.key == other.key
+        return isinstance(other, WeylElement) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
     def __repr__(self):
         if not self.word:

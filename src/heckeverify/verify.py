@@ -17,7 +17,7 @@ import json
 import operator
 import random
 import time
-from fractions import Fraction
+from math import lcm
 
 from .affine_hecke import (
     LS_V2M1,
@@ -28,7 +28,7 @@ from .affine_hecke import (
     pipeline_K_h,
     twist,
 )
-from .formal_series import FormalSeries, fs_exp_sum, fs_weyl
+from .formal_series import FormalSeries, _pack, _series, fs_exp_sum, fs_weyl
 from .graded_hecke import (
     Conjugation,
     GradedElement,
@@ -130,17 +130,20 @@ def _distinct_cases(rng, n, count):
 
 
 def rand_polynomial(rng, n, order):
-    """Random polynomial in y_1..y_n, r with height-bounded rationals."""
-    coeffs = {}
+    """Random polynomial in y_1..y_n, r with height-bounded rationals, as
+    int numerators over the lcm of the drawn denominators."""
+    draws = []
     for _ in range(rng.randint(2, 4)):
         deg = rng.randint(0, min(4, order))
         exp = [0] * (n + 1)
         for _ in range(deg):
             exp[rng.randrange(n + 1)] += 1
-        c = Fraction(rng.randint(-8, 8) or 1, rng.randint(1, 8))
-        exp = tuple(exp)
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + c
-    f = FormalSeries(n + 1, order, coeffs)
+        draws.append((_pack(exp, n + 1), rng.randint(-8, 8) or 1, rng.randint(1, 8)))
+    den = lcm(*(d for _, _, d in draws))
+    terms = {}
+    for key, num, d in draws:
+        terms[key] = terms.get(key, 0) + num * (den // d)
+    f = _series(n + 1, order, den, terms)
     return f if not f.is_zero() else FormalSeries.one(n + 1, order)
 
 
@@ -275,8 +278,10 @@ def _count_failure(datum, k_rels, g_rels):
 def _relation_failure(relation_list, image, equal):
     """(label, lhs - rhs) of the first relation whose images differ, or None.
 
-    Each factor is mapped once by ``image``; products are taken left to
-    right.
+    Each factor is mapped once by ``image``.  Products are taken right to
+    left, so each left operand is one factor image: :meth:`Rule.product`
+    pushes every term of its left factor through the right one, which is
+    also why :class:`GeneratorImages` puts the letter on the left.
     """
     factors, relations = relation_list
     images = {name: image(h) for name, h in factors.items()}
@@ -284,9 +289,9 @@ def _relation_failure(relation_list, image, equal):
     def side(products):
         total = None
         for names in products:
-            p = images[names[0]]
-            for name in names[1:]:
-                p = p * images[name]
+            p = images[names[-1]]
+            for name in reversed(names[:-1]):
+                p = images[name] * p
             total = p if total is None else total + p
         return total
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -287,6 +289,26 @@ def test_weyl_elements_are_equal_and_hash_by_key():
     assert {w: "w"}[same] == "w"
     assert WeylElement(d.rho, (0, 0), d.simple_roots) == d.identity
     assert w != d.identity and w != w.key
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy,
+    lambda w: pickle.loads(pickle.dumps(w, 0)),
+    lambda w: pickle.loads(pickle.dumps(w, pickle.HIGHEST_PROTOCOL)),
+], ids=["copy", "deepcopy", "pickle-0", "pickle-highest"])
+def test_weyl_elements_survive_copy_and_pickle(duplicate):
+    d = build_root_datum(cartan_matrix("B", 2))
+    for w in weyl_elements(d):
+        twin = duplicate(w)
+        assert type(twin) is WeylElement and twin == w and hash(twin) == hash(w)
+        assert (twin.key, twin.word, twin.roots) == (w.key, w.word, w.roots)
+
+
+def test_weyl_elements_are_tuples_of_their_key_that_hash_in_c():
+    d = build_root_datum(cartan_matrix("G", 2))
+    assert WeylElement.__hash__ is tuple.__hash__
+    for w in weyl_elements(d):
+        assert tuple(w) == w.key and len(w) == d.rank and w.length == len(w.word)
 
 
 def test_weyl_element_repr_and_length():

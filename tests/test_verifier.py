@@ -1,6 +1,9 @@
+import functools
 import json
+import operator
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,8 +16,8 @@ from heckeverify.affine_hecke import (
     ts_inverse,
     twist,
 )
-from heckeverify.formal_series import _WeylSubstitution, fs_exp_sum, fs_negate_r
-from heckeverify.graded_hecke import GradedElement, GradedRule, gh_mul
+from heckeverify.formal_series import FormalSeries, _WeylSubstitution, fs_exp_sum, fs_negate_r
+from heckeverify.graded_hecke import GradedElement, GradedRule, fourier_map, gh_mul
 from heckeverify.lattice_algebra import GroupAlgebraElement, LS_V2
 from heckeverify.lusztig import _LusztigMap, context
 from heckeverify.normal_form import GeneratorImages
@@ -103,6 +106,33 @@ def test_each_distinct_sampled_case_runs_once(monkeypatch, check, datum, distinc
     assert rep.status == "pass", rep.witness
     assert len(cases) == distinct
     assert calls == cases
+
+
+def _fraction_polynomial(rng, n, order):
+    """The draw of ``verify.rand_polynomial``, built from Fraction coefficients."""
+    coeffs = {}
+    for _ in range(rng.randint(2, 4)):
+        deg = rng.randint(0, min(4, order))
+        exp = [0] * (n + 1)
+        for _ in range(deg):
+            exp[rng.randrange(n + 1)] += 1
+        c = Fraction(rng.randint(-8, 8) or 1, rng.randint(1, 8))
+        exp = tuple(exp)
+        coeffs[exp] = coeffs.get(exp, Fraction(0)) + c
+    f = FormalSeries(n + 1, order, coeffs)
+    return f if not f.is_zero() else FormalSeries.one(n + 1, order)
+
+
+@pytest.mark.parametrize("seed, n, order",
+                         [(0, 1, 0), (1, 1, 3), (2, 2, 6), (3, 2, 1), (4, 3, 4), (5, 8, 5)])
+def test_rand_polynomial_equals_its_fraction_built_draw(seed, n, order):
+    # same draws in the same order, same canonical series, same term order
+    rng, oracle = random.Random(seed), random.Random(seed)
+    for _ in range(334):
+        got, want = verify.rand_polynomial(rng, n, order), _fraction_polynomial(oracle, n, order)
+        assert (got.nvars, got.order, got.den) == (want.nvars, want.order, want.den)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert rng.getstate() == oracle.getstate()
 
 
 @pytest.mark.parametrize("datum", [A1, A2, build_root_datum(cartan_matrix("B", 2))],
@@ -479,6 +509,62 @@ def test_no_two_relation_factors_are_equal(family):
             assert not any(equal(a, b) for b in elements[k + 1:]), a
         assert {name for _, lhs, rhs in relations for p in lhs + rhs for name in p} == set(factors)
         assert len(relations) == count
+
+
+def _relation_maps(datum, order):
+    """(name, relation list, image, equal) for each map the suites evaluate
+    a relation list under, and for the identity of each algebra."""
+    k_rels, g_rels = verify.k_relations(datum), verify.graded_relations(datum, order)
+    guard = lusztig.DEFAULT_GUARD
+
+    def g_equal(a, b):
+        return a.eq(b, order)
+
+    maps = [("identity", k_rels, lambda h: h, operator.eq),
+            ("L_r", k_rels, lambda h: lusztig.lusztig_r(h, order, guard), g_equal),
+            ("L_l", k_rels, lambda h: lusztig.lusztig_l(h, order, guard), g_equal)]
+    maps += [(name, k_rels, fmap, operator.eq)
+             for name, fmap in zip(("koszul", "duality", "parity"), k_side_maps(datum))]
+    return maps + [("graded identity", g_rels, lambda g: g, g_equal),
+                   ("fourier", g_rels, fourier_map, g_equal)]
+
+
+@pytest.mark.parametrize("family, rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)],
+                         ids=["A1", "A2", "B2", "G2"])
+def test_relation_sides_do_not_depend_on_the_nesting(family, rank):
+    # _relation_failure nests products right to left; left to right gives
+    # the same value of every side, under every map
+    datum = build_root_datum(cartan_matrix(family, rank))
+    for name, (factors, relations), image, equal in _relation_maps(datum, 3):
+        images = {key: image(h) for key, h in factors.items()}
+        for label, lhs, rhs in relations:
+            for products in (lhs, rhs):
+                left = right = None
+                for names in products:
+                    operands = [images[key] for key in names]
+                    p = functools.reduce(operator.mul, operands)
+                    q = functools.reduce(lambda acc, f: f * acc, reversed(operands))
+                    left = p if left is None else left + p
+                    right = q if right is None else right + q
+                assert equal(left, right), (name, label)
+
+
+def test_lusztig_braid_products_take_one_factor_image_on_the_left(monkeypatch):
+    # a product pushes each term of its left operand, so the 4-term
+    # L_r(T1) L_r(T2) must never stand on the left
+    order = 6
+    factors, relations = verify.k_relations(A2)
+    braid = [rel for rel in relations if rel[0].startswith("braid")]
+    images = {id(h): lusztig.lusztig_r(h, order, lusztig.DEFAULT_GUARD)
+              for h in factors.values()}
+    lefts = []
+    mul = GradedElement.__mul__
+    monkeypatch.setattr(GradedElement, "__mul__", lambda a, b: lefts.append(a) or mul(a, b))
+    assert verify._relation_failure(
+        (factors, braid), lambda h: images[id(h)], lambda a, b: a.eq(b, order)) is None
+    assert len(braid) == 1 and len(lefts) == 4
+    for a in lefts:
+        assert any(a is img for img in images.values()) and len(a.coeffs) <= 2
 
 
 def _dropping(relations, label):
