@@ -22,23 +22,22 @@ for l/(exp(l) - 1), built in closed form by :func:`fs_exp_sum`.
 The two diagram routes are
 
     pipeline_K: h |-> e_B * L_r( parity(duality(koszul(h))) ) * e_B^{-1}
-                    = S * L_r( m(h) ) * S^{-1},   S = e_B exp(-rho.)
+                    = L_r( m(h) )
     pipeline_H: h |-> fourier( L_l(h) )
 
 and the verifier checks they agree modulo degree > order.  The second
 form is evaluated: parity o duality o koszul = Ad(theta_{-rho}) o m for
-m: v |-> v^-1, theta_x |-> theta_x, T_s |-> -v^-2 T_s (:func:`twist`),
-which sends T_w to a single term, and e_B commutes with exp(-rho.).
+m: v |-> v^-1, theta_x |-> theta_x, T_s |-> -v^-2 T_s (:func:`twist`), so
+the K-route is Ad(S) o L_r o m with S = e_B exp(-rho.), the product over
+alpha > 0 of (alpha./2)/sinh(alpha./2).  S is even in each root, so it is
+W-invariant, hence central under Lusztig's rule, and Ad(S) is the
+identity; ``diagram`` checks that invariance in the run.
 
-Everything these routes reuse that depends only on the root datum and an
-order is built once: the :class:`Context` of a work order holds the unit
-factors, both Lusztig maps, the conjugation by S at each compared order
-and the K-route images K_w = S L_r(T_w) S^{-1}, each a map given on
-generators (:class:`GeneratorImages`); e_B, its inverse and its
+What the routes reuse is built once: the :class:`Context` of a work order
+holds the unit factors and both Lusztig maps, whose T_w images are kept
+per compared order (:class:`GeneratorImages`); e_B, its inverse and its
 conjugates (:func:`conj_eB`), exp(+-rho.), the map m and the Weyl
 substitution tables live in the datum's store (:meth:`RootDatum.memo`).
-Series commute with S, so the K-route evaluates as sum_w series(x_w) K_w
-on the normal form x = m(h) = sum_w x_w T_w.
 
 Only the unit factors are built at the work order order + guard; every
 product after them runs at the order a case compares.  Series products
@@ -48,14 +47,7 @@ truncation commutes with every step and the guard changes no value.
 
 from .affine_hecke import twist
 from .formal_series import bernoulli_weights, diff, fs_exp_sum, quotient_weights
-from .graded_hecke import (
-    Conjugation,
-    GradedElement,
-    GradedRule,
-    eB_conjugation,
-    fourier_map,
-    gh_mul,
-)
+from .graded_hecke import GradedElement, GradedRule, fourier_map, gh_mul
 from .lattice_algebra import scriptG_terms
 from .normal_form import AsphElement, GeneratorImages
 
@@ -83,12 +75,6 @@ def _ts_image(datum, i, order, side, u):
     return img - GradedElement.one(datum, order)
 
 
-def _ch_images(images, h, order):
-    """sum_w series(h_w) images.image(T_w) at ``order``, for h = sum_w h_w T_w."""
-    return GradedElement(images.datum, order, images.evaluate(
-        h, order, lambda c: series_of_group_algebra(images.datum, c, order)))
-
-
 class _LusztigMap(GeneratorImages):
     """Evaluate a Lusztig morphism on normal forms, caching T_w images.
 
@@ -103,47 +89,28 @@ class _LusztigMap(GeneratorImages):
             datum, i, o, side, unit(i).truncate(o)), order)
 
     def __call__(self, h, order):
-        return _ch_images(self, h, order)
+        """sum_w series(h_w) image(T_w) at ``order``, for h = sum_w h_w T_w."""
+        return GradedElement(self.datum, order, self.evaluate(
+            h, order, lambda c: series_of_group_algebra(self.datum, c, order)))
 
 
 class Context:
-    """The Lusztig side of one (root datum, work order), built once.
-
-    Values (see the module docstring) are filled on first use and never
-    change afterwards; ``units`` maps i to the unit factor u(alpha_i), and
-    ``conjugations`` a compared order to the conjugation by S there.
-    :func:`context` returns the shared instance.
-    """
+    """The Lusztig side of one (root datum, work order), shared through
+    :func:`context`: ``units`` maps i to the unit factor u(alpha_i), made on
+    first use, and ``lusztig_r``, ``lusztig_l`` keep T_w images per order."""
 
     def __init__(self, datum, order):
         self.datum = datum
         self.order = order
         self.units = {}
-        self.conjugations = {}
         self.lusztig_r = _LusztigMap(datum, order, "r", self.unit)
         self.lusztig_l = _LusztigMap(datum, order, "l", self.unit)
-        # K_s = S L_r(T_s) S^{-1}, with S and its conjugates at the compared order
-        self.k_route_images = GeneratorImages(GradedRule.of(datum), lambda i, o: (
-            self.conjugation(o)(self.lusztig_r.image(datum.simple(i), o))), order)
 
     def unit(self, i):
         u = self.units.get(i)
         if u is None:
             u = self.units[i] = unit_factor(self.datum, i, self.order)
         return u
-
-    def conjugation(self, order):
-        """Ad(S), S = e_B exp(-rho.) at ``order``, from e_B^{+-1} and exp(-+rho.) in the store."""
-        if order not in self.conjugations:
-            exp_neg_rho, exp_rho = exp_rho_pair(self.datum, order)
-            eB = eB_conjugation(self.datum, order)
-            self.conjugations[order] = Conjugation(
-                self.datum, eB.s * exp_neg_rho, eB.s_inv * exp_rho)
-        return self.conjugations[order]
-
-    def k_route(self, h, order):
-        """S L_r(h) S^{-1} to ``order``, as sum_w series(h_w) K_w: series commute with S."""
-        return _ch_images(self.k_route_images, h, order)
 
 
 def context(datum, order):
@@ -168,11 +135,12 @@ def exp_rho_pair(datum, order):
 
 
 def pipeline_K(h, order, guard=DEFAULT_GUARD):
-    """Top-then-right route, as S L_r(m(h)) S^{-1} with S = e_B exp(-rho.).
+    """Top-then-right route, as L_r(m(h)) through the order + guard context.
 
-    At ``order``, through the order + guard context (:meth:`Context.k_route`).
+    The route is Ad(S) o L_r o m with S = e_B exp(-rho.), and S is central
+    once it is W-invariant, which ``verify.check_diagram`` checks.
     """
-    return context(h.datum, order + guard).k_route(twist(h.datum)(h), order)
+    return lusztig_r(twist(h.datum)(h), order, guard)
 
 
 def pipeline_H(h, order, guard=DEFAULT_GUARD):

@@ -1,10 +1,11 @@
 """The closed-form constants against the division and inversion route.
 
-``todd_eB``, ``unit_factor``, ``difference_times_scriptG`` and the
-K-route's S = e_B exp(-rho.) with its inverse are built from the weighted
-walk of ``fs_exp_sum``, with no division or inversion.  The oracle here
-builds each from the general ``fs_exp``, exact division by the form and
-``fs_inv`` (:mod:`linear_series`), the way the package built them before.
+``todd_eB`` with its inverse, ``unit_factor``, ``difference_times_scriptG``
+and the S = e_B exp(-rho.) whose W-invariance ``diagram`` checks are built
+from the weighted walk of ``fs_exp_sum``, with no division or inversion.
+The oracle here builds each from the general ``fs_exp``, exact division by
+the form and ``fs_inv`` (:mod:`linear_series`), the way the package built
+them before.
 """
 
 import sys
@@ -12,10 +13,11 @@ import sys
 import pytest
 
 from heckeverify import formal_series
-from heckeverify.formal_series import FormalSeries, diff, fs_div_linear, fs_inv
+from heckeverify.formal_series import FormalSeries, diff, fs_div_linear, fs_inv, fs_weyl
 from heckeverify.graded_hecke import eB_conjugation, todd_eB
-from heckeverify.lusztig import context, difference_times_scriptG, unit_factor
+from heckeverify.lusztig import difference_times_scriptG, exp_rho_pair, unit_factor
 from heckeverify.root_datum import apply, build_root_datum, cartan_matrix
+from heckeverify.verify import check_diagram
 
 from linear_series import bernoulli_quotient, exp_linear, fs_exp_quotient
 
@@ -48,7 +50,6 @@ def todd_by_inversion(datum, order):
 @pytest.mark.parametrize("family, rank, top", DATA)
 def test_constants_match_the_division_route(family, rank, top):
     datum = build_root_datum(cartan_matrix(family, rank))
-    n = rank + 1
     neg_rho = diff(-a for a in datum.rho)
     for order in range(top + 1):
         eB = todd_by_inversion(datum, order)
@@ -63,10 +64,10 @@ def test_constants_match_the_division_route(family, rank, top):
             for x in scriptG_weights(rank, i):
                 assert difference_times_scriptG(datum, i, x, order) == scriptG_by_division(
                     datum, i, x, order)
-        conj = context(datum, top).conjugation(order)
-        s = eB * exp_linear(neg_rho, order)
-        assert (conj.s, conj.s_inv) == (s, fs_inv(s))
-        assert conj.s * conj.s_inv == FormalSeries.one(n, order)
+        # S as the diagram check builds it, from the stored e_B and exp(-rho.)
+        s = by_eB.s * exp_rho_pair(datum, order)[0]
+        assert s == eB * exp_linear(neg_rho, order)
+        assert all(fs_weyl(datum, datum.simple(i), s) == s for i in range(rank))
 
 
 def test_no_constant_divides_or_inverts(monkeypatch):
@@ -83,7 +84,7 @@ def test_no_constant_divides_or_inverts(monkeypatch):
         datum = build_root_datum(cartan_matrix(family, rank))
         todd_eB(datum, order)
         eB_conjugation(datum, order)
-        context(datum, order).conjugation(order)
+        assert check_diagram(datum, order=order).status == "pass"
         for i in range(rank):
             for r in (2, -2):
                 unit_factor(datum, i, order, r)

@@ -131,9 +131,9 @@ def test_maps_at_the_compared_order_equal_the_work_order_truncated(family, rank,
     for guard in (0, 1, 2):
         ctx = context(datum, order + guard)
         for h in cases:
-            for evaluate in (ctx.lusztig_r, ctx.lusztig_l, ctx.k_route):
+            for evaluate in (ctx.lusztig_r, ctx.lusztig_l):
                 top = evaluate(h, ctx.order)
-                # two compared orders on one context, each with its own T_w, K_w
+                # two compared orders on one context, each with its own T_w
                 for compared in (order, order - 1):
                     got = evaluate(h, compared)
                     assert got.order == compared
@@ -152,7 +152,7 @@ def test_a_context_refuses_orders_above_its_work_order():
     datum = build_root_datum(cartan_matrix("A", 2))
     ctx = context(datum, 3)
     ts = HeckeElement.Ts(datum, 0)
-    for evaluate in (ctx.lusztig_r, ctx.lusztig_l, ctx.k_route):
+    for evaluate in (ctx.lusztig_r, ctx.lusztig_l):
         with pytest.raises(ValueError, match="compared order 5 is above the work order 3"):
             evaluate(ts, 5)
         assert evaluate(ts, 3).order == 3
@@ -199,11 +199,11 @@ def test_no_caller_mutates_a_shared_value():
 
 def test_store_dies_with_its_datum():
     datum = build_root_datum(cartan_matrix("A", 2))
-    pipeline_K(HeckeElement.Ts(datum, 0), 3)
-    # the K-route conjugates by S = e_B exp(-rho.) in its context, from
-    # e_B and its inverse in the datum's store
+    assert check_diagram(datum, order=3).status == "pass"
+    # the K-route runs through its context; the check reads e_B from the
+    # datum's store to check S = e_B exp(-rho.) invariant
     refs = [weakref.ref(datum), weakref.ref(context(datum, 5)),
-            weakref.ref(context(datum, 5).conjugations[3]),
+            weakref.ref(context(datum, 5).lusztig_r),
             weakref.ref(datum._memo[("conj_eB", 3)])]
     del datum
     gc.collect()
@@ -228,35 +228,22 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
     datum = build_root_datum(cartan_matrix("B", 2))
     ctx = context(datum, 5)
     assert context(datum, 5) is ctx
-    # K_s = S L_r(T_s) S^{-1}, S = e_B exp(-rho.), is the only conjugation
-    # the K-route runs: one conjugation by S per compared order, built at
-    # that order, and each K_s once per (s, compared order); every longer
-    # K_w is a product of them
-    conjugations = []
-    conjugation = lusztig.Conjugation
-    monkeypatch.setattr(lusztig, "Conjugation",
-                        lambda *args: conjugations.append(args) or conjugation(*args))
-    k_built = []
-    k_images = ctx.k_route_images
-    ts_image = k_images.ts_image
-    monkeypatch.setattr(k_images, "ts_image",
-                        lambda i, o: k_built.append((i, o)) or ts_image(i, o))
+    # the K-route is L_r o m: S = e_B exp(-rho.) is central, so the context
+    # holds the unit factors and the two Lusztig maps and conjugates nothing;
+    # each L_r(T_s) is built once per (s, compared order), and every longer
+    # T_w image is a product of them
+    assert sorted(vars(ctx)) == ["datum", "lusztig_l", "lusztig_r", "order", "units"]
+    r_built = []
+    ts_image = ctx.lusztig_r.ts_image
+    monkeypatch.setattr(ctx.lusztig_r, "ts_image",
+                        lambda i, o: r_built.append((i, o)) or ts_image(i, o))
     for order, guard in ((3, 2), (4, 1)):
         for _ in range(2):
             assert check_diagram(datum, order=order, seed=0, guard=guard).status == "pass"
-        s, s_inv = conjugations[-1][1:]
-        assert (s.order, s_inv.order) == (order, order)
-        assert ctx.conjugations[order].s is s
-        assert [o for _, o in k_built].count(order) == datum.rank
-        # each S t_w S^{-1} is built once, for the w that some L_r(T_s) reaches
-        reached = {w for i in range(datum.rank)
-                   for w in ctx.lusztig_r.image(datum.simple(i), order).coeffs}
-        assert set(ctx.conjugations[order]._images) == {(w, order) for w in reached}
-    assert len(conjugations) == 2 and sorted(ctx.conjugations) == [3, 4]
-    assert sorted(k_built) == [(i, o) for i in range(datum.rank) for o in (3, 4)]
-    assert sorted({o for _, o in k_images._images}) == [3, 4]
+        assert [o for _, o in r_built].count(order) == datum.rank
+    assert sorted(r_built) == [(i, o) for i in range(datum.rank) for o in (3, 4)]
     # e_B, e_B^{-1} and exp(+-rho.) are stored at the compared orders only,
-    # and S conjugates nothing by e_B alone
+    # and the diagram check conjugates nothing by e_B
     assert sorted(key for key in datum._memo if key[0] in ("exp_rho", "conj_eB")) == [
         ("conj_eB", 3), ("conj_eB", 4), ("exp_rho", 3), ("exp_rho", 4)]
     assert all(not datum._memo[("conj_eB", o)]._images for o in (3, 4))

@@ -1,12 +1,15 @@
 """The K-route and the conjugation by e_B against their literal products.
 
 ``pipeline_K`` evaluates e_B L_r(parity(duality(koszul(h)))) e_B^{-1} as
-S L_r(m(h)) S^{-1} with S = e_B exp(-rho.), from cached images
-S L_r(T_w) S^{-1}, and ``conj_eB`` from cached conjugates
-e_B t_w e_B^{-1}; ``Conjugation`` does the same for any unit.  The oracle
-here applies the literal Koszul chain and multiplies the three factors out
-with ``gh_mul`` on a second copy of the datum, so it shares no cache with
-the code under test, and the results must be equal in canonical form.
+L_r(m(h)), from cached images L_r(T_w): the route is Ad(S) o L_r o m with
+S = e_B exp(-rho.), and S is W-invariant, hence central.  ``conj_eB``
+evaluates e_B a e_B^{-1} from cached conjugates e_B t_w e_B^{-1};
+``Conjugation`` does the same for any unit.  The oracle here applies the
+literal Koszul chain and multiplies the three factors out with ``gh_mul``
+on a second copy of the datum, so it shares no cache with the code under
+test, and the results must be equal in canonical form.  The K-route cases
+include A3 and C3: S must commute with the reflections of both root
+lengths at rank three.
 """
 
 import random
@@ -25,9 +28,10 @@ from random_elements import rand_graded, rand_group_algebra
 from weyl_group import weyl_elements
 
 CASES = [("A", 4), ("B", 4), ("G", 3)]
-# the K-route also at rank three, on words of length up to six
+# the K-route also at rank three, on words of length up to six (A3) and nine (C3)
 K_ROUTE_CASES = [pytest.param(family, 2, order, id="%s-%d" % (family, order))
-                 for family, order in CASES] + [pytest.param("A", 3, 3, id="A3-3")]
+                 for family, order in CASES] + [pytest.param("A", 3, 3, id="A3-3"),
+                                                pytest.param("C", 3, 3, id="C3-3")]
 
 
 def canonical(a):

@@ -3,6 +3,7 @@ import json
 import operator
 import pathlib
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,15 @@ from heckeverify.affine_hecke import (
     ts_inverse,
     twist,
 )
-from heckeverify.formal_series import FormalSeries, _WeylSubstitution, fs_exp_sum, fs_negate_r
-from heckeverify.graded_hecke import GradedElement, GradedRule, fourier_map, gh_mul
+from heckeverify.formal_series import (
+    FormalSeries,
+    _WeylSubstitution,
+    diff,
+    fs_exp_sum,
+    fs_negate_r,
+    quotient_weights,
+)
+from heckeverify.graded_hecke import GradedElement, GradedRule, fourier_map, gh_mul, todd_eB
 from heckeverify.lattice_algebra import GroupAlgebraElement, LS_V2
 from heckeverify.lusztig import _LusztigMap, context
 from heckeverify.normal_form import GeneratorImages
@@ -168,6 +176,57 @@ def test_dropped_conjugation_fails():
     rep = check_diagram(A1, order=5, _conjugate=False)
     assert rep.status == "fail"
     assert rep.witness
+
+
+def _permuted(cartan, perm):
+    return [[cartan[i][j] for j in perm] for i in perm]
+
+
+# S = e_B exp(-rho.) must be W-invariant under reflections of both root
+# lengths, on relabelled nodes and on a reducible datum as well
+INVARIANT_S = [
+    ("B2", cartan_matrix("B", 2), 5),
+    ("G2", cartan_matrix("G", 2), 3),
+    ("G2-transposed", [list(row) for row in zip(*cartan_matrix("G", 2))], 3),
+    ("C3-permuted", _permuted(cartan_matrix("C", 3), (2, 0, 1)), 3),
+    ("A1+G2", [[2, 0, 0], [0, 2, -1], [0, -3, 2]], 3),
+]
+
+
+@pytest.mark.parametrize("name, cartan, order", INVARIANT_S, ids=[c[0] for c in INVARIANT_S])
+def test_diagram_passes_with_an_invariant_S(name, cartan, order):
+    rep = check_diagram(build_root_datum(cartan), order=order)
+    assert (rep.status, rep.witness) == ("pass", None), name
+
+
+def _without_root(beta):
+    """e_B without its factor at the positive root beta: times (exp(l) - 1)/l at l = -beta."""
+    def eB(datum, order):
+        return todd_eB(datum, order) * fs_exp_sum(
+            datum.rank + 1, order, [(1, diff(-a for a in beta))], quotient_weights(order))
+    return eB
+
+
+@pytest.mark.parametrize("name, cartan, order", INVARIANT_S[:2], ids=["B2", "G2"])
+def test_a_non_invariant_S_fails_diagram_before_any_route(name, cartan, order, monkeypatch):
+    # the diagram check proves the step that lets the K-route drop Ad(S):
+    # an e_B that makes S move under some s_i fails with that s_i, and no
+    # route is evaluated
+    datum = build_root_datum(cartan)
+    routes = []
+    for route in ("pipeline_K", "pipeline_H"):
+        monkeypatch.setattr(verify, route, lambda *args, _r=route: routes.append(_r))
+    plants = [(lambda d, o: FormalSeries.one(d.rank + 1, o), 0)]
+    # s_i fixes beta, and then S without beta's factor, exactly when <beta, alpha_i^v> = 0
+    plants += [(_without_root(beta), min(i for i, c in enumerate(beta) if c))
+               for beta in datum.positive_roots]
+    for eB, moved in plants:
+        monkeypatch.setattr(verify, "eB_conjugation",
+                            lambda d, o, _eB=eB: types.SimpleNamespace(s=_eB(d, o)))
+        rep = check_diagram(datum, order=order)
+        assert (rep.status, rep.witness) == (
+            "fail", "S = e_B exp(-rho.) is not invariant under s%d" % (moved + 1)), name
+    assert routes == []
 
 
 def test_diagram_fails_when_it_compares_fewer_generators(monkeypatch):
