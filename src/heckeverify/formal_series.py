@@ -53,7 +53,8 @@ action is a linear substitution, which keeps degrees; for a simple
 reflection s_i, the same table holds the Demazure images
 (m - s_i(m))/alpha_i-dot of monomials with int coefficients, so
 :func:`fs_weyl_demazure` gives both terms of the graded rule with no
-division.
+division.  A series in two variables (a, r) pulls back along a |-> l, an
+int linear form, by the same kind of substitution (:func:`fs_pullback`).
 """
 
 from bisect import bisect_left
@@ -363,8 +364,9 @@ class FormalSeries:
 def fs_exp(f):
     """exp of a series with zero constant term, same order.
 
-    The reference for :func:`fs_exp_sum` in the tests; the package
-    exponentiates int linear forms only, through that closed form.
+    The package exponentiates the log-Todd sum G with it (e_B, e_B^{-1}
+    and S); an exponential of int linear forms goes through the closed
+    form :func:`fs_exp_sum` instead.
 
     With g = exp(f) and E the degree operator, E g = (E f) g gives the
     homogeneous components  d g_d = sum_{j=1..d} j f_j g_{d-j}.  With
@@ -421,6 +423,15 @@ def bernoulli_weights(order):
 def quotient_weights(order):
     """1/(k+1) for k = 0..order, the weights of (exp(l) - 1)/l."""
     return [Fraction(1, k + 1) for k in range(order + 1)]
+
+
+def log_todd_weights(order):
+    """0, -1/2 and -B_k/k for k = 2..order, the weights of log(l/(exp(l) - 1)).
+
+    The derivative of log(l/(exp(l) - 1)) is -1/2 - sum_{k>=2} B_k l^(k-1)/k!.
+    """
+    b = bernoulli_weights(order)
+    return [0, Fraction(-1, 2)][:order + 1] + [-b[k] / k for k in range(2, order + 1)]
 
 
 def fs_exp_sum(nvars, order, pairs, weights=None):
@@ -656,6 +667,36 @@ def fs_weyl(datum, w, f):
             m += r_part
             out[m] = get(m, 0) + c * cm
     return _series(f.nvars, f.order, f.den, out)
+
+
+def fs_pullback(f, form):
+    """f(l, r) for f a series in (a, r) and l the int linear form ``form``,
+    whose last variable is r, at f's order.
+
+    a^j r^k goes to l^j r^k, each power of l one :func:`_mul_add` from the
+    last, with r's part of the key shifted on as in :func:`fs_weyl`.  l has
+    degree one, so truncation commutes with the pullback.
+    """
+    if f.nvars != 2:
+        raise ValueError("a pullback along a |-> l takes a series in (a, r), "
+                         "not in %d variables" % f.nvars)
+    nvars = len(form)
+    line = {_unit(nvars, i): c for i, c in enumerate(_int_form(form, nvars)) if c}
+    shift = FIELD_BITS * nvars
+    powers = [{0: 1}]
+    out = {}
+    get = out.get
+    for e, c in f.terms.items():
+        j, k = (e >> FIELD_BITS) & _FIELD, e & _FIELD
+        while len(powers) <= j:
+            power = {}
+            _mul_add(power, powers[-1], line)
+            powers.append(power)
+        r_part = k << shift | k
+        for m, cm in powers[j].items():
+            m += r_part
+            out[m] = get(m, 0) + c * cm
+    return _series(nvars, f.order, f.den, out)
 
 
 def fs_weyl_demazure(datum, i, f):

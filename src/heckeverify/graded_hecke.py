@@ -10,21 +10,26 @@ definition of Dem_s by exact division by alpha-dot, which the verifier
 checks the rule's integer tables against.
 
 The Todd-type unit  e_B = prod_{alpha > 0} alpha-dot / (1 - exp(-alpha-dot))
-lives here too, along with conjugation by it and the graded antispherical
-module where t_s collapses to -1.
+lives here too, as exp(G) for the log-Todd sum
+G = sum_{alpha > 0} log F(-alpha-dot), F(l) = l/(exp(l) - 1), which is one
+closed-form walk (:func:`log_todd`).  e_B^{-1} = exp(-G), and the
+S = e_B exp(-rho.) that the diagram check proves central is exp(G - rho.).
+The datum's store keeps, per order, G, S and the conjugation by e_B with
+e_B^{-1} and its conjugates of the t_w (:func:`eB_conjugation`).  The
+graded antispherical module, where t_s collapses to -1, is here as well.
 """
 
 from .formal_series import (
     FormalSeries,
-    bernoulli_weights,
     compared_order,
     diff,
     fs_div_linear,
+    fs_exp,
     fs_exp_sum,
     fs_negate_r,
     fs_weyl,
     fs_weyl_demazure,
-    quotient_weights,
+    log_todd_weights,
 )
 from .normal_form import AsphElement, GeneratorImages, Rule
 
@@ -169,21 +174,31 @@ def fourier_map(a):
     return GradedElement(a.datum, a.order, out)
 
 
-def _over_positive_roots(datum, order, weights):
-    """prod over positive roots of F(-alpha-dot), F of derivative weights ``weights``."""
-    out = FormalSeries.one(datum.rank + 1, order)
-    for alpha in datum.positive_roots:
-        out = out * fs_exp_sum(datum.rank + 1, order, [(1, diff(-a for a in alpha))], weights)
-    return out
+def log_todd(datum, order):
+    """G = sum over positive roots of log F(-alpha-dot), F(l) = l/(exp(l) - 1),
+    kept in the datum's store: one :func:`fs_exp_sum` with the weights of
+    log F (:func:`log_todd_weights`), so e_B, e_B^{-1} and S, its
+    exponentials, multiply, divide and invert no series."""
+    return datum.memo(("log_todd", order), lambda: fs_exp_sum(
+        datum.rank + 1, order, [(1, diff(-a for a in alpha)) for alpha in datum.positive_roots],
+        log_todd_weights(order)))
 
 
 def todd_eB(datum, order):
-    """prod over positive roots of alpha-dot / (1 - exp(-alpha-dot)).
+    """prod over positive roots of alpha-dot / (1 - exp(-alpha-dot)), as
+    exp(G) (:func:`log_todd`)."""
+    return fs_exp(log_todd(datum, order))
 
-    Each factor is l/(exp(l) - 1) at l = -alpha-dot, a closed form in the
-    Bernoulli numbers (:func:`fs_exp_sum`): nothing divides or inverts.
+
+def todd_S(datum, order):
+    """S = e_B exp(-rho.) = exp(G - rho.), kept in the datum's store.
+
+    S is the product over alpha > 0 of (alpha./2)/sinh(alpha./2).  It is
+    made from the same G as e_B, so a fault in G shows in S.
     """
-    return _over_positive_roots(datum, order, bernoulli_weights(order))
+    n = datum.rank + 1
+    return datum.memo(("S", order), lambda: fs_exp(log_todd(datum, order) - FormalSeries(
+        n, order, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(datum.rho)})))
 
 
 class Conjugation(GeneratorImages):
@@ -210,9 +225,10 @@ class Conjugation(GeneratorImages):
 
 
 def eB_conjugation(datum, order):
-    """Conjugation by e_B at ``order`` (e_B^{-1} in closed form), kept in the datum's store."""
+    """Conjugation by e_B at ``order``, with e_B^{-1} = exp(-G) (:func:`log_todd`),
+    kept in the datum's store."""
     return datum.memo(("conj_eB", order), lambda: Conjugation(
-        datum, todd_eB(datum, order), _over_positive_roots(datum, order, quotient_weights(order))))
+        datum, todd_eB(datum, order), fs_exp(-log_todd(datum, order))))
 
 
 def conj_eB(a):

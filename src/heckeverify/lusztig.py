@@ -17,7 +17,9 @@ materialized on the series side: its denominator maps to a non-unit, and
 the closed form above is unit-times-unit after the shared linear factors
 cancel.  Each factor is a series sum_k F^(k)(0) l^k/k! of one linear form
 l, with F^(k)(0) = 1/(k+1) for (exp(l) - 1)/l and the Bernoulli number B_k
-for l/(exp(l) - 1), built in closed form by :func:`fs_exp_sum`.
+for l/(exp(l) - 1), built in closed form by :func:`fs_exp_sum`.  The
+product depends only on the two forms a and r: it is taken in those two
+variables and pulled back along a |-> alpha-dot (:func:`fs_pullback`).
 
 The two diagram routes are
 
@@ -35,9 +37,10 @@ identity; ``diagram`` checks that invariance in the run.
 
 What the routes reuse is built once: the :class:`Context` of a work order
 holds the unit factors and both Lusztig maps, whose T_w images are kept
-per compared order (:class:`GeneratorImages`); e_B, its inverse and its
-conjugates (:func:`conj_eB`), exp(+-rho.), the map m and the Weyl
-substitution tables live in the datum's store (:meth:`RootDatum.memo`).
+per compared order (:class:`GeneratorImages`); the log-Todd sum G and
+S = exp(G - rho.) that the diagram check reads, the conjugation by e_B
+that ``display`` reads (:func:`conj_eB`), exp(+-rho.), the map m and the
+Weyl substitution tables live in the datum's store (:meth:`RootDatum.memo`).
 
 Only the unit factors are built at the work order order + guard; every
 product after them runs at the order a case compares.  Series products
@@ -46,7 +49,7 @@ truncation commutes with every step and the guard changes no value.
 """
 
 from .affine_hecke import twist
-from .formal_series import bernoulli_weights, diff, fs_exp_sum, quotient_weights
+from .formal_series import bernoulli_weights, diff, fs_exp_sum, fs_pullback, quotient_weights
 from .graded_hecke import GradedElement, GradedRule, fourier_map, gh_mul
 from .lattice_algebra import scriptG_terms
 from .normal_form import AsphElement, GeneratorImages
@@ -61,10 +64,15 @@ def series_of_group_algebra(datum, ga, order):
 
 
 def unit_factor(datum, i, order, r_coeff=2):
-    """(exp(a + cr) - 1)/(a + cr) * a/(exp(a) - 1)  with a = alpha_i-dot, in closed form."""
-    alpha, n = datum.simple_roots[i], datum.rank + 1
-    return (fs_exp_sum(n, order, [(1, alpha + (r_coeff,))], quotient_weights(order))
-            * fs_exp_sum(n, order, [(1, diff(alpha))], bernoulli_weights(order)))
+    """(exp(a + cr) - 1)/(a + cr) * a/(exp(a) - 1)  with a = alpha_i-dot, in closed form.
+
+    The product depends on neither the datum nor alpha: it is taken in the
+    two variables (a, r) and pulled back along a |-> alpha_i-dot
+    (:func:`fs_pullback`).
+    """
+    product = (fs_exp_sum(2, order, [(1, (1, r_coeff))], quotient_weights(order))
+               * fs_exp_sum(2, order, [(1, (1, 0))], bernoulli_weights(order)))
+    return fs_pullback(product, diff(datum.simple_roots[i]))
 
 
 def _ts_image(datum, i, order, side, u):

@@ -35,9 +35,9 @@ from .graded_hecke import (
     GradedRule,
     conj_eB,
     demazure_series,
-    eB_conjugation,
     fourier_map,
     g_asph_act,
+    todd_S,
 )
 from .lattice_algebra import (
     GroupAlgebraElement,
@@ -496,7 +496,9 @@ def check_diagram(datum, order=6, seed=0, guard=DEFAULT_GUARD, _conjugate=True):
     The K-route is Ad(S) o L_r o m, S = e_B exp(-rho.).  Under Lusztig's
     rule t_s S - S t_s = (s(S) - S) t_s + 2r Dem_s(S), and series commute
     with S, so Ad(S) fixes every L_r(m(g)), and so is the identity, exactly
-    when s_i(S) = S for each simple i.  The suite checks that first, then
+    when s_i(S) = S for each simple i.  The suite checks that first, on
+    S = exp(G - rho.) from the same log-Todd sum G as e_B = exp(G)
+    (:func:`todd_S`), so a fault in G that moves S fails here.  Then it
     evaluates the K-route as L_r(m(h)) (:func:`pipeline_K`); so it accepts
     exactly what comparing Ad(S) o L_r o m on the generators accepted.
 
@@ -510,9 +512,9 @@ def check_diagram(datum, order=6, seed=0, guard=DEFAULT_GUARD, _conjugate=True):
     generators, n the size of the Cartan matrix.  ``seed`` is accepted for
     callers that pass one to every check (``benchmarks/child.py``) and is
     not used.  A limit: an error in e_B by a central (W-invariant) factor,
-    such as exp(r), changes no conjugation, so neither this suite nor
-    ``display`` can see it; only the closed-form oracles of the tests
-    guard e_B.
+    such as exp(r), a term r in G, changes no conjugation, so neither this
+    suite nor ``display`` can see it; only the closed-form oracles of the
+    tests guard e_B.
     """
     if not _conjugate:
         # a private copy whose K-route is conjugated by exp(-rho.) alone: e_B is dropped
@@ -521,7 +523,7 @@ def check_diagram(datum, order=6, seed=0, guard=DEFAULT_GUARD, _conjugate=True):
     n = len(datum.cartan)
 
     def body():
-        s = eB_conjugation(datum, order).s * exp_rho_pair(datum, order)[0]
+        s = todd_S(datum, order)
         for i in range(n):
             if not fs_weyl(datum, datum.simple(i), s).eq(s, order):
                 return "S = e_B exp(-rho.) is not invariant under s%d" % (i + 1)
@@ -552,7 +554,9 @@ def check_display_identity(datum, order=6, guard=DEFAULT_GUARD, _flip_rho=False)
     with u_plus/minus the unit factors with r-coefficient +-2, for every
     simple s.  The unit factors are built at order + guard and truncated;
     every product runs at ``order``.  It is the one suite that conjugates
-    by e_B (:func:`conj_eB`); ``diagram`` only checks e_B exp(-rho.) central.
+    by e_B (:func:`conj_eB`), with e_B = exp(G) and e_B^{-1} = exp(-G) from
+    the stored log-Todd sum G; ``diagram`` reads only S = exp(G - rho.), to
+    check it central.
     """
     n = datum.rank
     work = order + guard

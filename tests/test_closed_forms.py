@@ -1,11 +1,12 @@
 """The closed-form constants against the division and inversion route.
 
-``todd_eB`` with its inverse, ``unit_factor``, ``difference_times_scriptG``
-and the S = e_B exp(-rho.) whose W-invariance ``diagram`` checks are built
-from the weighted walk of ``fs_exp_sum``, with no division or inversion.
-The oracle here builds each from the general ``fs_exp``, exact division by
-the form and ``fs_inv`` (:mod:`linear_series`), the way the package built
-them before.
+``todd_eB`` with its inverse and the S = e_B exp(-rho.) whose
+W-invariance ``diagram`` checks are exponentials of the log-Todd sum G, one
+weighted walk of ``fs_exp_sum``; ``unit_factor`` is a two-variable product
+of such walks pulled back along a |-> alpha-dot, and
+``difference_times_scriptG`` is one walk.  None divides or inverts.  The
+oracle here builds each from the general ``fs_exp``, exact division by
+the form and ``fs_inv`` (:mod:`linear_series`), as products over the roots.
 """
 
 import sys
@@ -14,8 +15,8 @@ import pytest
 
 from heckeverify import formal_series
 from heckeverify.formal_series import FormalSeries, diff, fs_div_linear, fs_inv, fs_weyl
-from heckeverify.graded_hecke import eB_conjugation, todd_eB
-from heckeverify.lusztig import difference_times_scriptG, exp_rho_pair, unit_factor
+from heckeverify.graded_hecke import eB_conjugation, log_todd, todd_eB, todd_S
+from heckeverify.lusztig import difference_times_scriptG, unit_factor
 from heckeverify.root_datum import apply, build_root_datum, cartan_matrix
 from heckeverify.verify import check_diagram
 
@@ -58,14 +59,14 @@ def test_constants_match_the_division_route(family, rank, top):
         assert (by_eB.s, by_eB.s_inv) == (eB, fs_inv(eB))
         for i, alpha in enumerate(datum.simple_roots):
             bern = bernoulli_quotient(diff(alpha), order)
-            for r in (2, -2):
+            for r in (2, -2, 3):
                 want = fs_exp_quotient(alpha + (r,), order) * bern
                 assert unit_factor(datum, i, order, r) == want
             for x in scriptG_weights(rank, i):
                 assert difference_times_scriptG(datum, i, x, order) == scriptG_by_division(
                     datum, i, x, order)
-        # S as the diagram check builds it, from the stored e_B and exp(-rho.)
-        s = by_eB.s * exp_rho_pair(datum, order)[0]
+        # S as the diagram check builds it, exp(G - rho.) from the stored G
+        s = todd_S(datum, order)
         assert s == eB * exp_linear(neg_rho, order)
         assert all(fs_weyl(datum, datum.simple(i), s) == s for i in range(rank))
 
@@ -82,11 +83,31 @@ def test_no_constant_divides_or_inverts(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     for family, rank, order in DATA:
         datum = build_root_datum(cartan_matrix(family, rank))
+        log_todd(datum, order)
+        todd_S(datum, order)
         todd_eB(datum, order)
         eB_conjugation(datum, order)
         assert check_diagram(datum, order=order).status == "pass"
         for i in range(rank):
-            for r in (2, -2):
+            for r in (2, -2, 3):
                 unit_factor(datum, i, order, r)
             for x in scriptG_weights(rank, i):
                 difference_times_scriptG(datum, i, x, order)
+
+
+def test_cold_constants_multiply_no_series_of_the_datum_width(monkeypatch):
+    # G and its exponentials multiply nothing, and a unit factor multiplies
+    # only in the two variables (a, r), before its pullback
+    widths = []
+    mul = FormalSeries.__mul__
+    monkeypatch.setattr(FormalSeries, "__mul__", lambda a, b: widths.append(a.nvars) or mul(a, b))
+    datum = build_root_datum(cartan_matrix("B", 2))
+    log_todd(datum, 5)
+    todd_S(datum, 5)
+    todd_eB(datum, 5)
+    eB_conjugation(datum, 5)
+    assert widths == []
+    for i in range(datum.rank):
+        for r in (2, -2, 3):
+            unit_factor(datum, i, 5, r)
+    assert widths == [2] * 6

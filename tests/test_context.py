@@ -200,23 +200,31 @@ def test_no_caller_mutates_a_shared_value():
 def test_store_dies_with_its_datum():
     datum = build_root_datum(cartan_matrix("A", 2))
     assert check_diagram(datum, order=3).status == "pass"
-    # the K-route runs through its context; the check reads e_B from the
-    # datum's store to check S = e_B exp(-rho.) invariant
+    # the K-route runs through its context; the check reads S = exp(G - rho.)
+    # from the datum's store, built there from the stored G, to check S
+    # invariant
     refs = [weakref.ref(datum), weakref.ref(context(datum, 5)),
-            weakref.ref(context(datum, 5).lusztig_r),
-            weakref.ref(datum._memo[("conj_eB", 3)])]
+            weakref.ref(context(datum, 5).lusztig_r)]
+    # series take no weak references: a stored one may be referred to by
+    # the store alone, which the datum owns
+    stored = [datum._memo[("log_todd", 3)], datum._memo[("S", 3)]]
+    assert [[r for r in gc.get_referrers(f) if r is not stored] for f in stored] == [
+        [datum._memo], [datum._memo]]
     del datum
     gc.collect()
-    assert [ref() for ref in refs] == [None, None, None, None]
+    assert [ref() for ref in refs] == [None, None, None]
+    assert [[r for r in gc.get_referrers(f) if r is not stored] for f in stored] == [[], []]
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count calls of the builders the context is meant to run once."""
+    """Count calls of the builders the context and the store are meant to
+    run once: G is built by the one call of ``log_todd_weights`` in
+    ``graded_hecke``, and S, e_B and e_B^{-1} by its calls of ``fs_exp``."""
     counts = {}
-    for module, name in ((graded_hecke, "todd_eB"), (lusztig, "unit_factor"),
-                         (affine_hecke, "koszul_map"), (affine_hecke, "duality_map"),
-                         (affine_hecke, "parity_map")):
+    for module, name in ((graded_hecke, "log_todd_weights"), (graded_hecke, "fs_exp"),
+                         (lusztig, "unit_factor"), (affine_hecke, "koszul_map"),
+                         (affine_hecke, "duality_map"), (affine_hecke, "parity_map")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             counts[_name] = counts.get(_name, 0) + 1
             return _fn(*args, **kwargs)
@@ -242,18 +250,19 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
             assert check_diagram(datum, order=order, seed=0, guard=guard).status == "pass"
         assert [o for _, o in r_built].count(order) == datum.rank
     assert sorted(r_built) == [(i, o) for i in range(datum.rank) for o in (3, 4)]
-    # e_B, e_B^{-1} and exp(+-rho.) are stored at the compared orders only,
-    # and the diagram check conjugates nothing by e_B
-    assert sorted(key for key in datum._memo if key[0] in ("exp_rho", "conj_eB")) == [
-        ("conj_eB", 3), ("conj_eB", 4), ("exp_rho", 3), ("exp_rho", 4)]
-    assert all(not datum._memo[("conj_eB", o)]._images for o in (3, 4))
+    # G and S are stored at the compared orders only; the diagram check
+    # builds neither e_B, its inverse nor exp(+-rho.)
+    assert sorted(key for key in datum._memo
+                  if key[0] in ("exp_rho", "conj_eB", "log_todd", "S")) == [
+        ("S", 3), ("S", 4), ("log_todd", 3), ("log_todd", 4)]
     # the unit factors stay at the work order; every image is per compared order
     assert {u.order for u in ctx.units.values()} == {5}
     assert {order for _, order in ctx.lusztig_r._images} == {3, 4}
     assert {(img.order, order) for (_, order), img in ctx.lusztig_r._images.items()} == {
         (3, 3), (4, 4)}
-    # the K-route goes through m alone: the Koszul chain is never built
-    assert calls == {"todd_eB": 2, "unit_factor": 2}
+    # one G and one S per compared order, and the K-route goes through m
+    # alone: the Koszul chain is never built
+    assert calls == {"log_todd_weights": 2, "fs_exp": 2, "unit_factor": 2}
     assert "twist" in datum._memo and "k_side_maps" not in datum._memo
     # the closed form of the modules check is one exp-sum per case: it
     # stores nothing and builds no constant
@@ -262,18 +271,24 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
         for i in range(datum.rank):
             lusztig.difference_times_scriptG(datum, i, (1, -1), 4)
     assert not [key for key in datum._memo if key[0] == "scriptG"]
-    assert calls == {"todd_eB": 2, "unit_factor": 2}
+    assert calls == {"log_todd_weights": 2, "fs_exp": 2, "unit_factor": 2}
+    # display conjugates by e_B = exp(G) and e_B^{-1} = exp(-G) from the stored G
+    for _ in range(2):
+        assert check_display_identity(datum, order=3).status == "pass"
+    assert calls == {"log_todd_weights": 2, "fs_exp": 4, "unit_factor": 2}
 
 
 def test_a_warm_diagram_check_builds_nothing(monkeypatch):
     # every constant and image of the K- and H-routes is cached: a second
-    # run on the same datum multiplies no graded elements and rebuilds,
-    # divides or inverts nothing
+    # run on the same datum multiplies no graded elements, adds nothing to
+    # the store and rebuilds, divides or inverts nothing
     datum = build_root_datum(cartan_matrix("B", 2))
     assert check_diagram(datum, order=4).status == "pass"
+    stored = set(datum._memo)
     called = []
     for module, name in ((graded_hecke, "gh_mul"), (graded_hecke, "todd_eB"),
-                         (lusztig, "unit_factor"), (formal_series, "fs_inv"),
+                         (graded_hecke, "log_todd_weights"), (lusztig, "unit_factor"),
+                         (formal_series, "fs_exp"), (formal_series, "fs_inv"),
                          (formal_series, "fs_div_linear")):
         original = getattr(module, name)
 
@@ -286,7 +301,7 @@ def test_a_warm_diagram_check_builds_nothing(monkeypatch):
                     and getattr(mod, name, None) is original):
                 monkeypatch.setattr(mod, name, counted)
     assert check_diagram(datum, order=4).status == "pass"
-    assert called == []
-    # the counters see a cold run
+    assert called == [] and set(datum._memo) == stored
+    # the counters see a cold run, which builds G and S but not e_B
     assert check_diagram(build_root_datum(cartan_matrix("B", 2)), order=4).status == "pass"
-    assert set(called) == {"gh_mul", "todd_eB", "unit_factor"}
+    assert set(called) == {"gh_mul", "log_todd_weights", "fs_exp", "unit_factor"}

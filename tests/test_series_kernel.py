@@ -30,12 +30,14 @@ from heckeverify.formal_series import (
     fs_exp_sum,
     fs_inv,
     fs_negate_r,
+    fs_pullback,
     fs_set_r_zero,
     fs_weyl,
     fs_weyl_demazure,
+    log_todd_weights,
     quotient_weights,
 )
-from heckeverify.graded_hecke import GradedElement
+from heckeverify.graded_hecke import GradedElement, eB_conjugation, todd_eB, todd_S
 from heckeverify.lusztig import unit_factor
 from heckeverify.root_datum import apply, build_root_datum, cartan_matrix, read_cartan_file
 
@@ -77,6 +79,12 @@ def ref_scale(a, k):
 
 def ref_one(nvars, order):
     return ref(order, {(0,) * nvars: 1})
+
+
+def ref_linear(form, order):
+    """The linear form sum_i form[i] x_i at ``order``."""
+    n = len(form)
+    return ref(order, {tuple(int(j == i) for j in range(n)): a for i, a in enumerate(form)})
 
 
 def ref_power_series(a, nvars, weights):
@@ -337,6 +345,8 @@ WEIGHT_FAMILIES = [
     ("quotient", quotient_weights, 1, lambda k: Fraction(1, factorial(k + 1))),
     ("bernoulli", bernoulli_weights, 1, lambda k: bernoulli(k)[k] / factorial(k)),
     ("todd", bernoulli_weights, -1, lambda k: (-1) ** k * bernoulli(k)[k] / factorial(k)),
+    ("log todd", log_todd_weights, 1,
+     lambda k: [0, Fraction(-1, 2)][k] if k < 2 else -bernoulli(k)[k] / (k * factorial(k))),
 ]
 
 
@@ -351,9 +361,8 @@ def test_weighted_walk_matches_the_reference_power_series(data, nvars, order, fa
     assert_canonical(got)
     want = ref(order, {})
     for c, form in pairs:
-        linear = ref(order, {tuple(int(j == i) for j in range(nvars)): a
-                             for i, a in enumerate(form)})
-        series = ref_power_series(linear, nvars, [coefficient(k) for k in range(order + 1)])
+        series = ref_power_series(ref_linear(form, order), nvars,
+                                  [coefficient(k) for k in range(order + 1)])
         want = ref_add(want, ref_scale(series, c))
     assert as_ref(got) == want
 
@@ -367,7 +376,7 @@ def test_weighted_walk_needs_a_weight_per_degree():
 
 
 @KERNEL
-@given(st.data(), st.sampled_from([-2, 2]), st.integers(0, 8))
+@given(st.data(), st.sampled_from([-2, 2, 3]), st.integers(0, 8))
 def test_unit_factor_matches_the_general_exp(data, r_coeff, order):
     datum = data.draw(st.sampled_from(DATA[2] + DATA[3]))
     i = data.draw(st.integers(0, datum.rank - 1))
@@ -443,6 +452,57 @@ def test_weyl_matches_substitution(data, nvars):
                                    for k, c in enumerate(image)}))
     got = fs_weyl(datum, w, build(nvars, raw))
     assert as_ref(got) == ref_substitute(ref(*raw), images, raw[0])
+
+
+@KERNEL
+@given(st.data(), st.integers(2, 9), st.integers(0, 8))
+def test_pullback_matches_substitution(data, nvars, order):
+    # f(a, r) at a = l, r kept: a^j r^k sits at (j, 0, .., 0, k) of the
+    # wide series, and the reference substitutes y_1 -> l
+    exps = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    coeffs = data.draw(st.dictionaries(exps, rationals, max_size=8))
+    form = data.draw(st.tuples(*[st.integers(-3, 3)] * nvars))
+    wide = ref(order, {(j,) + (0,) * (nvars - 2) + (k,): c for (j, k), c in coeffs.items()})
+    got = fs_pullback(FormalSeries(2, order, coeffs), form)
+    assert as_ref(got) == ref_substitute(wide, [ref_linear(form, order)], order)
+
+
+def test_pullback_refuses_other_widths_and_non_int_forms():
+    f = FormalSeries(2, 3, {(1, 1): 1})
+    assert fs_pullback(f, (2, -1, 0)).nums == {(1, 0, 1): 2, (0, 1, 1): -1}
+    for nvars in (1, 3):
+        with pytest.raises(ValueError):
+            fs_pullback(FormalSeries.one(nvars, 3), (1, 0, 0))
+    for bad in [(0.5, 0), (Fraction(1), 0)]:
+        with pytest.raises(TypeError):
+            fs_pullback(f, bad)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 1), ("B", 2), ("G", 2)])
+def test_todd_series_match_reference_products(family, rank):
+    # e_B, e_B^{-1} and S = e_B exp(-rho.) as products over the positive
+    # roots of the reference power series, with Bernoulli numbers from
+    # their recurrence
+    datum = build_root_datum(cartan_matrix(family, rank))
+    nvars = rank + 1
+    for order in range(7):
+        b = bernoulli(order)
+
+        def over_roots(coefficient):
+            out = ref_one(nvars, order)
+            for alpha in datum.positive_roots:
+                factor = ref_power_series(ref_linear([-a for a in alpha] + [0], order), nvars,
+                                          [coefficient(k) for k in range(order + 1)])
+                out = ref_mul(out, factor)
+            return out
+
+        eB = over_roots(lambda k: b[k] / factorial(k))      # l/(e^l - 1) at l = -alpha.
+        exp_neg_rho = ref_power_series(ref_linear([-a for a in datum.rho] + [0], order), nvars,
+                                       [Fraction(1, factorial(k)) for k in range(order + 1)])
+        by_eB = eB_conjugation(datum, order)
+        assert as_ref(todd_eB(datum, order)) == as_ref(by_eB.s) == eB
+        assert as_ref(by_eB.s_inv) == over_roots(lambda k: Fraction(1, factorial(k + 1)))
+        assert as_ref(todd_S(datum, order)) == ref_mul(eB, exp_neg_rho)
 
 
 @KERNEL

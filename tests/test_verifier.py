@@ -3,12 +3,11 @@ import json
 import operator
 import pathlib
 import random
-import types
 from fractions import Fraction
 
 import pytest
 
-from heckeverify import lusztig, verify
+from heckeverify import graded_hecke, lusztig, verify
 from heckeverify.affine_hecke import (
     BernsteinRule,
     HeckeElement,
@@ -23,9 +22,15 @@ from heckeverify.formal_series import (
     diff,
     fs_exp_sum,
     fs_negate_r,
-    quotient_weights,
+    log_todd_weights,
 )
-from heckeverify.graded_hecke import GradedElement, GradedRule, fourier_map, gh_mul, todd_eB
+from heckeverify.graded_hecke import (
+    GradedElement,
+    GradedRule,
+    fourier_map,
+    gh_mul,
+    log_todd,
+)
 from heckeverify.lattice_algebra import GroupAlgebraElement, LS_V2
 from heckeverify.lusztig import _LusztigMap, context
 from heckeverify.normal_form import GeneratorImages
@@ -200,30 +205,34 @@ def test_diagram_passes_with_an_invariant_S(name, cartan, order):
 
 
 def _without_root(beta):
-    """e_B without its factor at the positive root beta: times (exp(l) - 1)/l at l = -beta."""
-    def eB(datum, order):
-        return todd_eB(datum, order) * fs_exp_sum(
-            datum.rank + 1, order, [(1, diff(-a for a in beta))], quotient_weights(order))
-    return eB
+    """G without its term at the positive root beta: minus log F(-beta.).
+
+    Then e_B = exp(G) lacks beta's factor alpha./(1 - exp(-alpha.)).
+    """
+    def g(datum, order):
+        return log_todd(datum, order) - fs_exp_sum(
+            datum.rank + 1, order, [(1, diff(-a for a in beta))], log_todd_weights(order))
+    return g
 
 
 @pytest.mark.parametrize("name, cartan, order", INVARIANT_S[:2], ids=["B2", "G2"])
 def test_a_non_invariant_S_fails_diagram_before_any_route(name, cartan, order, monkeypatch):
     # the diagram check proves the step that lets the K-route drop Ad(S):
-    # an e_B that makes S move under some s_i fails with that s_i, and no
-    # route is evaluated
-    datum = build_root_datum(cartan)
+    # a G that makes S = exp(G - rho.) move under some s_i fails with that
+    # s_i, and no route is evaluated
     routes = []
     for route in ("pipeline_K", "pipeline_H"):
         monkeypatch.setattr(verify, route, lambda *args, _r=route: routes.append(_r))
-    plants = [(lambda d, o: FormalSeries.one(d.rank + 1, o), 0)]
+    positive_roots = build_root_datum(cartan).positive_roots
+    # G = 0 is e_B = 1, so S = exp(-rho.)
+    plants = [(lambda d, o: FormalSeries(d.rank + 1, o), 0)]
     # s_i fixes beta, and then S without beta's factor, exactly when <beta, alpha_i^v> = 0
     plants += [(_without_root(beta), min(i for i, c in enumerate(beta) if c))
-               for beta in datum.positive_roots]
-    for eB, moved in plants:
-        monkeypatch.setattr(verify, "eB_conjugation",
-                            lambda d, o, _eB=eB: types.SimpleNamespace(s=_eB(d, o)))
-        rep = check_diagram(datum, order=order)
+               for beta in positive_roots]
+    for g, moved in plants:
+        # S is stored per datum: each plant runs on a fresh one
+        monkeypatch.setattr(graded_hecke, "log_todd", g)
+        rep = check_diagram(build_root_datum(cartan), order=order)
         assert (rep.status, rep.witness) == (
             "fail", "S = e_B exp(-rho.) is not invariant under s%d" % (moved + 1)), name
     assert routes == []
