@@ -41,6 +41,9 @@ per compared order (:class:`GeneratorImages`); the log-Todd sum G and
 S = exp(G - rho.) that the diagram check reads, the conjugation by e_B
 that ``display`` reads (:func:`conj_eB`), exp(+-rho.), the map m and the
 Weyl substitution tables live in the datum's store (:meth:`RootDatum.memo`).
+So do the (a, r) product of the unit factors, per (order, r-coefficient),
+and ch of each coefficient, per (order, terms), which L_r, L_l, both
+routes and the transport share: ch is the one map both morphisms apply.
 
 Only the unit factors are built at the work order order + guard; every
 product after them runs at the order a case compares.  Series products
@@ -58,20 +61,25 @@ DEFAULT_GUARD = 2          # every guard default of the package and the CLI read
 
 
 def series_of_group_algebra(datum, ga, order):
-    """Image of an element of Z[v,v^-1][X]:  v^k theta_x |-> exp(x-dot + k r)."""
-    return fs_exp_sum(datum.rank + 1, order, [
-        (c, x + (k,)) for x, laurent in ga.coeffs.items() for k, c in laurent.coeffs.items()])
+    """Image of an element of Z[v,v^-1][X]:  v^k theta_x |-> exp(x-dot + k r),
+    kept in the datum's store under ``order`` and the set of (c, x-and-k)
+    terms, so both Lusztig maps share one image per coefficient."""
+    pairs = [(c, x + (k,)) for x, laurent in ga.coeffs.items() for k, c in laurent.coeffs.items()]
+    return datum.memo(("ch", order, frozenset(pairs)),
+                      lambda: fs_exp_sum(datum.rank + 1, order, pairs))
 
 
 def unit_factor(datum, i, order, r_coeff=2):
     """(exp(a + cr) - 1)/(a + cr) * a/(exp(a) - 1)  with a = alpha_i-dot, in closed form.
 
     The product depends on neither the datum nor alpha: it is taken in the
-    two variables (a, r) and pulled back along a |-> alpha_i-dot
-    (:func:`fs_pullback`).
+    two variables (a, r), kept in the datum's store under (order, c), and
+    pulled back along a |-> alpha_i-dot (:func:`fs_pullback`), so the
+    roots of a datum share it.
     """
-    product = (fs_exp_sum(2, order, [(1, (1, r_coeff))], quotient_weights(order))
-               * fs_exp_sum(2, order, [(1, (1, 0))], bernoulli_weights(order)))
+    product = datum.memo(("unit_product", order, r_coeff), lambda: (
+        fs_exp_sum(2, order, [(1, (1, r_coeff))], quotient_weights(order))
+        * fs_exp_sum(2, order, [(1, (1, 0))], bernoulli_weights(order))))
     return fs_pullback(product, diff(datum.simple_roots[i]))
 
 

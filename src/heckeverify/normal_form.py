@@ -93,8 +93,11 @@ class Rule:
 
         T_s (h.1) = s(h) T_s.1 + D_s(h).1 = sign s(h) + D_s(h), applied
         letter by letter, so T_w . (value.1) is built once per w, from
-        T_{s_i w} . (value.1).  The result is the module coordinate;
-        ``zero()`` makes the zero coefficient, for a sum that vanishes.
+        T_{s_i w} . (value.1).  Terms whose coefficients are equal (``==``)
+        are summed before they are scaled, as c sum_{a_w = c} T_w . (value.1),
+        so L_l(1 + T_s) = u(alpha) (t_s + 1) makes one product, not two.
+        The result is the module coordinate; ``zero()`` makes the zero
+        coefficient, for a sum that vanishes.
         """
         e = self.datum.identity
         images = {e: value}
@@ -106,9 +109,18 @@ class Rule:
             self.add(acc, e, dh)
             return self.close(acc).get(e) or zero()
 
-        acc = {}
+        merged = []         # [c, sum of T_w . (value.1) over the w with a_w == c]
         for w, aw in a.items():
-            self.add_product(acc, e, aw, self._along_word(images, w, step))
+            image = self._along_word(images, w, step)
+            for pair in merged:
+                if pair[0] == aw:
+                    pair[1] = pair[1] + image
+                    break
+            else:
+                merged.append([aw, image])
+        acc = {}
+        for aw, image in merged:
+            self.add_product(acc, e, aw, image)
         return self.close(acc).get(e) or zero()
 
     def _along_word(self, images, w, step):

@@ -305,3 +305,68 @@ def test_a_warm_diagram_check_builds_nothing(monkeypatch):
     # the counters see a cold run, which builds G and S but not e_B
     assert check_diagram(build_root_datum(cartan_matrix("B", 2)), order=4).status == "pass"
     assert set(called) == {"gh_mul", "log_todd_weights", "fs_exp", "unit_factor"}
+
+
+def _ch_entries(datum):
+    """{(order, terms): image} of the ch images in the datum's store."""
+    return {(key[1], key[2]): value for key, value in datum._memo.items()
+            if isinstance(key, tuple) and key[0] == "ch"}
+
+
+def test_ch_is_walked_once_per_coefficient_not_once_per_map(monkeypatch):
+    # L_r and L_l are the same map ch on coefficients: a cold diagram walks
+    # each distinct coefficient once, and a warm one walks none
+    datum = build_root_datum(cartan_matrix("B", 2))
+    walks, asked = [], []
+    walk, ch = lusztig.fs_exp_sum, lusztig.series_of_group_algebra
+    monkeypatch.setattr(lusztig, "fs_exp_sum", lambda nvars, order, pairs, weights=None: (
+        nvars == datum.rank + 1 and walks.append((order, frozenset(pairs)))
+        or walk(nvars, order, pairs, weights)))
+    monkeypatch.setattr(lusztig, "series_of_group_algebra", lambda d, ga, order: (
+        asked.append(ga) or ch(d, ga, order)))
+    assert check_diagram(datum, order=ORDER).status == "pass"
+    assert len(set(walks)) == len(walks) == len({repr(ga) for ga in asked})
+    assert set(walks) == set(_ch_entries(datum))
+    # each theta_{+-omega_j} reaches both routes, and 1 and -v^-2 reach
+    # one map once per simple reflection
+    assert len(asked) > len(walks)
+    del walks[:]
+    assert check_diagram(datum, order=ORDER).status == "pass"
+    assert walks == []
+
+
+def test_every_stored_ch_image_is_its_uncached_walk():
+    datum = build_root_datum(cartan_matrix("B", 2))
+    assert all(rep.status == "pass" for rep in run_suites(datum, ["all"], order=ORDER))
+    entries = _ch_entries(datum)
+    assert entries
+    for (order, terms), image in entries.items():
+        assert image.order == order
+        assert image == formal_series.fs_exp_sum(datum.rank + 1, order, list(terms))
+
+
+def test_a_ch_image_of_a_lower_order_is_never_served_at_a_higher_one():
+    datum = build_root_datum(cartan_matrix("B", 2))
+    fresh = build_root_datum(cartan_matrix("B", 2))
+    run_suites(datum, ["all"], order=3)
+    reps = run_suites(datum, ["all"], order=5)
+    assert all(rep.status == "pass" for rep in reps)
+    assert [(r.name, r.status, r.witness) for r in reps] == [
+        (r.name, r.status, r.witness) for r in run_suites(fresh, ["all"], order=5)]
+
+    def at(d, order):
+        return {key: image for key, image in _ch_entries(d).items() if key[0] == order}
+    assert at(datum, 3) and at(datum, 5) == at(fresh, 5)
+    assert all(image.order == order for (order, _), image in _ch_entries(datum).items())
+
+
+def test_the_store_stops_growing_after_one_run():
+    # a second run of every suite adds no key, and no coefficient is stored
+    # twice, so a key that depended on dict order could not grow it
+    datum = build_root_datum(cartan_matrix("A", 2))
+    run_suites(datum, ["all"], order=6)
+    keys = set(datum._memo)
+    run_suites(datum, ["all"], order=6)
+    assert set(datum._memo) == keys
+    terms = [(order, tuple(sorted(pairs))) for order, pairs in _ch_entries(datum)]
+    assert terms and len(set(terms)) == len(terms)

@@ -7,10 +7,15 @@ pass could hide is a suite that covers less than it claims.
 
 import pytest
 
-from heckeverify import graded_hecke
+from heckeverify import graded_hecke, normal_form, root_datum
 from heckeverify.formal_series import fs_exp_sum, log_todd_weights
 from heckeverify.root_datum import build_root_datum, cartan_matrix
-from heckeverify.verify import check_diagram
+from heckeverify.verify import (
+    check_diagram,
+    check_display_identity,
+    check_modules,
+    check_morphisms,
+)
 
 
 def _flipped_linear_weight(order):
@@ -28,24 +33,74 @@ def _not_invariant(i):
     return "S = e_B exp(-rho.) is not invariant under s%d" % (i + 1)
 
 
-# (fault, name patched in graded_hecke, replacement, the suite that catches
-# it, its witness on the datum); S = exp(G - rho.) moves under s_i when
-# G's linear part is not rho., and, without the factor of a positive root
-# beta, exactly when <beta, alpha_i^v> != 0
+def _rekeyed(rekey):
+    """RootDatum.memo with ``rekey`` applied to every key of the store."""
+    memo = root_datum.RootDatum.memo
+    return lambda datum, key, build: memo(datum, rekey(key), build)
+
+
+def _unit_product_without_r(key):
+    """The (a, r) product of the unit factors stored under its order alone."""
+    return key[:2] if isinstance(key, tuple) and key[0] == "unit_product" else key
+
+
+def _ch_by_weights(key):
+    """A ch image stored under its weights alone: v^k theta_x under x, so
+    v, v^-1 and 1 share an entry."""
+    if isinstance(key, tuple) and key[0] == "ch":
+        return key[:2] + (frozenset(form[:-1] for _, form in key[2]),)
+    return key
+
+
+def _merged_into_first(act):
+    """Rule.act that merges every term into the first coefficient's."""
+    def merged(rule, a, value, zero):
+        first = next(iter(a.values()), None)
+        return act(rule, dict.fromkeys(a, first), value, zero)
+    return merged
+
+
+# (fault, module the plant patches, name patched in it, replacement, the
+# suite that catches it, its witness on the datum and order).  S = exp(G -
+# rho.) moves under s_i when G's linear part is not rho., and, without the
+# factor of a positive root beta, exactly when <beta, alpha_i^v> != 0.  A
+# witness that ends in ":" is the head of one that goes on to print the two
+# sides.  Of the reuse in the store: display reads the unit factors at r =
+# -2 before those at r = 2; diagram evaluates v^-1 in the K-route before v
+# in the H-route; morphisms evaluates 1 after v^2; and L_l(T_s) has the
+# coefficients u(alpha) and u(alpha) - 1, which merged into one give 0.
 CENSUS = [
-    ("linear-log-weight-plus-half", "log_todd_weights", _flipped_linear_weight, check_diagram,
-     lambda datum: _not_invariant(0)),
-    ("G-misses-a-positive-root", "fs_exp_sum", _last_root_dropped, check_diagram,
-     lambda datum: _not_invariant(min(i for i, c in enumerate(datum.positive_roots[-1]) if c))),
+    ("linear-log-weight-plus-half", graded_hecke, "log_todd_weights", _flipped_linear_weight,
+     check_diagram, lambda datum, order: _not_invariant(0)),
+    ("G-misses-a-positive-root", graded_hecke, "fs_exp_sum", _last_root_dropped, check_diagram,
+     lambda datum, order: _not_invariant(
+         min(i for i, c in enumerate(datum.positive_roots[-1]) if c))),
+    ("unit-product-stored-without-r", root_datum, "RootDatum.memo",
+     _rekeyed(_unit_product_without_r), check_display_identity,
+     lambda datum, order: "display identity fails for s1:"),
+    ("ch-keyed-by-weights-alone", root_datum, "RootDatum.memo", _rekeyed(_ch_by_weights),
+     check_diagram, lambda datum, order: "diagram routes disagree on v:"),
+    ("ch-keyed-by-weights-alone-morphisms", root_datum, "RootDatum.memo",
+     _rekeyed(_ch_by_weights), check_morphisms,
+     lambda datum, order: "L_r image of quadratic relation nonzero for s1:"),
+    ("act-merges-unequal-coefficients", normal_form, "Rule.act",
+     _merged_into_first(normal_form.Rule.act), check_modules,
+     lambda datum, order: "L_l(T(s1)).1 is (O(%d)).1, not -1" % (order + 1)),
 ]
 
 
 @pytest.mark.parametrize("family, rank, order", [("B", 2, 5), ("G", 2, 3)])
-@pytest.mark.parametrize("fault, name, plant, suite, witness", CENSUS,
+@pytest.mark.parametrize("fault, module, name, plant, suite, witness", CENSUS,
                          ids=[row[0] for row in CENSUS])
-def test_planted_fault_fails_its_suite(fault, name, plant, suite, witness, family, rank, order,
-                                       monkeypatch):
+def test_planted_fault_fails_its_suite(fault, module, name, plant, suite, witness, family, rank,
+                                       order, monkeypatch):
     datum = build_root_datum(cartan_matrix(family, rank))
-    monkeypatch.setattr(graded_hecke, name, plant)
+    owner, _, attr = name.rpartition(".")
+    monkeypatch.setattr(getattr(module, owner) if owner else module, attr, plant)
     rep = suite(datum, order=order)
-    assert (rep.status, rep.witness) == ("fail", witness(datum)), fault
+    want = witness(datum, order)
+    assert rep.status == "fail", fault
+    if want.endswith(":"):
+        assert rep.witness.startswith((want + "\n", want + " ")), fault
+    else:
+        assert rep.witness == want, fault
