@@ -122,10 +122,11 @@ class BernsteinRule(Rule):
     Coefficients accumulate in the plain form {w: {x: {k: int}}}
     (:func:`add_scaled`, :func:`add_product`), and a term of ``commute`` is
     a list of (x, LaurentScalar) pairs, so no GroupAlgebraElement is built
-    before :meth:`close`, which drops the zero coefficients.  ``dem_scalar``
-    stands in front of Dem_s and ``sign`` is T_s on the antispherical base
-    point; other values than v^2-1 and -1 are only for a negative
-    control's private datum copy.
+    before :meth:`close`, which drops the zero coefficients.  A scalar, one
+    term at weight 0, multiplies as a scaled sum, with no weights added.
+    ``dem_scalar`` stands in front of Dem_s and ``sign`` is T_s on the
+    antispherical base point; other values than v^2-1 and -1 are only for a
+    negative control's private datum copy.
     """
 
     a, b = LS_V2M1, LS_V2
@@ -133,6 +134,7 @@ class BernsteinRule(Rule):
 
     def __init__(self, datum, dem_scalar=LS_V2M1, sign=-1):
         self.datum = datum
+        self.origin = (0,) * datum.rank
         self.dem_scalar = dem_scalar
         self.sign = LaurentScalar({0: sign})
 
@@ -148,8 +150,15 @@ class BernsteinRule(Rule):
     def add(self, acc, w, terms, scale=LS_ONE):
         add_scaled(acc.setdefault(w, {}), terms, scale)
 
+    def scalar(self, c):
+        return c.coeffs.get(self.origin) if len(c.coeffs) == 1 else None
+
     def add_product(self, acc, w, c, d):
-        add_product(acc.setdefault(w, {}), c, d)
+        scale = self.scalar(c)
+        if scale is None:
+            add_product(acc.setdefault(w, {}), c, d)
+        else:
+            add_scaled(acc.setdefault(w, {}), d.coeffs.items(), scale)
 
     def close(self, acc):
         out = {}

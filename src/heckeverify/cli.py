@@ -4,11 +4,15 @@ Command-line entry point.
 Select a root datum (by family/rank or a Cartan matrix file), a truncation
 order and the suites to run; get a JSON or text report.  Exit status: 0 if
 every check passed, 1 if any failed, 2 on usage or carrier errors.
+
+Options are read from one table by one loop, not by argparse, whose first
+use imports gettext and locale.  A unique prefix names an option (``--ord
+5``), and a value follows it or an ``=``; ``--help`` lists the options.
 """
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .formal_series import MAX_ORDER
 from .lusztig import DEFAULT_GUARD
@@ -16,27 +20,69 @@ from .root_datum import FIXED_RANK, InvalidCartan, build_root_datum, cartan_matr
     read_cartan_file
 from .verify import report_json, report_text, run_suites, SUITES
 
+# --name: (dest, type, default, choices, metavar or None for {choices}, help); list appends
+OPTIONS = {
+    "--type": ("family", str, None, None, "FAMILY",
+               "root system family: A, B, C, D, E6, E7, E8, G2, F4"),
+    "--rank": ("rank", int, None, None, "RANK", "rank (with --type)"),
+    "--cartan-file": ("cartan_file", str, None, None, "PATH",
+                      "file with a Cartan matrix (first line n, then rows)"),
+    "--order": ("order", int, 6, None, "ORDER", "truncation order (default 6)"),
+    "--guard": ("guard", int, DEFAULT_GUARD, None, "GUARD",
+                "extra working order of the unit factors; changes no result "
+                "(default %d)" % DEFAULT_GUARD),
+    "--suite": ("suite", list, None, sorted(SUITES) + ["all"], None,
+                "suite to run (repeatable; default all)"),
+    "--seed": ("seed", int, 0, None, "SEED", "sampling seed (default 0)"),
+    "--format": ("format", str, "text", ["json", "text"], None, "report format (default text)"),
+    "--out": ("out", str, None, None, "PATH", "write the report to this path instead of stdout"),
+}
+HELP = ("-h", "--help")
+USAGE = "usage: heckeverify [-h] (--type FAMILY [--rank RANK] | --cartan-file PATH) [OPTION ...]"
 
-def _parser():
-    p = argparse.ArgumentParser(
-        prog="heckeverify",
-        description="Verify affine Hecke algebra identities modulo a truncation degree.",
-    )
-    p.add_argument("--type", dest="family",
-                   help="root system family: A, B, C, D, E6, E7, E8, G2, F4")
-    p.add_argument("--rank", type=int, help="rank (with --type)")
-    p.add_argument("--cartan-file", help="file with a Cartan matrix (first line n, then rows)")
-    p.add_argument("--order", type=int, default=6, help="truncation order (default 6)")
-    p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                   help="extra working order of the unit factors; changes no result "
-                        "(default %(default)s)")
-    p.add_argument("--suite", action="append", default=None,
-                   choices=sorted(SUITES) + ["all"],
-                   help="suite to run (repeatable; default all)")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p.add_argument("--format", choices=["json", "text"], default="text")
-    p.add_argument("--out", help="write the report to this path instead of stdout")
-    return p
+
+class _Parser:
+    """Reads an argument list against :data:`OPTIONS`.  A refusal prints the
+    usage line and the error to stderr and exits with status 2."""
+
+    def parse_args(self, argv=None):
+        args = SimpleNamespace(**{spec[0]: spec[2] for spec in OPTIONS.values()})
+        rest = iter(sys.argv[1:] if argv is None else argv)
+        for arg in rest:
+            name, eq, value = arg.partition("=")
+            found = [name] if name in (*OPTIONS, *HELP) else [
+                o for o in (*OPTIONS, *HELP) if len(name) > 2 and o.startswith(name)]
+            if len(found) != 1:
+                self.error("ambiguous option: %s could match %s" % (arg, ", ".join(found))
+                           if found else "unrecognized arguments: %s" % arg)
+            opt = found[0]
+            if opt in HELP:
+                if eq:
+                    self.error("argument -h/--help: ignored explicit argument %r" % value)
+                print(USAGE + "\n\noptions:\n  -h, --help            show this help and exit")
+                for o, (_, _, _, c, m, text) in OPTIONS.items():
+                    print("  %-21s %s" % (o + " " + (m or "{%s}" % ",".join(c)), text))
+                raise SystemExit(0)
+            dest, kind, _, choices, _, _ = OPTIONS[opt]
+            value = value if eq else next(rest, "--")  # "--": no value left
+            if not eq and value[:1] == "-" and value != "-" and not value[1:].isdecimal():
+                self.error("argument %s: expected one argument" % opt)
+            try:
+                value = int(value) if kind is int else value
+            except ValueError:
+                self.error("argument %s: invalid int value: %r" % (opt, value))
+            if choices and value not in choices:
+                self.error("argument %s: invalid choice: %r (choose from %s)"
+                           % (opt, value, ", ".join(map(repr, choices))))
+            setattr(args, dest, (getattr(args, dest) or []) + [value] if kind is list else value)
+        return args
+
+    def error(self, message):
+        sys.stderr.write("%s\nheckeverify: error: %s\n" % (USAGE, message))
+        raise SystemExit(2)
+
+
+_parser = _Parser
 
 
 def run(argv=None):

@@ -35,7 +35,9 @@ class Rule:
 
     The defaults of ``add_product`` (acc[w] += c * d) and ``close`` (the
     coefficient dict {w: c_w} of acc) hold coefficients in ``acc`` as they
-    are; a rule that accumulates in another form overrides both.
+    are; a rule that accumulates in another form overrides both.  ``scalar(c)``
+    is the scale of a coefficient c that scales as cheaply as a sum adds, and
+    None for any other c (the default).
     """
 
     @classmethod
@@ -57,6 +59,9 @@ class Rule:
 
     def close(self, acc):
         return acc
+
+    def scalar(self, c):
+        return None
 
     def push(self, i, coeffs):
         """The coefficient dict of T_{s_i} * sum_w coeffs[w] T_w."""
@@ -95,7 +100,9 @@ class Rule:
         letter by letter, so T_w . (value.1) is built once per w, from
         T_{s_i w} . (value.1).  Terms whose coefficients are equal (``==``)
         are summed before they are scaled, as c sum_{a_w = c} T_w . (value.1),
-        so L_l(1 + T_s) = u(alpha) (t_s + 1) makes one product, not two.
+        so L_l(1 + T_s) = u(alpha) (t_s + 1) makes one product, not two.  A
+        coefficient with a ``scalar`` is not merged: its product costs what
+        the sum would, so K-side T_s + 1 makes two scaled sums, not three.
         The result is the module coordinate; ``zero()`` makes the zero
         coefficient, for a sum that vanishes.
         """
@@ -109,16 +116,19 @@ class Rule:
             self.add(acc, e, dh)
             return self.close(acc).get(e) or zero()
 
+        acc = {}
         merged = []         # [c, sum of T_w . (value.1) over the w with a_w == c]
         for w, aw in a.items():
             image = self._along_word(images, w, step)
+            if self.scalar(aw) is not None:
+                self.add_product(acc, e, aw, image)
+                continue
             for pair in merged:
                 if pair[0] == aw:
                     pair[1] = pair[1] + image
                     break
             else:
                 merged.append([aw, image])
-        acc = {}
         for aw, image in merged:
             self.add_product(acc, e, aw, image)
         return self.close(acc).get(e) or zero()

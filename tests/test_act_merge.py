@@ -1,13 +1,14 @@
 """Rule.act sums the terms with equal coefficients before it scales them.
 
-sum_w a_w (T_w . v) = sum_c c (sum over {w : a_w == c} of T_w . v).  Each
-case below, on the Bernstein rule and on Lusztig's graded rule, equals the
-term-by-term sum written out from T_s . (c.1) = -s(c) + D_s(c).
+sum_w a_w (T_w . v) = sum_c c (sum over {w : a_w == c} of T_w . v).  A
+coefficient that is a scalar of the rule scales its term at once, unmerged.
+Each case below, on the Bernstein rule and on Lusztig's graded rule, equals
+the term-by-term sum written out from T_s . (c.1) = -s(c) + D_s(c).
 """
 
 import pytest
 
-from heckeverify.affine_hecke import LS_V2M1, HeckeElement, asph_act_left
+from heckeverify.affine_hecke import LS_V2M1, HeckeElement, asph_act_left, ts_inverse
 from heckeverify.formal_series import FormalSeries, fs_weyl
 from heckeverify.graded_hecke import GradedElement, demazure_series, g_asph_act
 from heckeverify.lattice_algebra import (
@@ -80,6 +81,25 @@ def test_k_side_ts_plus_one_on_theta_x(datum):
         h = HeckeElement.Ts(datum, i) + one
         got = asph_act_left(h, AsphElement(datum, _ga(X))).value
         assert got == _k_sum(datum, h.coeffs, X) == mul_by_scriptG(datum, X, i)
+
+
+@pytest.mark.parametrize("datum", DATA, ids=IDS)
+def test_k_side_scalar_coefficients_are_not_merged(datum, monkeypatch):
+    # T_s + 1, and T_s^{-1} = v^-2 T_s + (v^-2 - 1) with v^-2 on T_t too: each
+    # term scales its image at once, so no two images are summed first
+    cases = []
+    for i in range(datum.rank):
+        k_coeffs = dict(ts_inverse(datum, i).coeffs)
+        k_coeffs[datum.simple(1 - i)] = _ga((0, 0), -2)
+        assert k_coeffs[datum.simple(1 - i)] == k_coeffs[datum.simple(i)]
+        cases += [k_coeffs, (HeckeElement.Ts(datum, i) + HeckeElement.one(datum)).coeffs]
+    wants = [_k_sum(datum, coeffs, X) for coeffs in cases]
+    sums = []
+    add = GroupAlgebraElement.__add__
+    monkeypatch.setattr(GroupAlgebraElement, "__add__", lambda a, b: sums.append(1) or add(a, b))
+    for coeffs, want in zip(cases, wants):
+        assert asph_act_left(HeckeElement(datum, coeffs), AsphElement(datum, _ga(X))).value == want
+    assert sums == []
 
 
 @pytest.mark.parametrize("datum", DATA, ids=IDS)

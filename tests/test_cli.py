@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -259,29 +260,75 @@ def test_cartan_file_with_type_or_rank_is_usage_error(monkeypatch, capsys, tmp_p
     assert "usage" in err and "--cartan-file" in err
 
 
+def _checks(capsys, *argv):
+    """The report of a JSON run that exits 0, without its timings."""
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    for chk in doc["checks"]:
+        chk.pop("elapsed_ms")
+    return doc
+
+
+def _write_cartan(path, cartan):
+    path.write_text("%d\n" % len(cartan) + "".join(" ".join(map(str, row)) + "\n"
+                                                   for row in cartan))
+    return str(path)
+
+
 def test_nonsymmetric_cartan_file_matches_its_family(tmp_path, capsys):
     # The transpose of the B2 matrix is the C2 matrix, so every check must
     # come out as it does for --type C --rank 2.
     b2 = cartan_matrix("B", 2)
-    path = tmp_path / "b2t.txt"
-    path.write_text("2\n" + "\n".join(" ".join(str(b2[j][i]) for j in range(2))
-                                      for i in range(2)) + "\n")
+    path = _write_cartan(tmp_path / "b2t.txt", [list(col) for col in zip(*b2)])
     common = ("--order", "3", "--suite", "presentation", "--suite", "diagram",
-              "--suite", "display", "--suite", "modules", "--format", "json")
-
-    def checks(*argv):
-        code, out, _ = run_cli(capsys, *argv, *common)
-        assert code == 0
-        doc = json.loads(out)
-        for chk in doc["checks"]:
-            chk.pop("elapsed_ms")
-        return doc
-
-    custom = checks("--cartan-file", str(path))
-    family = checks("--type", "C", "--rank", "2")
+              "--suite", "display", "--suite", "modules")
+    custom = _checks(capsys, "--cartan-file", path, *common)
+    family = _checks(capsys, "--type", "C", "--rank", "2", *common)
     assert custom["datum"]["cartan"] == family["datum"]["cartan"] == [[2, -2], [-1, 2]]
     assert custom["checks"] == family["checks"]
     assert [c["status"] for c in family["checks"]] == ["pass"] * 4
+
+
+def _relabel(cartan, perm):
+    return [[cartan[p][q] for q in perm] for p in perm]
+
+
+def _blocks(*parts):
+    """The Cartan matrix of a reducible datum, one part after the other."""
+    n, at, out = sum(map(len, parts)), 0, []
+    for part in parts:
+        out += [[0] * at + list(row) + [0] * (n - at - len(part)) for row in part]
+        at += len(part)
+    return out
+
+
+_G2, _B3, _C3, _F4, _A1, _B2 = (cartan_matrix(family, rank) for family, rank in (
+    ("G", 2), ("B", 3), ("C", 3), ("F", 4), ("A", 1), ("B", 2)))
+# (matrix, the --type and --rank it relabels, if any).  Order 2 is the lowest
+# that sees the index convention: with simple_roots read from rows instead
+# of columns every suite passes on these at order 1, and diagram and display
+# fail on each at order 2.
+_RELABELLED = {
+    "G2-transposed": ([list(col) for col in zip(*_G2)], ("G", "2")),
+    "B3-permuted": (_relabel(_B3, [2, 0, 1]), ("B", "3")),
+    "C3-permuted": (_relabel(_C3, [1, 2, 0]), ("C", "3")),
+    "F4-reversed": (_relabel(_F4, [3, 2, 1, 0]), ("F", "4")),
+    "A1+G2": (_blocks(_A1, _G2), None),
+    "B2+A1-permuted": (_relabel(_blocks(_B2, _A1), [2, 0, 1]), None),
+}
+
+
+@pytest.mark.parametrize("cartan, family", _RELABELLED.values(), ids=_RELABELLED)
+def test_relabelled_and_reducible_cartan_files_pass_every_suite(tmp_path, capsys, cartan,
+                                                                 family):
+    custom = _checks(capsys, "--cartan-file", _write_cartan(tmp_path / "c.txt", cartan),
+                     "--order", "2")
+    assert custom["datum"]["cartan"] == cartan
+    assert custom["checks"] == [{"name": name, "status": "pass"} for name in sorted(verify.SUITES)]
+    if family:
+        assert custom["checks"] == _checks(capsys, "--type", family[0], "--rank", family[1],
+                                           "--order", "2")["checks"]
 
 
 def _refuse_work(monkeypatch):
@@ -333,19 +380,27 @@ def test_python_dash_m_runs_the_cli():
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # dataclasses pulls in inspect, ast, dis and tokenize: about 10 ms of
-    # start-up that the CLI never uses
+    # start-up that the CLI never uses; argparse's first use imports gettext
+    # and locale, so neither the import nor a run may load them
     src = _src()
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    parsing = ("argparse", "gettext", "locale")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize") + parsing
+    runs = (["--type", "A", "--rank", "1", "--order", "2", "--suite", "diagram"],
+            ["--order", "0"], ["--help"])
     script = "\n".join([
         "import sys",
         "sys.path.insert(0, %r)" % src,
         "import heckeverify.cli",
-        "print(' '.join(m for m in %r if m in sys.modules))" % (heavy,),
+        "loaded = [m for m in %r if m in sys.modules]" % (heavy,),
+        "codes = [heckeverify.cli.run(argv) for argv in %r]" % (runs,),
+        "loaded += [m for m in %r if m in sys.modules]" % (parsing,),
+        "print(codes, ' '.join(loaded))",
     ])
     proc = subprocess.run([sys.executable, "-I", "-c", script],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert proc.stdout.splitlines()[-1].split() == ["[0,", "2,", "0]"]
+    assert proc.stderr.startswith("usage: heckeverify")
 
 
 def test_every_guard_default_is_default_guard(capsys):
@@ -390,3 +445,73 @@ def test_the_console_script_entry_point_runs():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert [c["status"] for c in json.loads(proc.stdout)["checks"]] == ["pass"]
+
+
+def _argparse_parser():
+    """The argparse parser the CLI used before its option table, kept as the
+    reference of ``test_option_table_parses_as_argparse_did``."""
+    p = argparse.ArgumentParser(
+        prog="heckeverify",
+        description="Verify affine Hecke algebra identities modulo a truncation degree.",
+    )
+    p.add_argument("--type", dest="family",
+                   help="root system family: A, B, C, D, E6, E7, E8, G2, F4")
+    p.add_argument("--rank", type=int, help="rank (with --type)")
+    p.add_argument("--cartan-file", help="file with a Cartan matrix (first line n, then rows)")
+    p.add_argument("--order", type=int, default=6, help="truncation order (default 6)")
+    p.add_argument("--guard", type=int, default=lusztig.DEFAULT_GUARD,
+                   help="extra working order of the unit factors; changes no result "
+                        "(default %(default)s)")
+    p.add_argument("--suite", action="append", default=None,
+                   choices=sorted(verify.SUITES) + ["all"],
+                   help="suite to run (repeatable; default all)")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    p.add_argument("--format", choices=["json", "text"], default="text")
+    p.add_argument("--out", help="write the report to this path instead of stdout")
+    return p
+
+
+_SPELLED = [("--type", "B"), ("--rank", "2"), ("--cartan-file", "c.txt"), ("--order", "5"),
+            ("--guard", "0"), ("--suite", "diagram"), ("--seed", "3"), ("--format", "json"),
+            ("--out", "r.json")]
+_ARGVS = [[]] + [[opt, val] for opt, val in _SPELLED] + [
+    [opt + "=" + val] for opt, val in _SPELLED] + [
+    # the benchmark's argv, and unique prefixes
+    ["--type", "B", "--rank", "2", "--order", "5", "--suite", "diagram", "--format", "json"],
+    ["--ord", "5"], ["--ord=5"], ["--t", "A", "--r", "1"], ["--c=x"], ["--g", "1"],
+    ["--su", "all"], ["--se", "7"], ["--f", "text"], ["--ou", "x"], ["--he"],
+    # ambiguous prefixes
+    ["--s", "x"], ["--s=x"], ["--s", "diagram"], ["--o", "5"], ["--o=x"],
+    # repeats, negative integers, the last value winning
+    ["--suite", "diagram", "--suite", "all", "--su=modules"], ["--order", "-1"],
+    ["--order=-1"], ["--rank", "-0"], ["--order", "5", "--order", "6"], ["--order", "+3"],
+    # bad values
+    ["--rank", "x"], ["--suite", "nonsense"], ["--format", "xml"], ["--order", "1.5"],
+    ["--order", "-1.5"], ["--suite="], ["--format="],
+    # values that are empty, start with - or hold =
+    ["--out="], ["--out", "-"], ["--out=-h"], ["--type=A=B"], ["--type", ""],
+    # a missing value, an option in place of a value, strays, dashes
+    ["--type"], ["--type", "A", "--order"], ["--out", "-h"], ["--type", "--rank", "2"],
+    ["A"], ["--type", "A", "B"], ["--"], ["--", "x"], ["--type", "A", "--"], ["-"], ["-1"],
+    ["-type", "A"], ["-t", "A"], ["--bogus"], ["--bogus=1"], ["--help=x"], ["-h"], ["--help"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARGVS, ids=" ".join)
+def test_option_table_parses_as_argparse_did(capsys, argv):
+    def outcome(parser):
+        try:
+            return vars(parser.parse_args(list(argv)))
+        except SystemExit as exc:
+            return exc.code
+
+    want = outcome(_argparse_parser())
+    capsys.readouterr()
+    got = outcome(cli._parser())
+    out, err = capsys.readouterr()
+    assert got == want
+    if got == 2:
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: heckeverify ") and error.startswith("heckeverify: error: ")
+    elif got == 0:
+        assert out.startswith("usage: heckeverify ") and "--cartan-file PATH" in out
