@@ -23,10 +23,13 @@ into the next because no order above MAX_ORDER is accepted, and every
 stored exponent and degree is at most the order.  The series is kept
 canonical: gcd(den, *terms) == 1, and den == 1 for the zero series, so two
 series are equal exactly when their orders, dens and terms are equal.
-All arithmetic runs on the integer numerators; exponent tuples and
-``fractions.Fraction`` appear only at the boundaries: the constructor,
-``repr``, ``constant_term``, error messages, ``nums`` (exponent tuple to
-numerator) and the read-only ``coeffs`` (exponent tuple to Fraction).
+All arithmetic runs on the integer numerators, and exponent tuples
+appear only at the boundaries: the constructor, ``repr`` (which writes
+each coefficient as ``str(Fraction(c, den))`` would, from the ints), error
+messages, ``nums`` (exponent tuple to numerator) and the read-only
+``coeffs``.  ``fractions`` is imported only by ``coeffs`` (to Fraction),
+``constant_term`` and a coefficient that is not an int.  Weights are
+reduced (numerator, denominator) int pairs.
 ``eq`` compares the canonical truncations field by field.
 
 Precision bookkeeping is deliberately pessimistic and mechanical:
@@ -58,7 +61,6 @@ int linear form, by the same kind of substitution (:func:`fs_pullback`).
 """
 
 from bisect import bisect_left
-from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from operator import mul
 from types import MappingProxyType
@@ -142,10 +144,20 @@ def _check_datum_width(datum, f):
 
 
 def _exact(c):
-    """``c`` as a Fraction; floats are refused, not read as binary fractions."""
+    """``c`` if an int, else as a Fraction; floats are refused, not read as
+    binary fractions."""
+    if isinstance(c, int):
+        return c
     if isinstance(c, float):
         raise TypeError("float coefficient %r: pass an int or a Fraction" % (c,))
+    from fractions import Fraction
     return Fraction(c)
+
+
+def _reduced(num, den):
+    """The pair num/den in lowest terms, for ``den`` > 0."""
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def diff(x):
@@ -244,6 +256,7 @@ class FormalSeries:
     @property
     def coeffs(self):
         """Read-only mapping from exponent tuple to Fraction coefficient (decoded)."""
+        from fractions import Fraction
         nvars, den = self.nvars, self.den
         return MappingProxyType({_unpack(e, nvars): Fraction(c, den)
                                  for e, c in self.terms.items()})
@@ -252,6 +265,7 @@ class FormalSeries:
         return not self.terms
 
     def constant_term(self):
+        from fractions import Fraction
         return Fraction(self.terms.get(0, 0), self.den)
 
     def truncate(self, order):
@@ -350,7 +364,8 @@ class FormalSeries:
         names = ["y%d" % (i + 1) for i in range(self.nvars - 1)] + ["r"]
         parts = []
         for key in sorted(self.terms):          # by (degree, exponent tuple)
-            c = Fraction(self.terms[key], self.den)
+            num, den = _reduced(self.terms[key], self.den)
+            c = num if den == 1 else "%d/%d" % (num, den)
             mono = "*".join(
                 n if p == 1 else "%s^%d" % (n, p)
                 for n, p in zip(names, _unpack(key, self.nvars)) if p
@@ -409,20 +424,22 @@ def _int_form(form, nvars):
     return form
 
 
-_BERNOULLI = [Fraction(1)]             # B_0, B_1, ..., extended on demand
+_BERNOULLI = [(1, 1)]                   # B_0, B_1, ..., extended on demand
 
 
 def bernoulli_weights(order):
     """B_0 .. B_order (B_1 = -1/2), the weights of l/(exp(l) - 1), by their recurrence."""
     b = _BERNOULLI
     for m in range(len(b), order + 1):
-        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+        den = lcm(*(d for _, d in b))
+        num = sum(comb(m + 1, j) * n * (den // d) for j, (n, d) in enumerate(b))
+        b.append(_reduced(-num, den * (m + 1)))
     return b[:order + 1]
 
 
 def quotient_weights(order):
     """1/(k+1) for k = 0..order, the weights of (exp(l) - 1)/l."""
-    return [Fraction(1, k + 1) for k in range(order + 1)]
+    return [(1, k + 1) for k in range(order + 1)]
 
 
 def log_todd_weights(order):
@@ -431,13 +448,15 @@ def log_todd_weights(order):
     The derivative of log(l/(exp(l) - 1)) is -1/2 - sum_{k>=2} B_k l^(k-1)/k!.
     """
     b = bernoulli_weights(order)
-    return [0, Fraction(-1, 2)][:order + 1] + [-b[k] / k for k in range(2, order + 1)]
+    return [(0, 1), (-1, 2)][:order + 1] + [
+        _reduced(-n, d * k) for k, (n, d) in enumerate(b[2:], 2)]
 
 
 def fs_exp_sum(nvars, order, pairs, weights=None):
     """sum of c F(l) over (int c, int form l) in ``pairs``, at ``order``.
 
-    F is exp, or the series with derivatives F^(k)(0) = ``weights[k]``.
+    F is exp, or the series with derivatives F^(k)(0) = ``weights[k]``,
+    each a (numerator, denominator) int pair, an int or a Fraction.
     The coefficient of a monomial m = y^a r^b of degree k is
     W_k sum_t c_t l_t^m / m!, so over the common denominator order! Q, Q
     the lcm of the weight denominators, its numerator is
@@ -455,11 +474,12 @@ def fs_exp_sum(nvars, order, pairs, weights=None):
             cs.append(c)
             cols.append(form)
     _check_order(order)
-    weights = [1] * (order + 1) if weights is None else [_exact(w) for w in weights[:order + 1]]
+    weights = [(1, 1)] * (order + 1) if weights is None else [
+        w if type(w) is tuple else _exact(w).as_integer_ratio() for w in weights[:order + 1]]
     if len(weights) <= order:
         raise ValueError("%d weights for degrees 0..%d" % (len(weights), order))
-    q = lcm(*(w.denominator for w in weights))
-    scaled = [w.numerator * (q // w.denominator) for w in weights]     # W_k Q
+    q = lcm(*(d for _, d in weights))
+    scaled = [n * (q // d) for n, d in weights]     # W_k Q
     top = factorial(max(order, 0))
     nodes = [(0, 0, top, cs)] if cs and order >= 0 else []     # key, degree, order!/m!, c_t l_t^m
     for i, col in enumerate(zip(*cols)):

@@ -13,7 +13,6 @@ most 8.  A loop over (weight x, simple index i) cases makes all its draws
 and checks each distinct case once, in draw order (:func:`_distinct_cases`).
 """
 
-import json
 import operator
 import random
 import time
@@ -348,16 +347,18 @@ def check_presentation(datum, seed=0, order=6, _bernstein_sign=1):
 
     def body():
         one = HeckeElement.one(datum)
+        ts = [HeckeElement.Ts(datum, i) for i in range(n)]
+        ts1s = [t + one for t in ts]
         for x, i in _distinct_cases(rng, n, 100):
             s = datum.simple(i)
-            lhs = HeckeElement.Ts(datum, i) * HeckeElement.theta(datum, x)
+            lhs = ts[i] * HeckeElement.theta(datum, x)
             sx = apply(s, x)
-            rhs = HeckeElement.theta(datum, sx) * HeckeElement.Ts(datum, i) + HeckeElement(
+            rhs = HeckeElement.theta(datum, sx) * ts[i] + HeckeElement(
                 datum, {datum.identity: demazure_quotient(datum, x, i).scale(LS_V2M1)})
             if lhs != rhs:
                 return "Bernstein relation fails at x=%r, i=%d: %r vs %r" % (x, i, lhs, rhs)
             # script-G reformulation
-            ts1 = HeckeElement.Ts(datum, i) + one
+            ts1 = ts1s[i]
             lhs2 = ts1 * HeckeElement.theta(datum, x) - HeckeElement.theta(datum, sx) * ts1
             rhs2 = HeckeElement(datum, {datum.identity: mul_by_scriptG(datum, x, i)})
             if lhs2 != rhs2:
@@ -630,9 +631,9 @@ def check_modules(datum, order=6, seed=0, guard=DEFAULT_GUARD, _sign_value=-1):
 
     def body():
         one = HeckeElement.one(datum)
+        ts1s = [HeckeElement.Ts(datum, i) + one for i in range(n)]
         for x, i in _distinct_cases(rng, n, 100):
-            ts1 = HeckeElement.Ts(datum, i) + one
-            got = asph_act_left(ts1, AsphElement(datum, GroupAlgebraElement.theta(x)))
+            got = asph_act_left(ts1s[i], AsphElement(datum, GroupAlgebraElement.theta(x)))
             want = AsphElement(datum, mul_by_scriptG(datum, x, i))
             if got != want:
                 return "antispherical action fails at x=%r, i=%d: %r vs %r" % (
@@ -677,17 +678,54 @@ def run_suites(datum, names, order=6, guard=DEFAULT_GUARD, seed=0):
 
 
 def report_json(datum_desc, order, guard, seed, reports):
-    return json.dumps(
-        {
-            "artifact_version": ARTIFACT_VERSION,
-            "datum": datum_desc,
-            "order": order,
-            "guard": guard,
-            "seed": seed,
-            "checks": [rep.as_dict() for rep in reports],
-        },
-        indent=2,
-    )
+    return _json_text({
+        "artifact_version": ARTIFACT_VERSION,
+        "datum": datum_desc,
+        "order": order,
+        "guard": guard,
+        "seed": seed,
+        "checks": [rep.as_dict() for rep in reports],
+    })
+
+
+# The report's own JSON writer, so a run loads neither json nor _json.  Below
+# U+0080, json.dumps escapes '"', '\\', DEL and the control characters.
+_ESCAPES = {n: "\\u%04x" % n for n in [*range(32), 127]} | {
+    ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}
+
+
+def _escaped(ch):
+    """\\uXXXX for a character above U+007F, a surrogate pair above U+FFFF."""
+    n = ord(ch)
+    if n < 0x10000:
+        return "\\u%04x" % n
+    return "\\u%04x\\u%04x" % (0xd7c0 + (n >> 10), 0xdc00 | n & 0x3ff)
+
+
+def _json_text(value, indent=""):
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, ``indent`` before
+    its closing bracket: dicts with str keys, lists, str, int, finite float,
+    bool and None."""
+    if isinstance(value, str):
+        value = value.translate(_ESCAPES)
+        if not value.isascii():
+            value = "".join(ch if ch.isascii() else _escaped(ch) for ch in value)
+        return '"%s"' % value
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = ["%s: %s" % (_json_text(k), _json_text(v, inner)) for k, v in value.items()]
+    elif isinstance(value, list):
+        items = [_json_text(v, inner) for v in value]
+    else:
+        raise TypeError("%s is not a JSON value" % type(value).__name__)
+    ends = "{}" if isinstance(value, dict) else "[]"
+    if not items:
+        return ends
+    return "%s\n%s%s\n%s%s" % (ends[0], inner, (",\n" + inner).join(items), indent, ends[1])
 
 
 def report_text(datum_desc, order, guard, seed, reports):

@@ -25,10 +25,11 @@ A1 = build_root_datum([[2]])      # alpha-dot = 2 y_1
 def test_bernoulli_recurrence():
     assert bernoulli(8) == [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30),
                             0, Fraction(1, 42), 0, Fraction(-1, 30)]
-    # the package's numbers, asked for out of order: the cache only grows
-    assert bernoulli_weights(3) == bernoulli(3)
-    assert bernoulli_weights(20) == bernoulli(20)
-    assert bernoulli_weights(0) == [1]
+    # the package's numbers, asked for out of order: the cache only grows;
+    # each is a (numerator, denominator) pair, read here as a Fraction
+    assert [Fraction(*w) for w in bernoulli_weights(3)] == bernoulli(3)
+    assert [Fraction(*w) for w in bernoulli_weights(20)] == bernoulli(20)
+    assert [Fraction(*w) for w in bernoulli_weights(0)] == [1]
 
 
 def test_todd_eB_a1_is_the_bernoulli_series():

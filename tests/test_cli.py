@@ -10,7 +10,7 @@ import pytest
 
 import heckeverify
 from heckeverify import cli, lusztig, verify
-from heckeverify.root_datum import cartan_matrix
+from heckeverify.root_datum import RootDatum, WeylElement, build_root_datum, cartan_matrix
 from heckeverify.verify import CheckReport
 
 
@@ -331,6 +331,30 @@ def test_relabelled_and_reducible_cartan_files_pass_every_suite(tmp_path, capsys
                                            "--order", "2")["checks"]
 
 
+def _rows_as_simple_roots(init):
+    """RootDatum.__init__ with alpha_i read from row i of the Cartan matrix,
+    not from column i: the wrong index convention."""
+    def planted(datum, cartan):
+        init(datum, cartan)
+        datum.simple_roots = datum.cartan
+        datum.identity = WeylElement(datum.rho, (), datum.simple_roots)
+        datum._elements = {datum.rho: datum.identity}
+    return planted
+
+
+@pytest.mark.parametrize("cartan", [cartan for cartan, _ in _RELABELLED.values()],
+                         ids=_RELABELLED)
+def test_order_one_is_blind_to_the_index_convention(monkeypatch, cartan):
+    # what README and --help say of --order: at order 1 every suite passes
+    # with the wrong convention, and diagram and display fail at order 2
+    monkeypatch.setattr(RootDatum, "__init__", _rows_as_simple_roots(RootDatum.__init__))
+    datum = build_root_datum(cartan)
+    assert datum.simple_roots != tuple(zip(*datum.cartan))
+    assert [rep.status for rep in verify.run_suites(datum, ["all"], order=1)] == ["pass"] * 5
+    assert [(rep.name, rep.status) for rep in verify.run_suites(
+        datum, ["diagram", "display"], order=2)] == [("diagram", "fail"), ("display", "fail")]
+
+
 def _refuse_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("suites ran on rejected arguments")
@@ -401,6 +425,49 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].split() == ["[0,", "2,", "0]"]
     assert proc.stderr.startswith("usage: heckeverify")
+
+
+def test_cli_loads_neither_fractions_nor_json(tmp_path):
+    # fractions pulls in decimal, _decimal and numbers, and json its
+    # decoder, encoder, scanner and _json: about 4 ms of every cold run.
+    # Exact weights are int pairs and reports have their own writer, so
+    # neither the import, nor a run, nor a failing report may load them.
+    unwanted = ("fractions", "decimal", "numbers", "json", "json.decoder", "json.encoder",
+                "json.scanner", "_json")
+    common = ["--type", "A", "--rank", "1", "--order", "2", "--suite", "diagram"]
+    runs = (common + ["--format", "json", "--out", str(tmp_path / "r.json")],
+            common + ["--format", "text", "--out", str(tmp_path / "r.txt")],
+            ["--order", "0"], ["--help"])
+    script = "\n".join([
+        "import sys",
+        "sys.path.insert(0, %r)" % _src(),
+        "def loaded(step):",
+        "    print('after', step, *[m for m in %r if m in sys.modules])" % (unwanted,),
+        "import heckeverify.cli",
+        "loaded('import')",
+        "for argv in %r:" % (runs,),
+        "    loaded(heckeverify.cli.run(argv))",
+        "from heckeverify import verify",
+        "from heckeverify.root_datum import build_root_datum, cartan_matrix",
+        "rep = verify.check_diagram(build_root_datum(cartan_matrix('A', 1)), order=2,",
+        "                           _conjugate=False)",
+        "with open(%r, 'w') as fh:" % str(tmp_path / "fail.txt"),
+        "    fh.write(verify.report_json({'type': 'A1'}, 2, 2, 0, [rep]) + '\\n')",
+        "    fh.write(verify.report_text({'type': 'A1'}, 2, 2, 0, [rep]) + '\\n')",
+        "loaded(rep.status)",
+    ])
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    steps = [line for line in proc.stdout.splitlines() if line.startswith("after ")]
+    assert steps == ["after " + step for step in ("import", "0", "0", "2", "0", "fail")]
+    assert proc.stderr.startswith("usage: heckeverify")
+    assert json.loads((tmp_path / "r.json").read_text())["checks"][0]["status"] == "pass"
+    assert (tmp_path / "r.txt").read_text().startswith("datum: A1  order=2")
+    failing = (tmp_path / "fail.txt").read_text()
+    assert "K-route: [-3*r + 8/3*r^2 + 5/3*y1*r + O(3)]*t(e)" in json.loads(
+        failing[:failing.index("\n}\n") + 2])["checks"][0]["witness"]
+    assert "    witness: diagram routes disagree on T(s1):\n  K-route: [-3*r + 8/3*r^2" in failing
 
 
 def test_every_guard_default_is_default_guard(capsys):

@@ -19,8 +19,9 @@ from heckeverify.verify import (
 
 
 def _flipped_linear_weight(order):
-    """The log-Todd weights with +1/2 in place of -1/2 at degree one."""
-    return [-w if k == 1 else w for k, w in enumerate(log_todd_weights(order))]
+    """The log-Todd weights with +1/2 in place of -1/2 at degree one (a
+    weight is a (numerator, denominator) pair)."""
+    return [(-w[0], w[1]) if k == 1 else w for k, w in enumerate(log_todd_weights(order))]
 
 
 def _last_root_dropped(nvars, order, pairs, weights=None):

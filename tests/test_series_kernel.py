@@ -24,6 +24,7 @@ from heckeverify.formal_series import (
     InsufficientPrecision,
     NotDivisible,
     OrderTooLarge,
+    _exact,
     bernoulli_weights,
     fs_div_linear,
     fs_exp,
@@ -731,3 +732,69 @@ def test_malformed_exponents_are_refused():
         FormalSeries(2, 3, {(1, 0, 0): 1})
     with pytest.raises(ValueError):
         FormalSeries.one(2, 3).mul_monomial((2, -1))
+
+
+# -- the boundaries that a clean run crosses without fractions ---------------
+
+def fraction_repr(s):
+    """The repr as written from Fraction coefficients, read from ``coeffs``."""
+    if not s.coeffs:
+        return "O(%d)" % (s.order + 1)
+    names = ["y%d" % (i + 1) for i in range(s.nvars - 1)] + ["r"]
+    parts = []
+    for exp in sorted(s.coeffs, key=lambda e: (sum(e), e)):
+        c = Fraction(s.coeffs[exp])
+        mono = "*".join(n if p == 1 else "%s^%d" % (n, p) for n, p in zip(names, exp) if p)
+        parts.append(str(c) if not mono else "%s*%s" % (c, mono))
+    return " + ".join(parts) + " + O(%d)" % (s.order + 1)
+
+
+@KERNEL
+@given(st.data(), st.sampled_from([1, 2, 3]),
+       st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 12)))
+def test_repr_writes_each_coefficient_as_its_fraction(data, nvars, scale):
+    s = build(nvars, data.draw(raw_series(nvars))).scale(scale)
+    assert repr(s) == fraction_repr(s)
+    assert repr(-s) == fraction_repr(-s)
+
+
+def test_exact_keeps_ints_and_reads_fractions_and_strings():
+    src = str(pathlib.Path(heckeverify.__file__).resolve().parent.parent)
+    script = "\n".join([
+        "import sys",
+        "sys.path.insert(0, %r)" % src,
+        "from heckeverify.formal_series import FormalSeries, _exact, fs_exp_sum, "
+        "log_todd_weights",
+        "f = FormalSeries(2, 3, {(1, 0): 3, (0, 1): -2}).scale(4).mul_monomial((0, 1), -6)",
+        "g = fs_exp_sum(2, 5, [(1, (1, -2))], log_todd_weights(5))",
+        "print(type(_exact(7)).__name__, _exact(7))",
+        "print(repr(f))",
+        "print(repr(g))",
+        "print('fractions' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    f = FormalSeries(2, 3, {(1, 0): 3, (0, 1): -2}).scale(4).mul_monomial((0, 1), -6)
+    g = fs_exp_sum(2, 5, [(1, (1, -2))], log_todd_weights(5))
+    assert proc.stdout.splitlines() == [
+        "int 7", "48*r^2 + -72*y1*r + O(5)", fraction_repr(g), "False"]
+    assert "-1/2*y1" in repr(g) and repr(f) == fraction_repr(f)
+    assert _exact(Fraction(1, 2)) == Fraction(1, 2) == _exact("1/2")
+    assert type(_exact("1/2")) is Fraction
+    for bad in (0.5, 2.0):
+        with pytest.raises(TypeError):
+            _exact(bad)
+
+
+def test_weights_are_pairs_ints_or_fractions():
+    pairs = log_todd_weights(6)
+    assert all(type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1
+               for n, d in pairs + bernoulli_weights(6) + quotient_weights(6))
+    as_fractions = [Fraction(n, d) for n, d in pairs]
+    walk = fs_exp_sum(3, 6, [(1, (1, -2, 1)), (-2, (0, 1, 0))], pairs)
+    assert fs_exp_sum(3, 6, [(1, (1, -2, 1)), (-2, (0, 1, 0))], as_fractions) == walk
+    ints = fs_exp_sum(2, 4, [(1, (1, 1))], [1, 1, 1, 1, 5])
+    assert ints == fs_exp_sum(2, 4, [(1, (1, 1))], [(1, 1)] * 4 + [(5, 1)])
+    with pytest.raises(TypeError):
+        fs_exp_sum(2, 4, [(1, (1, 1))], [1, 0.5, 1, 1, 1])

@@ -121,6 +121,20 @@ def test_each_distinct_sampled_case_runs_once(monkeypatch, check, datum, distinc
     assert calls == cases
 
 
+@pytest.mark.parametrize("check, per_s", [(check_presentation, 2), (check_modules, 3)])
+def test_each_t_s_is_built_a_fixed_number_of_times(monkeypatch, check, per_s):
+    # the K loops read T_s and T_s + 1 from lists built once per check, so
+    # the T_s built do not grow with the 64 sampled cases on A2: the rest
+    # are the relation list's (presentation) and the L_l images (modules)
+    built = []
+    ts = verify.HeckeElement.Ts
+    monkeypatch.setattr(verify.HeckeElement, "Ts",
+                        lambda datum, i: built.append(i) or ts(datum, i))
+    rep = check(A2, seed=0)
+    assert rep.status == "pass", rep.witness
+    assert sorted(built) == [0] * per_s + [1] * per_s
+
+
 def _fraction_polynomial(rng, n, order):
     """The draw of ``verify.rand_polynomial``, built from Fraction coefficients."""
     coeffs = {}
