@@ -12,11 +12,11 @@ checks the rule's integer tables against.
 The Todd-type unit  e_B = prod_{alpha > 0} alpha-dot / (1 - exp(-alpha-dot))
 lives here too, as exp(G) for the log-Todd sum
 G = sum_{alpha > 0} log F(-alpha-dot), F(l) = l/(exp(l) - 1), which is one
-closed-form walk (:func:`log_todd`).  e_B^{-1} = exp(-G), and the
-S = e_B exp(-rho.) that the diagram check proves central is exp(G - rho.).
-The datum's store keeps, per order, G, S and the conjugation by e_B with
-e_B^{-1} and its conjugates of the t_w (:func:`eB_conjugation`).  The
-graded antispherical module, where t_s collapses to -1, is here as well.
+closed-form walk (:func:`log_todd`).  The suites read only
+S = e_B exp(-rho.) = exp(G - rho.), kept with G per order in the datum's
+store, and check it central; then Ad(e_B) = Ad(exp(rho.)), so no suite
+conjugates by e_B: :func:`conj_eB` is the tests' oracle.  The graded
+antispherical module, where t_s collapses to -1, is here as well.
 """
 
 from .formal_series import (
@@ -191,11 +191,9 @@ def todd_eB(datum, order):
 
 
 def todd_S(datum, order):
-    """S = e_B exp(-rho.) = exp(G - rho.), kept in the datum's store.
-
-    S is the product over alpha > 0 of (alpha./2)/sinh(alpha./2).  It is
-    made from the same G as e_B, so a fault in G shows in S.
-    """
+    """S = e_B exp(-rho.) = exp(G - rho.), the product over alpha > 0 of
+    (alpha./2)/sinh(alpha./2), kept in the datum's store.  It is made from
+    the same G as e_B, so a fault in G shows in S."""
     n = datum.rank + 1
     return datum.memo(("S", order), lambda: fs_exp(log_todd(datum, order) - FormalSeries(
         n, order, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(datum.rho)})))
@@ -204,13 +202,10 @@ def todd_S(datum, order):
 class Conjugation(GeneratorImages):
     """a |-> S a S^{-1} for one unit series S, reusing each S t_w S^{-1}.
 
-    Series commute with S, so with a = sum_w f_w t_w,
-
-        S a S^{-1} = sum_w f_w (S t_w S^{-1}),
-
-    and the conjugate of t_w, the product of the conjugates of its
-    letters, is formed once per (w, order) (:class:`GeneratorImages`).
-    ``s_inv`` is S^{-1}, at the order of S.
+    Series commute with S, so S (sum_w f_w t_w) S^{-1} is
+    sum_w f_w (S t_w S^{-1}), and the conjugate of t_w, the product of the
+    conjugates of its letters, is formed once per (w, order)
+    (:class:`GeneratorImages`).  ``s_inv`` is S^{-1}, at the order of S.
     """
 
     def __init__(self, datum, s, s_inv):

@@ -33,14 +33,13 @@ m: v |-> v^-1, theta_x |-> theta_x, T_s |-> -v^-2 T_s (:func:`twist`), so
 the K-route is Ad(S) o L_r o m with S = e_B exp(-rho.), the product over
 alpha > 0 of (alpha./2)/sinh(alpha./2).  S is even in each root, so it is
 W-invariant, hence central under Lusztig's rule, and Ad(S) is the
-identity; ``diagram`` checks that invariance in the run.
+identity; ``diagram`` and ``display`` check that invariance in the run.
 
 What the routes reuse is built once: the :class:`Context` of a work order
 holds the unit factors and both Lusztig maps, whose T_w images are kept
 per compared order (:class:`GeneratorImages`); the log-Todd sum G and
-S = exp(G - rho.) that the diagram check reads, the conjugation by e_B
-that ``display`` reads (:func:`conj_eB`), exp(+-rho.), the map m and the
-Weyl substitution tables live in the datum's store (:meth:`RootDatum.memo`).
+S = exp(G - rho.) that both suites read, the map m and the Weyl
+substitution tables live in the datum's store (:meth:`RootDatum.memo`).
 So do the (a, r) product of the unit factors, per (order, r-coefficient),
 and ch of each coefficient, per (order, terms), which L_r, L_l, both
 routes and the transport share: ch is the one map both morphisms apply.

@@ -13,10 +13,12 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from heckeverify import affine_hecke, formal_series, graded_hecke, lusztig
 from heckeverify.affine_hecke import HeckeElement, h_mul
-from heckeverify.lusztig import context, pipeline_H, pipeline_K
+from heckeverify.lusztig import DEFAULT_GUARD, context, pipeline_H, pipeline_K
 from heckeverify.root_datum import RootDatum, build_root_datum, cartan_matrix
 from heckeverify.verify import (
     check_diagram,
@@ -148,6 +150,28 @@ def test_maps_at_the_compared_order_equal_the_work_order_truncated(family, rank,
             assert k.order == h.order == order
 
 
+TRUNCATION = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                      suppress_health_check=[HealthCheck.too_slow])
+
+TRUNCATION_DATA = {"%s%d" % (t, n): build_root_datum(cartan_matrix(t, n))
+                   for t, n in [("A", 1), ("A", 2), ("B", 2), ("G", 2)]}
+
+
+@TRUNCATION
+@given(st.sampled_from(sorted(TRUNCATION_DATA)), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 4), st.integers(0, 2), st.integers(0, DEFAULT_GUARD))
+def test_a_route_at_a_higher_order_truncates_to_the_route_at_the_order(name, seed, n, k,
+                                                                       guard):
+    # truncation commutes with every step of both routes, so a run at n + k
+    # says nothing at degree <= n that the run at n does not
+    datum = TRUNCATION_DATA[name]
+    h = rand_hecke(random.Random(seed), datum)
+    for route in (pipeline_K, pipeline_H):
+        low, high = route(h, n, guard), route(h, n + k, guard).truncate(n)
+        assert low.order == high.order == n
+        assert _same(high, low)
+
+
 def test_a_context_refuses_orders_above_its_work_order():
     datum = build_root_datum(cartan_matrix("A", 2))
     ctx = context(datum, 3)
@@ -189,9 +213,9 @@ def test_no_caller_mutates_a_shared_value():
     datum = build_root_datum(cartan_matrix("A", 2))
     run_suites(datum, ["all"], order=3)
     before = _snapshot(datum._memo)
-    # the context is built at order + guard, e_B at the compared order
-    assert ("context", 5) in datum._memo and ("conj_eB", 3) in datum._memo
-    assert ("conj_eB", 5) not in datum._memo
+    # the context is built at order + guard, S at the compared order
+    assert ("context", 5) in datum._memo and ("S", 3) in datum._memo
+    assert ("S", 5) not in datum._memo
     reps = run_suites(datum, ["all"], order=3, seed=1)
     assert all(rep.status == "pass" for rep in reps)
     _assert_kept(before, _snapshot(datum._memo))
@@ -272,10 +296,19 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
             lusztig.difference_times_scriptG(datum, i, (1, -1), 4)
     assert not [key for key in datum._memo if key[0] == "scriptG"]
     assert calls == {"log_todd_weights": 2, "fs_exp": 2, "unit_factor": 2}
-    # display conjugates by e_B = exp(G) and e_B^{-1} = exp(-G) from the stored G
+    # display checks the stored S central and builds neither e_B nor e_B^{-1}
     for _ in range(2):
         assert check_display_identity(datum, order=3).status == "pass"
-    assert calls == {"log_todd_weights": 2, "fs_exp": 4, "unit_factor": 2}
+    assert calls == {"log_todd_weights": 2, "fs_exp": 2, "unit_factor": 2}
+
+
+@pytest.mark.parametrize("family, rank, order", [("A", 2, 3), ("B", 2, 5)])
+def test_no_suite_builds_e_B_or_exp_rho(calls, family, rank, order):
+    # S = e_B exp(-rho.) is the one exponential a clean run builds, once
+    datum = build_root_datum(cartan_matrix(family, rank))
+    assert all(rep.status == "pass" for rep in run_suites(datum, ["all"], order=order))
+    assert not [key for key in datum._memo if key[0] in ("exp_rho", "conj_eB")]
+    assert calls["fs_exp"] == 1 and ("S", order) in datum._memo
 
 
 def test_a_warm_diagram_check_builds_nothing(monkeypatch):

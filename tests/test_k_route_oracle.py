@@ -10,6 +10,10 @@ on a second copy of the datum, so it shares no cache with the code under
 test, and the results must be equal in canonical form.  The K-route cases
 include A3 and C3: S must commute with the reflections of both root
 lengths at rank three.
+
+``display`` compares the short form exp(-2r) X, X = (t_s + 1) u_plus - 1,
+where the paper conjugates X by e_B between exp(-rho. - 2r) and
+exp(rho.); the long form lives on here as the oracle of the short one.
 """
 
 import random
@@ -20,10 +24,11 @@ import pytest
 from heckeverify.affine_hecke import HeckeElement, pipeline_K_h
 from heckeverify.formal_series import FormalSeries, fs_inv
 from heckeverify.graded_hecke import Conjugation, GradedElement, conj_eB, gh_mul, todd_eB
-from heckeverify.lusztig import DEFAULT_GUARD, lusztig_r, pipeline_K
+from heckeverify.lusztig import DEFAULT_GUARD, lusztig_r, pipeline_K, unit_factor
 from heckeverify.root_datum import build_root_datum, cartan_matrix
 from heckeverify.verify import hecke_generators
 
+from linear_series import exp_linear
 from random_elements import rand_graded, rand_group_algebra
 from weyl_group import weyl_elements
 
@@ -93,3 +98,26 @@ def test_conj_eB_is_the_literal_conjugate(family, order):
         assert unit == random_unit(rng_oracle, datum.rank + 1, order)
         conjugation = Conjugation(datum, unit, fs_inv(unit))
         assert canonical(conjugation(a)) == canonical(literal_conjugate(b, unit))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3)],
+                         ids=["A1", "A2", "B2", "G2", "A3"])
+def test_display_short_form_is_the_long_form(family, rank):
+    # S = e_B exp(-rho.) is central, so conjugating by e_B between exp(-+rho.)
+    # is the identity, and between exp(+-rho.) it is conjugation by exp(2 rho.)
+    order = 5
+    datum = build_root_datum(cartan_matrix(family, rank))
+    rho, none = list(datum.rho), [0] * rank
+
+    def exp(*form):
+        return GradedElement.series(datum, exp_linear(sum(form, []), order))
+
+    one = GradedElement.one(datum, order)
+    for i in range(rank):
+        u_plus = GradedElement.series(datum, unit_factor(datum, i, order))
+        x = (GradedElement.ts(datum, i, order) + one) * u_plus - one
+        long_form = exp([-a for a in rho], [-2]) * conj_eB(x) * exp(rho, [0])
+        assert canonical(long_form) == canonical(exp(none, [-2]) * x)
+        flipped = exp(rho, [-2]) * conj_eB(x) * exp([-a for a in rho], [0])
+        by_exp_2rho = exp([2 * a for a in rho], [0]) * x * exp([-2 * a for a in rho], [0])
+        assert canonical(flipped) == canonical(exp(none, [-2]) * by_exp_2rho)

@@ -7,14 +7,15 @@ pass could hide is a suite that covers less than it claims.
 
 import pytest
 
-from heckeverify import graded_hecke, normal_form, root_datum
-from heckeverify.formal_series import fs_exp_sum, log_todd_weights
+from heckeverify import formal_series, graded_hecke, normal_form, root_datum
+from heckeverify.formal_series import _unpack, fs_exp_sum, log_todd_weights
 from heckeverify.root_datum import build_root_datum, cartan_matrix
 from heckeverify.verify import (
     check_diagram,
     check_display_identity,
     check_modules,
     check_morphisms,
+    check_presentation,
 )
 
 
@@ -105,3 +106,24 @@ def test_planted_fault_fails_its_suite(fault, module, name, plant, suite, witnes
         assert rep.witness.startswith((want + "\n", want + " ")), fault
     else:
         assert rep.witness == want, fault
+
+
+def _demazure_negated_above_degree_4(dem_of):
+    """``_WeylSubstitution.dem_of`` with Dem_i negated on every y-monomial of
+    degree 5 or more."""
+    def faulty(table, key):
+        got = dem_of(table, key)
+        return got if sum(_unpack(key, table.nvars)) < 5 else {e: -c for e, c in got.items()}
+    return faulty
+
+
+@pytest.mark.parametrize("family, rank, order", [("A", 2, 6), ("B", 2, 5)])
+def test_a_demazure_table_wrong_above_degree_4_fails_presentation(family, rank, order,
+                                                                  monkeypatch):
+    # the graded loop draws degrees up to the order, so it compares the
+    # table entries above degree 4 with the division route too
+    table = formal_series._WeylSubstitution
+    monkeypatch.setattr(table, "dem_of", _demazure_negated_above_degree_4(table.dem_of))
+    rep = check_presentation(build_root_datum(cartan_matrix(family, rank)), order=order)
+    assert rep.status == "fail"
+    assert rep.witness.startswith("graded commutation fails at i=")

@@ -9,6 +9,12 @@ cProfile keys can.
 
 import importlib.util
 import pathlib
+import sys
+
+import pytest
+
+from heckeverify.root_datum import build_root_datum, cartan_matrix
+from heckeverify.verify import SUITES, run_suites
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -30,3 +36,40 @@ def test_every_target_resolves_to_a_function_of_its_own():
     shared = {key: [name for name, k in keys.items() if k == key]
               for key in set(keys.values())}
     assert {key: names for key, names in shared.items() if len(names) > 1} == {}
+
+
+# (module, attribute path) of functions that no clean suite calls: the
+# conjugation by e_B and by exp(+-rho.), which only the negative controls
+# and the tests' oracles use, and the functions with no caller in src/.
+# The tracer's TARGETS and src/ can drop them once the tests that use them
+# as oracles stand without them (ROADMAP items 1 and 5).
+OFF_THE_RUN_PATH = [
+    ("graded_hecke", "todd_eB"), ("graded_hecke", "eB_conjugation"),
+    ("graded_hecke", "conj_eB"), ("graded_hecke", "Conjugation.__call__"),
+    ("lusztig", "exp_rho_pair"), ("formal_series", "fs_inv"),
+    ("formal_series", "fs_set_r_zero"), ("lusztig", "transport"),
+    ("root_datum", "RootDatum.mul"), ("root_datum", "RootDatum.inverse"),
+]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called by a clean suite")
+
+
+@pytest.mark.parametrize("family, rank, order", [("A", 2, 6), ("B", 2, 5)])
+def test_no_clean_suite_calls_a_function_off_the_run_path(family, rank, order, monkeypatch):
+    for layer, path in OFF_THE_RUN_PATH:
+        module = importlib.import_module("heckeverify." + layer)
+        owner, _, attr = path.rpartition(".")
+        if owner:
+            monkeypatch.setattr(getattr(module, owner), attr, _refuse)
+            continue
+        original = getattr(module, attr)
+        # rebind the name in every module that imported it by value
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("heckeverify")
+                    and getattr(mod, attr, None) is original):
+                monkeypatch.setattr(mod, attr, _refuse)
+    reports = run_suites(build_root_datum(cartan_matrix(family, rank)), ["all"], order=order)
+    assert [(rep.name, rep.status, rep.witness) for rep in reports] == [
+        (name, "pass", None) for name in sorted(SUITES)]

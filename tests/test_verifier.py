@@ -139,7 +139,7 @@ def _fraction_polynomial(rng, n, order):
     """The draw of ``verify.rand_polynomial``, built from Fraction coefficients."""
     coeffs = {}
     for _ in range(rng.randint(2, 4)):
-        deg = rng.randint(0, min(4, order))
+        deg = rng.randint(0, order)
         exp = [0] * (n + 1)
         for _ in range(deg):
             exp[rng.randrange(n + 1)] += 1
