@@ -27,8 +27,7 @@ OPTIONS = {
     "--rank": ("rank", int, None, None, "RANK", "rank (with --type)"),
     "--cartan-file": ("cartan_file", str, None, None, "PATH",
                       "file with a Cartan matrix (first line n, then rows)"),
-    "--order": ("order", int, 6, None, "ORDER", "truncation order (default 6; diagram and "
-                "display need 2 or more to see a wrong index convention)"),
+    "--order": ("order", int, 6, None, "ORDER", "truncation order (default 6)"),
     "--guard": ("guard", int, DEFAULT_GUARD, None, "GUARD",
                 "extra working order of the unit factors; changes no result "
                 "(default %d)" % DEFAULT_GUARD),

@@ -12,11 +12,11 @@ checks the rule's integer tables against.
 The Todd-type unit  e_B = prod_{alpha > 0} alpha-dot / (1 - exp(-alpha-dot))
 lives here too, as exp(G) for the log-Todd sum
 G = sum_{alpha > 0} log F(-alpha-dot), F(l) = l/(exp(l) - 1), which is one
-closed-form walk (:func:`log_todd`).  The suites read only
-S = e_B exp(-rho.) = exp(G - rho.), kept with G per order in the datum's
-store, and check it central; then Ad(e_B) = Ad(exp(rho.)), so no suite
-conjugates by e_B: :func:`conj_eB` is the tests' oracle.  The graded
-antispherical module, where t_s collapses to -1, is here as well.
+closed-form walk (:func:`log_todd`).  No suite builds G: S = e_B exp(-rho.)
+is central as each s_i permutes the positive roots other than alpha_i,
+which the suites check; then Ad(e_B) = Ad(exp(rho.)), and e_B, G and
+:func:`conj_eB` are the tests' oracles.  The graded antispherical module,
+where t_s collapses to -1, is here as well.
 """
 
 from .formal_series import (
@@ -177,7 +177,7 @@ def fourier_map(a):
 def log_todd(datum, order):
     """G = sum over positive roots of log F(-alpha-dot), F(l) = l/(exp(l) - 1),
     kept in the datum's store: one :func:`fs_exp_sum` with the weights of
-    log F (:func:`log_todd_weights`), so e_B, e_B^{-1} and S, its
+    log F (:func:`log_todd_weights`), so e_B and e_B^{-1}, its
     exponentials, multiply, divide and invert no series."""
     return datum.memo(("log_todd", order), lambda: fs_exp_sum(
         datum.rank + 1, order, [(1, diff(-a for a in alpha)) for alpha in datum.positive_roots],
@@ -188,15 +188,6 @@ def todd_eB(datum, order):
     """prod over positive roots of alpha-dot / (1 - exp(-alpha-dot)), as
     exp(G) (:func:`log_todd`)."""
     return fs_exp(log_todd(datum, order))
-
-
-def todd_S(datum, order):
-    """S = e_B exp(-rho.) = exp(G - rho.), the product over alpha > 0 of
-    (alpha./2)/sinh(alpha./2), kept in the datum's store.  It is made from
-    the same G as e_B, so a fault in G shows in S."""
-    n = datum.rank + 1
-    return datum.memo(("S", order), lambda: fs_exp(log_todd(datum, order) - FormalSeries(
-        n, order, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(datum.rho)})))
 
 
 class Conjugation(GeneratorImages):

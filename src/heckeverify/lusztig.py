@@ -33,12 +33,12 @@ m: v |-> v^-1, theta_x |-> theta_x, T_s |-> -v^-2 T_s (:func:`twist`), so
 the K-route is Ad(S) o L_r o m with S = e_B exp(-rho.), the product over
 alpha > 0 of (alpha./2)/sinh(alpha./2).  S is even in each root, so it is
 W-invariant, hence central under Lusztig's rule, and Ad(S) is the
-identity; ``diagram`` and ``display`` check that invariance in the run.
+identity; ``diagram`` and ``display`` check that invariance in the run,
+on the positive roots, and build no part of S.
 
 What the routes reuse is built once: the :class:`Context` of a work order
 holds the unit factors and both Lusztig maps, whose T_w images are kept
-per compared order (:class:`GeneratorImages`); the log-Todd sum G and
-S = exp(G - rho.) that both suites read, the map m and the Weyl
+per compared order (:class:`GeneratorImages`); the map m and the Weyl
 substitution tables live in the datum's store (:meth:`RootDatum.memo`).
 So do the (a, r) product of the unit factors, per (order, r-coefficient),
 and ch of each coefficient, per (order, terms), which L_r, L_l, both
@@ -153,7 +153,8 @@ def pipeline_K(h, order, guard=DEFAULT_GUARD):
     """Top-then-right route, as L_r(m(h)) through the order + guard context.
 
     The route is Ad(S) o L_r o m with S = e_B exp(-rho.), and S is central
-    once it is W-invariant, which ``verify.check_diagram`` checks.
+    once each s_i permutes the positive roots other than alpha_i, which
+    ``verify.check_diagram`` checks.
     """
     return lusztig_r(twist(h.datum)(h), order, guard)
 

@@ -35,7 +35,6 @@ from .graded_hecke import (
     demazure_series,
     fourier_map,
     g_asph_act,
-    todd_S,
 )
 from .lattice_algebra import (
     GroupAlgebraElement,
@@ -489,12 +488,13 @@ def check_morphisms(datum, order=6, seed=0, guard=DEFAULT_GUARD, _unit_r_coeff=2
     return _run("morphisms", body)
 
 
-def _invariance_failure(datum, order):
-    """A witness unless s_i(S) = S for each simple i, or None.  S is built
-    from the G of e_B (:func:`todd_S`), so a fault in G that moves S fails."""
-    s = todd_S(datum, order)
-    for i in range(len(datum.cartan)):
-        if not fs_weyl(datum, datum.simple(i), s).eq(s, order):
+def _invariance_failure(datum):
+    """A witness unless each s_i keeps alpha_i among the positive roots and
+    permutes the others, which makes s_i(S) = S (:func:`check_diagram`), or None."""
+    roots = set(datum.positive_roots)
+    for i, alpha in enumerate(datum.simple_roots):
+        rest = roots - {alpha}
+        if alpha not in roots or {apply(datum.simple(i), beta) for beta in rest} != rest:
             return "S = e_B exp(-rho.) is not invariant under s%d" % (i + 1)
     return None
 
@@ -505,12 +505,16 @@ def check_diagram(datum, order=6, seed=0, guard=DEFAULT_GUARD, _conjugate=True):
 
     The K-route is Ad(S) o L_r o m, S = e_B exp(-rho.).  Under Lusztig's
     rule t_s S - S t_s = (s(S) - S) t_s + 2r Dem_s(S), and series commute
-    with S, so Ad(S) fixes every L_r(m(g)), and so is the identity, exactly
-    when s_i(S) = S for each simple i.  The suite checks that first
-    (:func:`_invariance_failure`), so a fault in G that moves S fails here.
-    Then it evaluates the K-route as L_r(m(h)) (:func:`pipeline_K`); so it
-    accepts exactly what comparing Ad(S) o L_r o m on the generators
-    accepted.
+    with S, so Ad(S) is the identity when s_i(S) = S for each simple i.
+    The suite decides that first, on the positive roots P alone
+    (:func:`_invariance_failure`).  F(l) = l/(e^l - 1) has F(-l) =
+    e^l F(l), so log F(-l) = l/2 + E(l) with E even, and with sigma the
+    sum of P, S = exp(sum over beta in P of E(beta.) + sigma./2 - rho.).
+    If alpha_i is in P and s_i permutes P minus alpha_i, then s_i fixes
+    the even sum, as s_i(alpha_i) = -alpha_i, and sigma/2 - rho, as
+    s_i(sigma) = sigma - 2 alpha_i and s_i(rho) = rho - alpha_i
+    (rho = (1, ..., 1)): exact at every order, with no series built.  Then
+    the suite evaluates the K-route as L_r(m(h)) (:func:`pipeline_K`).
 
     That is complete.  Both routes are homomorphisms modulo degree > order:
     m, L_r, L_l and fourier are, and the ideal of degree > order is
@@ -521,10 +525,10 @@ def check_diagram(datum, order=6, seed=0, guard=DEFAULT_GUARD, _conjugate=True):
     Ad(theta_{-rho}) o m.  It fails unless it compared the 1 + 3n
     generators, n the size of the Cartan matrix.  ``seed`` is accepted for
     callers that pass one to every check (``benchmarks/child.py``) and is
-    not used.  A limit: an error in e_B by a central (W-invariant) factor,
-    such as exp(r), a term r in G, changes no conjugation, so neither this
-    suite nor ``display`` can see it; only the closed-form oracles of the
-    tests guard e_B.
+    not used.  A limit: the Todd series reaches the run only through that
+    argument, so no even weight of log F and no central (W-invariant)
+    factor of e_B, such as exp(r), is seen by this suite or by
+    ``display``; only the closed-form oracles of the tests guard e_B.
     """
     if not _conjugate:
         # a private copy whose K-route is conjugated by exp(-rho.) alone: e_B is dropped
@@ -533,7 +537,7 @@ def check_diagram(datum, order=6, seed=0, guard=DEFAULT_GUARD, _conjugate=True):
     n = len(datum.cartan)
 
     def body():
-        if failed := _invariance_failure(datum, order):
+        if failed := _invariance_failure(datum):
             return failed
         gens = hecke_generators(datum)
         for name, h in gens:
@@ -562,8 +566,9 @@ def check_display_identity(datum, order=6, guard=DEFAULT_GUARD, _flip_rho=False)
     +-2, built at order + guard and truncated; products run at ``order``.
     The paper conjugates X = (t_s+1) u_plus - 1 by e_B = S exp(rho.):
     exp(-rho. - 2r) e_B X e_B^{-1} exp(rho.) = exp(-2r) S X S^{-1}, so the
-    short form is exact once S is central, which the suite checks first,
-    as ``diagram`` does (:func:`_invariance_failure`).
+    short form is exact once S is central, which the suite checks first
+    from the positive roots, as ``diagram`` does (:func:`_invariance_failure`),
+    so it builds neither S nor e_B.
     """
     n = datum.rank
     work = order + guard
@@ -572,7 +577,7 @@ def check_display_identity(datum, order=6, guard=DEFAULT_GUARD, _flip_rho=False)
         by_exp_rho = Conjugation(datum, *exp_rho_pair(datum, order)[::-1])
 
     def body():
-        if failed := _invariance_failure(datum, order):
+        if failed := _invariance_failure(datum):
             return failed
         ctx = context(datum, work)
         exp_neg_2r = fs_exp_sum(n + 1, order, [(1, (0,) * n + (-2,))])

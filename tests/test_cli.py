@@ -10,8 +10,10 @@ import pytest
 
 import heckeverify
 from heckeverify import cli, lusztig, verify
-from heckeverify.root_datum import RootDatum, WeylElement, build_root_datum, cartan_matrix
+from heckeverify.root_datum import RootDatum, build_root_datum, cartan_matrix
 from heckeverify.verify import CheckReport
+
+from datum_plants import RELABELLED, rows_as_simple_roots
 
 
 def _src():
@@ -290,36 +292,7 @@ def test_nonsymmetric_cartan_file_matches_its_family(tmp_path, capsys):
     assert [c["status"] for c in family["checks"]] == ["pass"] * 4
 
 
-def _relabel(cartan, perm):
-    return [[cartan[p][q] for q in perm] for p in perm]
-
-
-def _blocks(*parts):
-    """The Cartan matrix of a reducible datum, one part after the other."""
-    n, at, out = sum(map(len, parts)), 0, []
-    for part in parts:
-        out += [[0] * at + list(row) + [0] * (n - at - len(part)) for row in part]
-        at += len(part)
-    return out
-
-
-_G2, _B3, _C3, _F4, _A1, _B2 = (cartan_matrix(family, rank) for family, rank in (
-    ("G", 2), ("B", 3), ("C", 3), ("F", 4), ("A", 1), ("B", 2)))
-# (matrix, the --type and --rank it relabels, if any).  Order 2 is the lowest
-# that sees the index convention: with simple_roots read from rows instead
-# of columns every suite passes on these at order 1, and diagram and display
-# fail on each at order 2.
-_RELABELLED = {
-    "G2-transposed": ([list(col) for col in zip(*_G2)], ("G", "2")),
-    "B3-permuted": (_relabel(_B3, [2, 0, 1]), ("B", "3")),
-    "C3-permuted": (_relabel(_C3, [1, 2, 0]), ("C", "3")),
-    "F4-reversed": (_relabel(_F4, [3, 2, 1, 0]), ("F", "4")),
-    "A1+G2": (_blocks(_A1, _G2), None),
-    "B2+A1-permuted": (_relabel(_blocks(_B2, _A1), [2, 0, 1]), None),
-}
-
-
-@pytest.mark.parametrize("cartan, family", _RELABELLED.values(), ids=_RELABELLED)
+@pytest.mark.parametrize("cartan, family", RELABELLED.values(), ids=RELABELLED)
 def test_relabelled_and_reducible_cartan_files_pass_every_suite(tmp_path, capsys, cartan,
                                                                  family):
     custom = _checks(capsys, "--cartan-file", _write_cartan(tmp_path / "c.txt", cartan),
@@ -331,28 +304,23 @@ def test_relabelled_and_reducible_cartan_files_pass_every_suite(tmp_path, capsys
                                            "--order", "2")["checks"]
 
 
-def _rows_as_simple_roots(init):
-    """RootDatum.__init__ with alpha_i read from row i of the Cartan matrix,
-    not from column i: the wrong index convention."""
-    def planted(datum, cartan):
-        init(datum, cartan)
-        datum.simple_roots = datum.cartan
-        datum.identity = WeylElement(datum.rho, (), datum.simple_roots)
-        datum._elements = {datum.rho: datum.identity}
-    return planted
-
-
-@pytest.mark.parametrize("cartan", [cartan for cartan, _ in _RELABELLED.values()],
-                         ids=_RELABELLED)
+@pytest.mark.parametrize("cartan", [cartan for cartan, _ in RELABELLED.values()],
+                         ids=RELABELLED)
 def test_order_one_is_blind_to_the_index_convention(monkeypatch, cartan):
-    # what README and --help say of --order: at order 1 every suite passes
-    # with the wrong convention, and diagram and display fail at order 2
-    monkeypatch.setattr(RootDatum, "__init__", _rows_as_simple_roots(RootDatum.__init__))
+    # only presentation, morphisms and modules are blind to it at order 1:
+    # diagram and display check that each s_i permutes the positive roots
+    # other than alpha_i, which no order bounds, and fail at every order
+    monkeypatch.setattr(RootDatum, "__init__", rows_as_simple_roots(RootDatum.__init__))
     datum = build_root_datum(cartan)
     assert datum.simple_roots != tuple(zip(*datum.cartan))
-    assert [rep.status for rep in verify.run_suites(datum, ["all"], order=1)] == ["pass"] * 5
-    assert [(rep.name, rep.status) for rep in verify.run_suites(
-        datum, ["diagram", "display"], order=2)] == [("diagram", "fail"), ("display", "fail")]
+    reports = verify.run_suites(datum, ["all"], order=1)
+    assert [(rep.name, rep.status) for rep in reports] == [
+        ("diagram", "fail"), ("display", "fail"), ("modules", "pass"), ("morphisms", "pass"),
+        ("presentation", "pass")]
+    witness = reports[0].witness
+    assert witness.startswith("S = e_B exp(-rho.) is not invariant under s")
+    assert [rep.witness for rep in reports[1:2] + verify.run_suites(
+        datum, ["diagram", "display"], order=2)] == [witness] * 3
 
 
 def _refuse_work(monkeypatch):

@@ -1,7 +1,6 @@
 """The closed-form constants against the division and inversion route.
 
-``todd_eB`` with its inverse and the S = e_B exp(-rho.) whose
-W-invariance ``diagram`` checks are exponentials of the log-Todd sum G, one
+``todd_eB`` and its inverse are exponentials of the log-Todd sum G, one
 weighted walk of ``fs_exp_sum``; ``unit_factor`` is a two-variable product
 of such walks pulled back along a |-> alpha-dot, and
 ``difference_times_scriptG`` is one walk.  None divides or inverts.  The
@@ -15,7 +14,7 @@ import pytest
 
 from heckeverify import formal_series
 from heckeverify.formal_series import FormalSeries, diff, fs_div_linear, fs_inv, fs_weyl
-from heckeverify.graded_hecke import eB_conjugation, log_todd, todd_eB, todd_S
+from heckeverify.graded_hecke import eB_conjugation, log_todd, todd_eB
 from heckeverify.lusztig import difference_times_scriptG, unit_factor
 from heckeverify.root_datum import apply, build_root_datum, cartan_matrix
 from heckeverify.verify import check_diagram
@@ -65,9 +64,9 @@ def test_constants_match_the_division_route(family, rank, top):
             for x in scriptG_weights(rank, i):
                 assert difference_times_scriptG(datum, i, x, order) == scriptG_by_division(
                     datum, i, x, order)
-        # S as the diagram check builds it, exp(G - rho.) from the stored G
-        s = todd_S(datum, order)
-        assert s == eB * exp_linear(neg_rho, order)
+        # S = e_B exp(-rho.), which diagram and display read central off the
+        # positive roots, is W-invariant as a series too
+        s = todd_eB(datum, order) * exp_linear(neg_rho, order)
         assert all(fs_weyl(datum, datum.simple(i), s) == s for i in range(rank))
 
 
@@ -84,7 +83,6 @@ def test_no_constant_divides_or_inverts(monkeypatch):
     for family, rank, order in DATA:
         datum = build_root_datum(cartan_matrix(family, rank))
         log_todd(datum, order)
-        todd_S(datum, order)
         todd_eB(datum, order)
         eB_conjugation(datum, order)
         assert check_diagram(datum, order=order).status == "pass"
@@ -104,7 +102,6 @@ def test_cold_constants_multiply_no_series_of_the_datum_width(monkeypatch):
     monkeypatch.setattr(FormalSeries, "__mul__", lambda a, b: widths.append(a.nvars) or mul(a, b))
     datum = build_root_datum(cartan_matrix("B", 2))
     log_todd(datum, 5)
-    todd_S(datum, 5)
     todd_eB(datum, 5)
     eB_conjugation(datum, 5)
     assert widths == []

@@ -213,9 +213,9 @@ def test_no_caller_mutates_a_shared_value():
     datum = build_root_datum(cartan_matrix("A", 2))
     run_suites(datum, ["all"], order=3)
     before = _snapshot(datum._memo)
-    # the context is built at order + guard, S at the compared order
-    assert ("context", 5) in datum._memo and ("S", 3) in datum._memo
-    assert ("S", 5) not in datum._memo
+    # the context is built at order + guard; no suite stores G or S
+    assert ("context", 5) in datum._memo
+    assert not [key for key in datum._memo if key[0] in ("log_todd", "S")]
     reps = run_suites(datum, ["all"], order=3, seed=1)
     assert all(rep.status == "pass" for rep in reps)
     _assert_kept(before, _snapshot(datum._memo))
@@ -224,27 +224,27 @@ def test_no_caller_mutates_a_shared_value():
 def test_store_dies_with_its_datum():
     datum = build_root_datum(cartan_matrix("A", 2))
     assert check_diagram(datum, order=3).status == "pass"
-    # the K-route runs through its context; the check reads S = exp(G - rho.)
-    # from the datum's store, built there from the stored G, to check S
-    # invariant
+    # the K-route runs through its context, and its unit factors are
+    # pullbacks of the (a, r) product kept in the datum's store
     refs = [weakref.ref(datum), weakref.ref(context(datum, 5)),
             weakref.ref(context(datum, 5).lusztig_r)]
     # series take no weak references: a stored one may be referred to by
     # the store alone, which the datum owns
-    stored = [datum._memo[("log_todd", 3)], datum._memo[("S", 3)]]
+    stored = [datum._memo[("unit_product", 5, 2)]]
     assert [[r for r in gc.get_referrers(f) if r is not stored] for f in stored] == [
-        [datum._memo], [datum._memo]]
+        [datum._memo]]
     del datum
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
-    assert [[r for r in gc.get_referrers(f) if r is not stored] for f in stored] == [[], []]
+    assert [[r for r in gc.get_referrers(f) if r is not stored] for f in stored] == [[]]
 
 
 @pytest.fixture
 def calls(monkeypatch):
     """Count calls of the builders the context and the store are meant to
-    run once: G is built by the one call of ``log_todd_weights`` in
-    ``graded_hecke``, and S, e_B and e_B^{-1} by its calls of ``fs_exp``."""
+    run once, and of those no clean suite runs: G would be built by the one
+    call of ``log_todd_weights`` in ``graded_hecke``, and S, e_B and
+    e_B^{-1} by its calls of ``fs_exp``."""
     counts = {}
     for module, name in ((graded_hecke, "log_todd_weights"), (graded_hecke, "fs_exp"),
                          (lusztig, "unit_factor"), (affine_hecke, "koszul_map"),
@@ -274,19 +274,18 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
             assert check_diagram(datum, order=order, seed=0, guard=guard).status == "pass"
         assert [o for _, o in r_built].count(order) == datum.rank
     assert sorted(r_built) == [(i, o) for i in range(datum.rank) for o in (3, 4)]
-    # G and S are stored at the compared orders only; the diagram check
-    # builds neither e_B, its inverse nor exp(+-rho.)
-    assert sorted(key for key in datum._memo
-                  if key[0] in ("exp_rho", "conj_eB", "log_todd", "S")) == [
-        ("S", 3), ("S", 4), ("log_todd", 3), ("log_todd", 4)]
+    # the diagram check reads S central off the positive roots: it builds
+    # neither G, S, e_B, its inverse nor exp(+-rho.)
+    assert not [key for key in datum._memo
+                if key[0] in ("exp_rho", "conj_eB", "log_todd", "S")]
     # the unit factors stay at the work order; every image is per compared order
     assert {u.order for u in ctx.units.values()} == {5}
     assert {order for _, order in ctx.lusztig_r._images} == {3, 4}
     assert {(img.order, order) for (_, order), img in ctx.lusztig_r._images.items()} == {
         (3, 3), (4, 4)}
-    # one G and one S per compared order, and the K-route goes through m
-    # alone: the Koszul chain is never built
-    assert calls == {"log_todd_weights": 2, "fs_exp": 2, "unit_factor": 2}
+    # no fs_exp and no log-Todd walk, and the K-route goes through m alone:
+    # the Koszul chain is never built
+    assert calls == {"unit_factor": 2}
     assert "twist" in datum._memo and "k_side_maps" not in datum._memo
     # the closed form of the modules check is one exp-sum per case: it
     # stores nothing and builds no constant
@@ -295,20 +294,21 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
         for i in range(datum.rank):
             lusztig.difference_times_scriptG(datum, i, (1, -1), 4)
     assert not [key for key in datum._memo if key[0] == "scriptG"]
-    assert calls == {"log_todd_weights": 2, "fs_exp": 2, "unit_factor": 2}
-    # display checks the stored S central and builds neither e_B nor e_B^{-1}
+    assert calls == {"unit_factor": 2}
+    # display checks S central as diagram does and builds neither e_B nor e_B^{-1}
     for _ in range(2):
         assert check_display_identity(datum, order=3).status == "pass"
-    assert calls == {"log_todd_weights": 2, "fs_exp": 2, "unit_factor": 2}
+    assert calls == {"unit_factor": 2}
 
 
 @pytest.mark.parametrize("family, rank, order", [("A", 2, 3), ("B", 2, 5)])
 def test_no_suite_builds_e_B_or_exp_rho(calls, family, rank, order):
-    # S = e_B exp(-rho.) is the one exponential a clean run builds, once
+    # a clean run calls no fs_exp and builds neither G, S, e_B nor exp(+-rho.)
     datum = build_root_datum(cartan_matrix(family, rank))
     assert all(rep.status == "pass" for rep in run_suites(datum, ["all"], order=order))
-    assert not [key for key in datum._memo if key[0] in ("exp_rho", "conj_eB")]
-    assert calls["fs_exp"] == 1 and ("S", order) in datum._memo
+    assert not [key for key in datum._memo
+                if key[0] in ("exp_rho", "conj_eB", "log_todd", "S")]
+    assert "fs_exp" not in calls and "log_todd_weights" not in calls
 
 
 def test_a_warm_diagram_check_builds_nothing(monkeypatch):
@@ -335,9 +335,9 @@ def test_a_warm_diagram_check_builds_nothing(monkeypatch):
                 monkeypatch.setattr(mod, name, counted)
     assert check_diagram(datum, order=4).status == "pass"
     assert called == [] and set(datum._memo) == stored
-    # the counters see a cold run, which builds G and S but not e_B
+    # the counters see a cold run, which builds neither G, S nor e_B
     assert check_diagram(build_root_datum(cartan_matrix("B", 2)), order=4).status == "pass"
-    assert set(called) == {"gh_mul", "log_todd_weights", "fs_exp", "unit_factor"}
+    assert set(called) == {"gh_mul", "unit_factor"}
 
 
 def _ch_entries(datum):

@@ -1,14 +1,15 @@
 """A census of planted faults, each with the suite that must catch it.
 
-Each row plants one fault by monkeypatch, runs the named suite on a fresh
-datum, and expects it to fail with the recorded witness.  A fault that a
+Each row plants one fault by monkeypatch, runs the named suite on a datum
+built after the plant, so that a fault of the construction is in it, and
+expects it to fail with the recorded witness.  A fault that a
 pass could hide is a suite that covers less than it claims.
 """
 
 import pytest
 
-from heckeverify import formal_series, graded_hecke, normal_form, root_datum
-from heckeverify.formal_series import _unpack, fs_exp_sum, log_todd_weights
+from heckeverify import formal_series, normal_form, root_datum
+from heckeverify.formal_series import _unpack
 from heckeverify.root_datum import build_root_datum, cartan_matrix
 from heckeverify.verify import (
     check_diagram,
@@ -18,17 +19,7 @@ from heckeverify.verify import (
     check_presentation,
 )
 
-
-def _flipped_linear_weight(order):
-    """The log-Todd weights with +1/2 in place of -1/2 at degree one (a
-    weight is a (numerator, denominator) pair)."""
-    return [(-w[0], w[1]) if k == 1 else w for k, w in enumerate(log_todd_weights(order))]
-
-
-def _last_root_dropped(nvars, order, pairs, weights=None):
-    """The walk without its last term: G, the one walk of ``graded_hecke``,
-    misses the last positive root."""
-    return fs_exp_sum(nvars, order, pairs[:-1], weights)
+from datum_plants import moved_by, positive_roots_changed, rows_as_simple_roots
 
 
 def _not_invariant(i):
@@ -63,20 +54,25 @@ def _merged_into_first(act):
 
 
 # (fault, module the plant patches, name patched in it, replacement, the
-# suite that catches it, its witness on the datum and order).  S = exp(G -
-# rho.) moves under s_i when G's linear part is not rho., and, without the
-# factor of a positive root beta, exactly when <beta, alpha_i^v> != 0.  A
-# witness that ends in ":" is the head of one that goes on to print the two
-# sides.  Of the reuse in the store: display reads the unit factors at r =
+# suite that catches it, its witness on the clean datum and the order).
+# s_i permutes the positive roots other than alpha_i, and so fixes
+# S = e_B exp(-rho.), until a root beta is dropped or negated: then the
+# first s_i with <beta, alpha_i^v> != 0 fails, and with the simple roots
+# read from the rows of the Cartan matrix, s1 already does.  A witness
+# that ends in ":" is the head of one that goes on to print the two sides.  Of the reuse in the store: display reads the unit factors at r =
 # -2 before those at r = 2; diagram evaluates v^-1 in the K-route before v
 # in the H-route; morphisms evaluates 1 after v^2; and L_l(T_s) has the
 # coefficients u(alpha) and u(alpha) - 1, which merged into one give 0.
 CENSUS = [
-    ("linear-log-weight-plus-half", graded_hecke, "log_todd_weights", _flipped_linear_weight,
-     check_diagram, lambda datum, order: _not_invariant(0)),
-    ("G-misses-a-positive-root", graded_hecke, "fs_exp_sum", _last_root_dropped, check_diagram,
-     lambda datum, order: _not_invariant(
-         min(i for i, c in enumerate(datum.positive_roots[-1]) if c))),
+    ("positive-roots-miss-the-last", root_datum, "RootDatum._compute_positive_roots",
+     positive_roots_changed(lambda roots: roots[:-1]), check_diagram,
+     lambda datum, order: _not_invariant(moved_by(datum.positive_roots[-1]))),
+    ("first-positive-root-negated", root_datum, "RootDatum._compute_positive_roots",
+     positive_roots_changed(lambda roots: (tuple(-c for c in roots[0]),) + roots[1:]),
+     check_diagram, lambda datum, order: _not_invariant(moved_by(datum.positive_roots[0]))),
+    ("simple-roots-from-rows", root_datum, "RootDatum.__init__",
+     rows_as_simple_roots(root_datum.RootDatum.__init__), check_diagram,
+     lambda datum, order: _not_invariant(0)),
     ("unit-product-stored-without-r", root_datum, "RootDatum.memo",
      _rekeyed(_unit_product_without_r), check_display_identity,
      lambda datum, order: "display identity fails for s1:"),
@@ -96,11 +92,10 @@ CENSUS = [
                          ids=[row[0] for row in CENSUS])
 def test_planted_fault_fails_its_suite(fault, module, name, plant, suite, witness, family, rank,
                                        order, monkeypatch):
-    datum = build_root_datum(cartan_matrix(family, rank))
+    want = witness(build_root_datum(cartan_matrix(family, rank)), order)
     owner, _, attr = name.rpartition(".")
     monkeypatch.setattr(getattr(module, owner) if owner else module, attr, plant)
-    rep = suite(datum, order=order)
-    want = witness(datum, order)
+    rep = suite(build_root_datum(cartan_matrix(family, rank)), order=order)
     assert rep.status == "fail", fault
     if want.endswith(":"):
         assert rep.witness.startswith((want + "\n", want + " ")), fault

@@ -38,7 +38,7 @@ from heckeverify.formal_series import (
     log_todd_weights,
     quotient_weights,
 )
-from heckeverify.graded_hecke import GradedElement, eB_conjugation, todd_eB, todd_S
+from heckeverify.graded_hecke import GradedElement, eB_conjugation, todd_eB
 from heckeverify.lusztig import unit_factor
 from heckeverify.root_datum import apply, build_root_datum, cartan_matrix, read_cartan_file
 
@@ -503,7 +503,9 @@ def test_todd_series_match_reference_products(family, rank):
         by_eB = eB_conjugation(datum, order)
         assert as_ref(todd_eB(datum, order)) == as_ref(by_eB.s) == eB
         assert as_ref(by_eB.s_inv) == over_roots(lambda k: Fraction(1, factorial(k + 1)))
-        assert as_ref(todd_S(datum, order)) == ref_mul(eB, exp_neg_rho)
+        s = todd_eB(datum, order) * exp_linear(tuple(-a for a in datum.rho) + (0,), order)
+        assert as_ref(s) == ref_mul(eB, exp_neg_rho)
+        assert all(fs_weyl(datum, datum.simple(i), s) == s for i in range(rank))
 
 
 @KERNEL

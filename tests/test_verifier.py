@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckeverify import graded_hecke, lusztig, verify
+from heckeverify import lusztig, verify
 from heckeverify.affine_hecke import (
     BernsteinRule,
     HeckeElement,
@@ -19,22 +19,19 @@ from heckeverify.affine_hecke import (
 from heckeverify.formal_series import (
     FormalSeries,
     _WeylSubstitution,
-    diff,
     fs_exp_sum,
     fs_negate_r,
-    log_todd_weights,
 )
 from heckeverify.graded_hecke import (
     GradedElement,
     GradedRule,
     fourier_map,
     gh_mul,
-    log_todd,
 )
 from heckeverify.lattice_algebra import GroupAlgebraElement, LS_V2
 from heckeverify.lusztig import _LusztigMap, context
 from heckeverify.normal_form import GeneratorImages
-from heckeverify.root_datum import build_root_datum, cartan_matrix
+from heckeverify.root_datum import RootDatum, build_root_datum, cartan_matrix
 from heckeverify.verify import (
     CheckReport,
     check_diagram,
@@ -49,6 +46,7 @@ from heckeverify.verify import (
 )
 
 from construction_walk import walk_failure
+from datum_plants import moved_by, positive_roots_changed, without
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum(cartan_matrix("A", 2))
@@ -218,35 +216,24 @@ def test_diagram_passes_with_an_invariant_S(name, cartan, order):
     assert (rep.status, rep.witness) == ("pass", None), name
 
 
-def _without_root(beta):
-    """G without its term at the positive root beta: minus log F(-beta.).
-
-    Then e_B = exp(G) lacks beta's factor alpha./(1 - exp(-alpha.)).
-    """
-    def g(datum, order):
-        return log_todd(datum, order) - fs_exp_sum(
-            datum.rank + 1, order, [(1, diff(-a for a in beta))], log_todd_weights(order))
-    return g
-
-
 @pytest.mark.parametrize("name, cartan, order", INVARIANT_S[:2], ids=["B2", "G2"])
 def test_a_non_invariant_S_fails_diagram_before_any_route(name, cartan, order, monkeypatch):
     # the diagram check proves the step that lets the K-route drop Ad(S):
-    # a G that makes S = exp(G - rho.) move under some s_i fails with that
-    # s_i, and no route is evaluated
+    # a set of positive roots that some s_i does not permute, bar alpha_i,
+    # fails with that s_i, and no route is evaluated
     routes = []
     for route in ("pipeline_K", "pipeline_H"):
         monkeypatch.setattr(verify, route, lambda *args, _r=route: routes.append(_r))
     positive_roots = build_root_datum(cartan).positive_roots
-    # G = 0 is e_B = 1, so S = exp(-rho.)
-    plants = [(lambda d, o: FormalSeries(d.rank + 1, o), 0)]
-    # s_i fixes beta, and then S without beta's factor, exactly when <beta, alpha_i^v> = 0
-    plants += [(_without_root(beta), min(i for i, c in enumerate(beta) if c))
-               for beta in positive_roots]
-    for g, moved in plants:
-        # S is stored per datum: each plant runs on a fresh one
-        monkeypatch.setattr(graded_hecke, "log_todd", g)
-        rep = check_diagram(build_root_datum(cartan), order=order)
+    # no roots at all: alpha_1 is missing
+    plants = [(lambda roots: (), 0)]
+    # s_i fixes beta, and then the set without beta, exactly when <beta, alpha_i^v> = 0
+    plants += [(without(beta), moved_by(beta)) for beta in positive_roots]
+    for change, moved in plants:
+        # the roots are made with the datum: each plant runs on a fresh one
+        with monkeypatch.context() as m:
+            m.setattr(RootDatum, "_compute_positive_roots", positive_roots_changed(change))
+            rep = check_diagram(build_root_datum(cartan), order=order)
         assert (rep.status, rep.witness) == (
             "fail", "S = e_B exp(-rho.) is not invariant under s%d" % (moved + 1)), name
     assert routes == []
