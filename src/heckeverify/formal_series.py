@@ -26,10 +26,9 @@ series are equal exactly when their orders, dens and terms are equal.
 All arithmetic runs on the integer numerators, and exponent tuples
 appear only at the boundaries: the constructor, ``repr`` (which writes
 each coefficient as ``str(Fraction(c, den))`` would, from the ints), error
-messages, ``nums`` (exponent tuple to numerator) and the read-only
-``coeffs``.  ``fractions`` is imported only by ``coeffs`` (to Fraction),
-``constant_term`` and a coefficient that is not an int.  Weights are
-reduced (numerator, denominator) int pairs.
+messages and the read-only ``coeffs``.  ``fractions`` is imported only
+by ``coeffs`` (to Fraction), ``constant_term`` and a coefficient that is
+not an int.  Weights are reduced (numerator, denominator) int pairs.
 ``eq`` compares the canonical truncations field by field.
 
 Precision bookkeeping is deliberately pessimistic and mechanical:
@@ -246,12 +245,6 @@ class FormalSeries:
         return cls(nvars, order, {exp: coeff})
 
     # -- basic structure -------------------------------------------------
-
-    @property
-    def nums(self):
-        """Dict from exponent tuple to int numerator (a decoded copy)."""
-        nvars = self.nvars
-        return {_unpack(e, nvars): c for e, c in self.terms.items()}
 
     @property
     def coeffs(self):

@@ -15,8 +15,8 @@ G = sum_{alpha > 0} log F(-alpha-dot), F(l) = l/(exp(l) - 1), which is one
 closed-form walk (:func:`log_todd`).  No suite builds G: S = e_B exp(-rho.)
 is central as each s_i permutes the positive roots other than alpha_i,
 which the suites check; then Ad(e_B) = Ad(exp(rho.)), and e_B, G and
-:func:`conj_eB` are the tests' oracles.  The graded antispherical module,
-where t_s collapses to -1, is here as well.
+:func:`conj_eB`, the product e_B a e_B^{-1}, are the tests' oracles.  The
+graded antispherical module, where t_s collapses to -1, is here as well.
 """
 
 from .formal_series import (
@@ -31,7 +31,7 @@ from .formal_series import (
     fs_weyl_demazure,
     log_todd_weights,
 )
-from .normal_form import AsphElement, GeneratorImages, Rule
+from .normal_form import AsphElement, Rule
 
 
 class GradedElement:
@@ -190,37 +190,12 @@ def todd_eB(datum, order):
     return fs_exp(log_todd(datum, order))
 
 
-class Conjugation(GeneratorImages):
-    """a |-> S a S^{-1} for one unit series S, reusing each S t_w S^{-1}.
-
-    Series commute with S, so S (sum_w f_w t_w) S^{-1} is
-    sum_w f_w (S t_w S^{-1}), and the conjugate of t_w, the product of the
-    conjugates of its letters, is formed once per (w, order)
-    (:class:`GeneratorImages`).  ``s_inv`` is S^{-1}, at the order of S.
-    """
-
-    def __init__(self, datum, s, s_inv):
-        self.s, self.s_inv = s, s_inv
-        right = GradedElement.series(datum, s_inv)
-        super().__init__(GradedRule.of(datum), lambda i, order: gh_mul(
-            GradedElement.ts(datum, i, order), right).scale_left(s), s.order)
-
-    def __call__(self, a):
-        order = min(a.order, self.work_order)
-        return GradedElement(self.datum, order, self.evaluate(a, order, lambda f: f))
-
-
-def eB_conjugation(datum, order):
-    """Conjugation by e_B at ``order``, with e_B^{-1} = exp(-G) (:func:`log_todd`),
-    kept in the datum's store."""
-    return datum.memo(("conj_eB", order), lambda: Conjugation(
-        datum, todd_eB(datum, order), fs_exp(-log_todd(datum, order))))
-
-
 def conj_eB(a):
-    """e_B * a * e_B^{-1}, full noncommutative conjugation, with e_B the
-    Todd series at the order of ``a`` (:func:`eB_conjugation`)."""
-    return eB_conjugation(a.datum, a.order)(a)
+    """e_B * a * e_B^{-1}, the full noncommutative conjugate as a product,
+    with e_B and e_B^{-1} = exp(-G) (:func:`log_todd`) at the order of ``a``."""
+    datum, order = a.datum, a.order
+    return gh_mul(gh_mul(GradedElement.series(datum, todd_eB(datum, order)), a),
+                  GradedElement.series(datum, fs_exp(-log_todd(datum, order))))
 
 
 def g_asph_act(a, m):

@@ -163,14 +163,14 @@ class GroupAlgebraElement:
         return " + ".join(parts)
 
 
-def add_product(acc, a, b, sign=1):
-    """acc += sign * a * b, for ``acc`` in the plain form {x: {k: int}}.
+def add_product(acc, a, b):
+    """acc += a * b, for ``acc`` in the plain form {x: {k: int}}.
 
     ``acc`` may hold zeros until :func:`from_plain` drops them.
     """
     right = [(y, tuple(cy.coeffs.items())) for y, cy in b.coeffs.items()]
     for x, cx in a.coeffs.items():
-        left = [(k, sign * c) for k, c in cx.coeffs.items()]
+        left = tuple(cx.coeffs.items())
         for y, cy in right:
             z = tuple(map(add, x, y))
             slot = acc.get(z)

@@ -143,12 +143,6 @@ def lusztig_l(h, order, guard=0):
     return context(h.datum, order + guard).lusztig_l(h, order)
 
 
-def exp_rho_pair(datum, order):
-    """(exp(-rho.), exp(rho.)) at ``order``, built once in the datum's store."""
-    return datum.memo(("exp_rho", order), lambda: [fs_exp_sum(
-        datum.rank + 1, order, [(1, tuple(s * a for a in datum.rho) + (0,))]) for s in (-1, 1)])
-
-
 def pipeline_K(h, order, guard=DEFAULT_GUARD):
     """Top-then-right route, as L_r(m(h)) through the order + guard context.
 

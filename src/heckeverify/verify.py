@@ -1,10 +1,11 @@
 """
 Named, reproducible check suites with structured pass/fail reports.
 
-Each check is a pure function of (root datum, order, guard, seed) plus
-private corruption hooks used by the negative-control tests.  A failing
-check carries a witness: a rendering of the first offending difference,
-which can be re-evaluated by hand.
+Each check is a pure function of the root datum, the order and such of
+guard and seed as it takes (``presentation`` takes no guard, ``display``
+no seed), plus private corruption hooks used by the negative-control
+tests.  A failing check carries a witness: a rendering of the first
+offending difference, which can be re-evaluated by hand.
 
 All random sampling goes through a seeded ``random.Random`` with a fixed
 recipe: weight coordinates uniform in -3..3, v-exponents in -2..2,
@@ -29,7 +30,6 @@ from .affine_hecke import (
 )
 from .formal_series import FormalSeries, _pack, _series, fs_exp_sum, fs_weyl
 from .graded_hecke import (
-    Conjugation,
     GradedElement,
     GradedRule,
     demazure_series,
@@ -48,7 +48,6 @@ from .lusztig import (
     DEFAULT_GUARD,
     context,
     difference_times_scriptG,
-    exp_rho_pair,
     lusztig_l,
     pipeline_H,
     pipeline_K,
@@ -108,6 +107,16 @@ def _private_copy(datum, *rules):
     for make in rules:
         make(copy).install()
     return copy
+
+
+def _by_exp_rho(datum, order, c):
+    """a |-> exp(c rho.) a exp(-c rho.) at ``order``, as a product, for a
+    negative control: both exponentials are built once, on ``datum``, the
+    control's private copy, and stored nowhere."""
+    left, right = (GradedElement.series(datum, fs_exp_sum(
+        datum.rank + 1, order, [(1, tuple(s * c * a for a in datum.rho) + (0,))]))
+        for s in (1, -1))
+    return lambda a: left * a * right
 
 
 # -- random sampling -------------------------------------------------------
@@ -531,9 +540,9 @@ def check_diagram(datum, order=6, seed=0, guard=DEFAULT_GUARD, _conjugate=True):
     ``display``; only the closed-form oracles of the tests guard e_B.
     """
     if not _conjugate:
-        # a private copy whose K-route is conjugated by exp(-rho.) alone: e_B is dropped
+        # a private copy whose K-route is exp(-rho.) K exp(rho.): e_B is dropped
         datum = _private_copy(datum)
-        by_exp_rho = Conjugation(datum, *exp_rho_pair(datum, order))
+        by_exp_rho = _by_exp_rho(datum, order, -1)
     n = len(datum.cartan)
 
     def body():
@@ -574,7 +583,7 @@ def check_display_identity(datum, order=6, guard=DEFAULT_GUARD, _flip_rho=False)
     work = order + guard
     if _flip_rho:       # with S central, -rho for rho is Ad(exp(2 rho.)) on X
         datum = _private_copy(datum)
-        by_exp_rho = Conjugation(datum, *exp_rho_pair(datum, order)[::-1])
+        by_exp_2rho = _by_exp_rho(datum, order, 2)
 
     def body():
         if failed := _invariance_failure(datum):
@@ -589,7 +598,7 @@ def check_display_identity(datum, order=6, guard=DEFAULT_GUARD, _flip_rho=False)
             lhs = GradedElement.series(datum, u_minus) * (one - ts)
             inner = (ts + one) * GradedElement.series(datum, u_plus) - one
             if _flip_rho:
-                inner = by_exp_rho(by_exp_rho(inner))
+                inner = by_exp_2rho(inner)
             rhs = one - inner.scale_left(exp_neg_2r)
             if not lhs.eq(rhs, order):
                 return "display identity fails for s%d:\n  lhs: %r\n  rhs: %r" % (

@@ -51,6 +51,20 @@ def _snapshot(value):
     return repr(value)
 
 
+# the kinds of key a clean ``all`` run stores (:func:`_kinds`): the two
+# rules, ch images, contexts, Weyl tables, the Koszul chain, the map m and
+# the (a, r) unit products; not G, S, e_B, its inverse nor exp(+-rho.)
+STORE_KINDS = {("rule", affine_hecke.BernsteinRule), ("rule", graded_hecke.GradedRule),
+               "ch", "context", "fs_weyl", "k_side_maps", "twist", "unit_product"}
+
+
+def _kinds(datum):
+    """The kind of each key in the datum's store: a string key, the first
+    entry of a tuple key, or the pair ("rule", class)."""
+    return {key if isinstance(key, str) else key[:2] if key[0] == "rule" else key[0]
+            for key in datum._memo}
+
+
 def _controls():
     """(control name, clean run, corrupted run) on B2 at order 5, seed 0."""
     return [
@@ -215,7 +229,7 @@ def test_no_caller_mutates_a_shared_value():
     before = _snapshot(datum._memo)
     # the context is built at order + guard; no suite stores G or S
     assert ("context", 5) in datum._memo
-    assert not [key for key in datum._memo if key[0] in ("log_todd", "S")]
+    assert _kinds(datum) == STORE_KINDS
     reps = run_suites(datum, ["all"], order=3, seed=1)
     assert all(rep.status == "pass" for rep in reps)
     _assert_kept(before, _snapshot(datum._memo))
@@ -274,10 +288,9 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
             assert check_diagram(datum, order=order, seed=0, guard=guard).status == "pass"
         assert [o for _, o in r_built].count(order) == datum.rank
     assert sorted(r_built) == [(i, o) for i in range(datum.rank) for o in (3, 4)]
-    # the diagram check reads S central off the positive roots: it builds
-    # neither G, S, e_B, its inverse nor exp(+-rho.)
-    assert not [key for key in datum._memo
-                if key[0] in ("exp_rho", "conj_eB", "log_todd", "S")]
+    # the diagram check reads S central off the positive roots: it stores
+    # what a clean run stores, less the Koszul chain
+    assert _kinds(datum) == STORE_KINDS - {"k_side_maps"}
     # the unit factors stay at the work order; every image is per compared order
     assert {u.order for u in ctx.units.values()} == {5}
     assert {order for _, order in ctx.lusztig_r._images} == {3, 4}
@@ -301,13 +314,13 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
     assert calls == {"unit_factor": 2}
 
 
-@pytest.mark.parametrize("family, rank, order", [("A", 2, 3), ("B", 2, 5)])
+@pytest.mark.parametrize("family, rank, order", [("A", 2, 3), ("B", 2, 5), ("A", 2, 6),
+                                                 ("G", 2, 3)])
 def test_no_suite_builds_e_B_or_exp_rho(calls, family, rank, order):
-    # a clean run calls no fs_exp and builds neither G, S, e_B nor exp(+-rho.)
+    # a clean run calls no fs_exp and stores exactly the kinds of STORE_KINDS
     datum = build_root_datum(cartan_matrix(family, rank))
     assert all(rep.status == "pass" for rep in run_suites(datum, ["all"], order=order))
-    assert not [key for key in datum._memo
-                if key[0] in ("exp_rho", "conj_eB", "log_todd", "S")]
+    assert _kinds(datum) == STORE_KINDS
     assert "fs_exp" not in calls and "log_todd_weights" not in calls
 
 

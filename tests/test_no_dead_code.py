@@ -1,10 +1,13 @@
-"""Every module-level function and class of the package has a use.
+"""Every module-level function and class of the package has a use, and so
+does every public method and property of its classes.
 
 A definition in ``src/heckeverify/`` must be referenced somewhere in
-``src/`` outside its own body: a name, an attribute or an import.  The
-exception is a span that ``benchmarks/tracer.py`` wraps by name (its
-TARGETS), which must stay a function of its own even when nothing in the
-package calls it.
+``src/`` outside its own body: a name, an attribute or an import.  A
+method or property counts as public unless its name starts with an
+underscore; dunders run by syntax and are not checked.  The exception is
+a span that ``benchmarks/tracer.py`` wraps by name (its TARGETS, such as
+``RootDatum.mul``), which must stay a function of its own even when
+nothing in the package calls it.
 """
 
 import ast
@@ -21,7 +24,7 @@ def _tracer_targets():
         "bench_tracer_dead_code", ROOT / "benchmarks" / "tracer.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return {(layer, path) for layer, _, path in module.TARGETS if "." not in path}
+    return {(layer, path) for layer, _, path in module.TARGETS}
 
 
 def _referenced_names(tree, skip=None):
@@ -40,23 +43,34 @@ def _referenced_names(tree, skip=None):
     return names
 
 
+def _definitions(tree):
+    """(path, node) of each module-level def or class of ``tree``, and of each
+    public method or property of its classes as ``Class.name``."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield "%s.%s" % (node.name, item.name), item
+
+
 def unreferenced(sources, exempt=frozenset()):
-    """(module, name) of each module-level def or class of ``sources`` that
-    no module references outside its own definition.
+    """(module, path) of each definition of ``sources`` (:func:`_definitions`)
+    that no module references outside its own body.
 
     ``sources`` maps a module name to its source text.
     """
     trees = {name: ast.parse(text) for name, text in sources.items()}
     dead = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if (module, node.name) in exempt:
+        for path, node in _definitions(tree):
+            if (module, path) in exempt:
                 continue
             if not any(node.name in _referenced_names(other, node if name == module else None)
                        for name, other in trees.items()):
-                dead.append((module, node.name))
+                dead.append((module, path))
     return dead
 
 
@@ -70,6 +84,13 @@ def test_the_check_sees_an_unused_helper():
         "a": "def used():\n    return 1\n\n\ndef unused():\n    return used()\n",
         "b": "from .a import used\n\n\nclass Spare:\n    x = used()\n",
         "c": "def recursive(n):\n    return recursive(n - 1) if n else 0\n",
+        "d": ("from .a import used\n\n\nclass Kept:\n"
+              "    def __init__(self):\n        self.value = used()\n\n"
+              "    def spare(self):\n        return self.value\n\n"
+              "    def _private(self):\n        return 0\n\n\n"
+              "Kept().value\n"),
     }
-    assert unreferenced(sources) == [("a", "unused"), ("b", "Spare"), ("c", "recursive")]
-    assert unreferenced(sources, {("a", "unused"), ("b", "Spare")}) == [("c", "recursive")]
+    assert unreferenced(sources) == [("a", "unused"), ("b", "Spare"), ("c", "recursive"),
+                                     ("d", "Kept.spare")]
+    assert unreferenced(sources, {("a", "unused"), ("b", "Spare"), ("d", "Kept.spare")}) == [
+        ("c", "recursive")]

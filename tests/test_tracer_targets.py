@@ -39,18 +39,15 @@ def test_every_target_resolves_to_a_function_of_its_own():
 
 
 # (module, attribute path) of functions that no clean suite calls: the
-# conjugation by e_B and by exp(+-rho.), which only the negative controls
-# and the tests' oracles use; G and every series exponential, since the
-# suites read S = e_B exp(-rho.) central off the positive roots; and the
-# functions with no caller in src/.  The tracer's TARGETS and src/ can drop
-# them once the tests that use them as oracles stand without them (ROADMAP
-# items 1 and 5).
+# conjugation by e_B, which only the tests' oracles use; G and every series
+# exponential, since the suites read S = e_B exp(-rho.) central off the
+# positive roots; and the functions with no caller in src/.  The tracer's
+# TARGETS and src/ can drop them once the tests that use them as oracles
+# stand without them (ROADMAP items 1 and 5).
 OFF_THE_RUN_PATH = [
-    ("graded_hecke", "todd_eB"), ("graded_hecke", "eB_conjugation"),
-    ("graded_hecke", "conj_eB"), ("graded_hecke", "Conjugation.__call__"),
+    ("graded_hecke", "todd_eB"), ("graded_hecke", "conj_eB"),
     ("graded_hecke", "log_todd"), ("formal_series", "log_todd_weights"),
-    ("formal_series", "fs_exp"),
-    ("lusztig", "exp_rho_pair"), ("formal_series", "fs_inv"),
+    ("formal_series", "fs_exp"), ("formal_series", "fs_inv"),
     ("formal_series", "fs_set_r_zero"), ("lusztig", "transport"),
     ("root_datum", "RootDatum.mul"), ("root_datum", "RootDatum.inverse"),
 ]

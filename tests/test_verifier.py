@@ -47,6 +47,7 @@ from heckeverify.verify import (
 
 from construction_walk import walk_failure
 from datum_plants import moved_by, positive_roots_changed, without
+from linear_series import exp_linear
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum(cartan_matrix("A", 2))
@@ -265,6 +266,41 @@ def test_flipped_display_weight_gives_its_golden_witness(guard):
     rep = check_display_identity(build_root_datum(cartan_matrix("B", 2)), order=5,
                                  guard=guard, _flip_rho=True)
     assert (rep.name, rep.status, rep.witness) == (want["check"], "fail", want["witness"])
+
+
+@pytest.mark.parametrize("family, order", [("A", 4), ("G", 3)])
+def test_rho_controls_give_the_witnesses_of_their_definitions(family, order):
+    # _conjugate=False compares exp(-rho.) K exp(rho.) with the H-route, and
+    # _flip_rho=True puts exp(2 rho.) X exp(-2 rho.) for X in the display;
+    # the exponentials here come from fs_exp, not the controls' fs_exp_sum
+    datum = build_root_datum(cartan_matrix(family, 2))
+
+    def exp(c, r=0):
+        """exp(c rho. + r r) as a graded element at ``order``."""
+        return GradedElement.series(
+            datum, exp_linear(tuple(c * a for a in datum.rho) + (r,), order))
+
+    routes = ((name, exp(-1) * lusztig.pipeline_K(h, order) * exp(1),
+               lusztig.pipeline_H(h, order)) for name, h in verify.hecke_generators(datum))
+    want = "diagram routes disagree on %s:\n  K-route: %r\n  H-route: %r" % next(
+        (name, k, h) for name, k, h in routes if not k.eq(h, order))
+    rep = check_diagram(datum, order=order, _conjugate=False)
+    assert (rep.status, rep.witness) == ("fail", want)
+
+    one = GradedElement.one(datum, order)
+
+    def display(i):
+        ts = GradedElement.ts(datum, i, order)
+        u_minus, u_plus = (GradedElement.series(datum, lusztig.unit_factor(datum, i, order, c))
+                           for c in (-2, 2))
+        x = (ts + one) * u_plus - one
+        return i + 1, u_minus * (one - ts), one - exp(0, -2) * (exp(2) * x * exp(-2))
+
+    want = "display identity fails for s%d:\n  lhs: %r\n  rhs: %r" % next(
+        (i, lhs, rhs) for i, lhs, rhs in map(display, range(datum.rank))
+        if not lhs.eq(rhs, order))
+    rep = check_display_identity(datum, order=order, _flip_rho=True)
+    assert (rep.status, rep.witness) == ("fail", want)
 
 
 def test_corrupted_module_sign_fails():
