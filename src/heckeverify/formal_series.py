@@ -35,7 +35,7 @@ Precision bookkeeping is deliberately pessimistic and mechanical:
 
   add / mul            -> min of the input orders
   div by a linear form -> order - 1 (one degree is consumed)
-  exp / inv / Weyl action / r-sign flip -> order preserved
+  exp sum / Weyl action / pullback / r-sign flip -> order preserved
   mul by a single monomial of degree d  -> order + d
 
 The last rule is what keeps the graded commutation rule
@@ -46,11 +46,11 @@ raises InsufficientPrecision instead of quietly comparing fewer degrees.
 
 A product is one loop: each term of the operand with fewer terms runs over
 the other's terms, sorted once by key and cut by bisection at the order, so
-no pair of terms whose degrees sum above the order is formed.  exp and
-inverse work on homogeneous components.  Division by a linear form is
-exact division of each homogeneous component, solved one power of a pivot
-variable at a time; a nonzero remainder raises NotDivisible, which in
-practice means a formula was transcribed wrongly upstream.  The Weyl
+no pair of terms whose degrees sum above the order is formed.  Division
+by a linear form is exact division of each homogeneous component, solved
+one power of a pivot variable at a time; a nonzero remainder raises
+NotDivisible, which in practice means a formula was transcribed wrongly
+upstream.  The Weyl
 action is a linear substitution, which keeps degrees; for a simple
 reflection s_i, the same table holds the Demazure images
 (m - s_i(m))/alpha_i-dot of monomials with int coefficients, so
@@ -69,14 +69,6 @@ from .root_datum import apply
 FIELD_BITS = 8                          # one byte: _pack and _unpack go through bytes
 MAX_ORDER = (1 << FIELD_BITS) - 1
 _FIELD = MAX_ORDER                      # mask of one field
-
-
-class NonzeroConstantTerm(ValueError):
-    """exp requires a series with zero constant term."""
-
-
-class NonUnit(ValueError):
-    """Inversion requires a nonzero constant term."""
 
 
 class NotDivisible(ArithmeticError):
@@ -113,8 +105,9 @@ def _check_order(order):
 def _pack(exp, nvars):
     """The key of an exponent tuple of length ``nvars`` and degree <= MAX_ORDER."""
     exp = tuple(exp)
-    if len(exp) != nvars or min(exp, default=0) < 0:
-        raise ValueError("exponent %r is not %d nonnegative integers" % (exp, nvars))
+    if len(exp) != nvars or min(exp, default=0) < 0 or sum(exp) > MAX_ORDER:
+        raise ValueError("exponent %r is not %d nonnegative integers of degree "
+                         "at most %d" % (exp, nvars, MAX_ORDER))
     return int.from_bytes(bytes((sum(exp),) + exp), "big")
 
 
@@ -203,11 +196,10 @@ def _components(terms, order, nvars):
     return comps
 
 
-def _mul_add(acc, a, b, factor=1):
-    """acc += factor * a * b on integer numerator dicts, with no truncation."""
+def _mul_add(acc, a, b):
+    """acc += a * b on integer numerator dicts, with no truncation."""
     get = acc.get
     for e1, c1 in a.items():
-        c1 *= factor
         for e2, c2 in b.items():
             e = e1 + e2
             acc[e] = get(e, 0) + c1 * c2
@@ -224,10 +216,12 @@ class FormalSeries:
         self.order = order
         exact = {}
         if coeffs:
+            shift = FIELD_BITS * nvars
             for exp, c in coeffs.items():
+                key = _pack(exp, nvars)
                 c = _exact(c)
-                if c and sum(exp) <= order:
-                    exact[_pack(exp, nvars)] = c
+                if c and key >> shift <= order:
+                    exact[key] = c
         self.den = lcm(*(c.denominator for c in exact.values()))
         self.terms = {e: c.numerator * (self.den // c.denominator)
                       for e, c in exact.items()}
@@ -369,44 +363,6 @@ class FormalSeries:
 
 # -- analytic operations --------------------------------------------------
 
-def fs_exp(f):
-    """exp of a series with zero constant term, same order.
-
-    The package exponentiates the log-Todd sum G with it (e_B, e_B^{-1}
-    and S); an exponential of int linear forms goes through the closed
-    form :func:`fs_exp_sum` instead.
-
-    With g = exp(f) and E the degree operator, E g = (E f) g gives the
-    homogeneous components  d g_d = sum_{j=1..d} j f_j g_{d-j}.  With
-    f = N/den they are kept as integers G_d = g_d den^d d!:
-
-        G_d = sum_j j N_j G_{d-j} den^(j-1) (d-1)!/(d-j)!
-    """
-    if f.terms.get(0):
-        raise NonzeroConstantTerm("exp needs zero constant term, got %s" % f.constant_term())
-    order, den = f.order, f.den
-    parts = _components(f.terms, order, f.nvars)
-    g = [{0: 1}] if order >= 0 else []
-    fact = 1
-    for d in range(1, order + 1):
-        acc = {}
-        ratio = 1                       # (d-1)!/(d-j)!
-        for j in range(1, d + 1):
-            if parts[j] and g[d - j]:
-                _mul_add(acc, parts[j], g[d - j], j * den ** (j - 1) * ratio)
-            ratio *= d - j
-        g.append({e: c for e, c in acc.items() if c})
-        fact *= d
-    # g = sum_d G_d / (den^d d!) over the common denominator den^order order!
-    out = {}
-    scale = 1                           # den^(order-d) order!/d!
-    for d in range(order, -1, -1):
-        for e, c in g[d].items():
-            out[e] = c * scale
-        scale *= den * d
-    return _series(f.nvars, order, den ** max(order, 0) * fact, out)
-
-
 def _int_form(form, nvars):
     """``form`` as a tuple of ``nvars`` ints; other entries or lengths are refused."""
     form = tuple(form)
@@ -435,21 +391,11 @@ def quotient_weights(order):
     return [(1, k + 1) for k in range(order + 1)]
 
 
-def log_todd_weights(order):
-    """0, -1/2 and -B_k/k for k = 2..order, the weights of log(l/(exp(l) - 1)).
-
-    The derivative of log(l/(exp(l) - 1)) is -1/2 - sum_{k>=2} B_k l^(k-1)/k!.
-    """
-    b = bernoulli_weights(order)
-    return [(0, 1), (-1, 2)][:order + 1] + [
-        _reduced(-n, d * k) for k, (n, d) in enumerate(b[2:], 2)]
-
-
 def fs_exp_sum(nvars, order, pairs, weights=None):
     """sum of c F(l) over (int c, int form l) in ``pairs``, at ``order``.
 
     F is exp, or the series with derivatives F^(k)(0) = ``weights[k]``,
-    each a (numerator, denominator) int pair, an int or a Fraction.
+    each a (numerator, denominator) int pair.
     The coefficient of a monomial m = y^a r^b of degree k is
     W_k sum_t c_t l_t^m / m!, so over the common denominator order! Q, Q
     the lcm of the weight denominators, its numerator is
@@ -467,8 +413,7 @@ def fs_exp_sum(nvars, order, pairs, weights=None):
             cs.append(c)
             cols.append(form)
     _check_order(order)
-    weights = [(1, 1)] * (order + 1) if weights is None else [
-        w if type(w) is tuple else _exact(w).as_integer_ratio() for w in weights[:order + 1]]
+    weights = [(1, 1)] * (order + 1) if weights is None else weights[:order + 1]
     if len(weights) <= order:
         raise ValueError("%d weights for degrees 0..%d" % (len(weights), order))
     q = lcm(*(d for _, d in weights))
@@ -489,39 +434,6 @@ def fs_exp_sum(nvars, order, pairs, weights=None):
             nodes = grown
     return _series(nvars, order, top * q, {
         key: weight * scaled[deg] * sum(vals) for key, deg, weight, vals in nodes})
-
-
-def fs_inv(f):
-    """Multiplicative inverse of a unit series, same order.
-
-    With f = N/den and c = N_0 the integer constant term, 1/N has
-    homogeneous components Q_d / c^(d+1), where Q_0 = 1 and
-
-        Q_d = - sum_{j=1..d} N_j Q_{d-j} c^(j-1),
-
-    so 1/f = den sum_d Q_d c^(order-d) / c^(order+1).
-    """
-    order = f.order
-    c = f.terms.get(0)
-    if not c:
-        raise NonUnit("inverse needs nonzero constant term")
-    parts = _components(f.terms, order, f.nvars)
-    q = [{0: 1}]
-    for d in range(1, order + 1):
-        acc = {}
-        power = -1                      # -c^(j-1)
-        for j in range(1, d + 1):
-            if parts[j] and q[d - j]:
-                _mul_add(acc, parts[j], q[d - j], power)
-            power *= c
-        q.append({e: v for e, v in acc.items() if v})
-    out = {}
-    scale = f.den                       # den c^(order-d)
-    for d in range(order, -1, -1):
-        for e, v in q[d].items():
-            out[e] = v * scale
-        scale *= c
-    return _series(f.nvars, order, c ** (order + 1), out)
 
 
 def _homogeneous_div(comp, form, pivot):
@@ -751,8 +663,3 @@ def fs_negate_r(f):
     return _series(f.nvars, f.order, f.den,
                    {e: (-c if e & 1 else c) for e, c in f.terms.items()})
 
-
-def fs_set_r_zero(f):
-    """Specialize r = 0 (drop every monomial with positive r-degree)."""
-    return _series(f.nvars, f.order, f.den,
-                   {e: c for e, c in f.terms.items() if not e & _FIELD})

@@ -9,14 +9,11 @@ Lusztig's rule (:class:`GradedRule`).  :func:`demazure_series` keeps the
 definition of Dem_s by exact division by alpha-dot, which the verifier
 checks the rule's integer tables against.
 
-The Todd-type unit  e_B = prod_{alpha > 0} alpha-dot / (1 - exp(-alpha-dot))
-lives here too, as exp(G) for the log-Todd sum
-G = sum_{alpha > 0} log F(-alpha-dot), F(l) = l/(exp(l) - 1), which is one
-closed-form walk (:func:`log_todd`).  No suite builds G: S = e_B exp(-rho.)
-is central as each s_i permutes the positive roots other than alpha_i,
-which the suites check; then Ad(e_B) = Ad(exp(rho.)), and e_B, G and
-:func:`conj_eB`, the product e_B a e_B^{-1}, are the tests' oracles.  The
-graded antispherical module, where t_s collapses to -1, is here as well.
+The graded antispherical module, where t_s collapses to -1, is here as
+well.  The Todd-type unit e_B = prod_{alpha > 0} alpha-dot / (1 -
+exp(-alpha-dot)) of the paper is not: S = e_B exp(-rho.) is central, as
+each s_i permutes the positive roots other than alpha_i, which the suites
+check, so Ad(e_B) = Ad(exp(rho.)) and no run needs e_B itself.
 """
 
 from .formal_series import (
@@ -24,12 +21,9 @@ from .formal_series import (
     compared_order,
     diff,
     fs_div_linear,
-    fs_exp,
-    fs_exp_sum,
     fs_negate_r,
     fs_weyl,
     fs_weyl_demazure,
-    log_todd_weights,
 )
 from .normal_form import AsphElement, Rule
 
@@ -172,30 +166,6 @@ def fourier_map(a):
         g = fs_negate_r(f)
         out[w] = -g if w.length % 2 else g
     return GradedElement(a.datum, a.order, out)
-
-
-def log_todd(datum, order):
-    """G = sum over positive roots of log F(-alpha-dot), F(l) = l/(exp(l) - 1),
-    kept in the datum's store: one :func:`fs_exp_sum` with the weights of
-    log F (:func:`log_todd_weights`), so e_B and e_B^{-1}, its
-    exponentials, multiply, divide and invert no series."""
-    return datum.memo(("log_todd", order), lambda: fs_exp_sum(
-        datum.rank + 1, order, [(1, diff(-a for a in alpha)) for alpha in datum.positive_roots],
-        log_todd_weights(order)))
-
-
-def todd_eB(datum, order):
-    """prod over positive roots of alpha-dot / (1 - exp(-alpha-dot)), as
-    exp(G) (:func:`log_todd`)."""
-    return fs_exp(log_todd(datum, order))
-
-
-def conj_eB(a):
-    """e_B * a * e_B^{-1}, the full noncommutative conjugate as a product,
-    with e_B and e_B^{-1} = exp(-G) (:func:`log_todd`) at the order of ``a``."""
-    datum, order = a.datum, a.order
-    return gh_mul(gh_mul(GradedElement.series(datum, todd_eB(datum, order)), a),
-                  GradedElement.series(datum, fs_exp(-log_todd(datum, order))))
 
 
 def g_asph_act(a, m):

@@ -1,6 +1,6 @@
 """
-The two Lusztig morphisms into the completed graded algebra, the two
-composite routes around the main diagram, and the module transport.
+The two Lusztig morphisms into the completed graded algebra and the two
+composite routes around the main diagram.
 
 On the commutative part both morphisms agree:  theta_x goes to exp of the
 differential of x and v goes to exp(r).  On the finite Hecke part,
@@ -41,8 +41,8 @@ holds the unit factors and both Lusztig maps, whose T_w images are kept
 per compared order (:class:`GeneratorImages`); the map m and the Weyl
 substitution tables live in the datum's store (:meth:`RootDatum.memo`).
 So do the (a, r) product of the unit factors, per (order, r-coefficient),
-and ch of each coefficient, per (order, terms), which L_r, L_l, both
-routes and the transport share: ch is the one map both morphisms apply.
+and ch of each coefficient, per (order, terms), which L_r, L_l and both
+routes share: ch is the one map both morphisms apply.
 
 Only the unit factors are built at the work order order + guard; every
 product after them runs at the order a case compares.  Series products
@@ -54,7 +54,7 @@ from .affine_hecke import twist
 from .formal_series import bernoulli_weights, diff, fs_exp_sum, fs_pullback, quotient_weights
 from .graded_hecke import GradedElement, GradedRule, fourier_map, gh_mul
 from .lattice_algebra import scriptG_terms
-from .normal_form import AsphElement, GeneratorImages
+from .normal_form import GeneratorImages
 
 DEFAULT_GUARD = 2          # every guard default of the package and the CLI reads this
 
@@ -156,13 +156,6 @@ def pipeline_K(h, order, guard=DEFAULT_GUARD):
 def pipeline_H(h, order, guard=DEFAULT_GUARD):
     """Left-then-bottom route: fourier(L_l(h)), through the order + guard context."""
     return fourier_map(lusztig_l(h, order, guard))
-
-
-def transport(m, order):
-    """Module transport: theta_x . 1 |-> exp(x-dot) . 1, v |-> exp(r)."""
-    return AsphElement(
-        m.datum, series_of_group_algebra(m.datum, m.value, order)
-    )
 
 
 def difference_times_scriptG(datum, i, x, order):

@@ -14,8 +14,8 @@ regular.  W is never enumerated: :meth:`RootDatum.element` makes the
 element of a key on first use, and :meth:`RootDatum.left_mul` reflects a
 key, s_i(key) at O(n) cost, the first time it meets (i, key).  The word
 of w is its lexicographically least reduced word: s_i is a left descent
-exactly when key[i] < 0, and the smallest such i comes first.  Products,
-inverses and the action on weights follow words; there are no matrices.
+exactly when key[i] < 0, and the smallest such i comes first.  The
+action on weights follows words; there are no matrices.
 """
 
 
@@ -166,19 +166,6 @@ class RootDatum:
         if u is None:
             u = self._left[i, w.key] = self.element(self._reflect(i, w.key))
         return u
-
-    def mul(self, u, w):
-        """u * w, by left multiplication along the word of u."""
-        for i in reversed(u.word):
-            w = self.left_mul(i, w)
-        return w
-
-    def inverse(self, w):
-        """w^-1, by left multiplication along the word of w."""
-        v = self.identity
-        for i in w.word:
-            v = self.left_mul(i, v)
-        return v
 
     def braid_order(self, i, j):
         """Order of s_i s_j in W, read off a_ij a_ji."""

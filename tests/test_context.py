@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from heckeverify import affine_hecke, formal_series, graded_hecke, lusztig
+from heckeverify import affine_hecke, formal_series, graded_hecke, lusztig, verify
 from heckeverify.affine_hecke import HeckeElement, h_mul
 from heckeverify.lusztig import DEFAULT_GUARD, context, pipeline_H, pipeline_K
 from heckeverify.root_datum import RootDatum, build_root_datum, cartan_matrix
@@ -256,13 +256,12 @@ def test_store_dies_with_its_datum():
 @pytest.fixture
 def calls(monkeypatch):
     """Count calls of the builders the context and the store are meant to
-    run once, and of those no clean suite runs: G would be built by the one
-    call of ``log_todd_weights`` in ``graded_hecke``, and S, e_B and
-    e_B^{-1} by its calls of ``fs_exp``."""
+    run once, and of the one no clean suite runs: ``_by_exp_rho``, the
+    conjugation by exp(c rho.) of the negative controls."""
     counts = {}
-    for module, name in ((graded_hecke, "log_todd_weights"), (graded_hecke, "fs_exp"),
-                         (lusztig, "unit_factor"), (affine_hecke, "koszul_map"),
-                         (affine_hecke, "duality_map"), (affine_hecke, "parity_map")):
+    for module, name in ((verify, "_by_exp_rho"), (lusztig, "unit_factor"),
+                         (affine_hecke, "koszul_map"), (affine_hecke, "duality_map"),
+                         (affine_hecke, "parity_map")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             counts[_name] = counts.get(_name, 0) + 1
             return _fn(*args, **kwargs)
@@ -296,8 +295,8 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
     assert {order for _, order in ctx.lusztig_r._images} == {3, 4}
     assert {(img.order, order) for (_, order), img in ctx.lusztig_r._images.items()} == {
         (3, 3), (4, 4)}
-    # no fs_exp and no log-Todd walk, and the K-route goes through m alone:
-    # the Koszul chain is never built
+    # no exp(rho.), and the K-route goes through m alone: the Koszul chain
+    # is never built
     assert calls == {"unit_factor": 2}
     assert "twist" in datum._memo and "k_side_maps" not in datum._memo
     # the closed form of the modules check is one exp-sum per case: it
@@ -317,24 +316,23 @@ def test_each_constant_is_built_once_per_datum_and_order(calls, monkeypatch):
 @pytest.mark.parametrize("family, rank, order", [("A", 2, 3), ("B", 2, 5), ("A", 2, 6),
                                                  ("G", 2, 3)])
 def test_no_suite_builds_e_B_or_exp_rho(calls, family, rank, order):
-    # a clean run calls no fs_exp and stores exactly the kinds of STORE_KINDS
+    # the package has no e_B; a clean run builds no exp(rho.) and stores
+    # exactly the kinds of STORE_KINDS
     datum = build_root_datum(cartan_matrix(family, rank))
     assert all(rep.status == "pass" for rep in run_suites(datum, ["all"], order=order))
     assert _kinds(datum) == STORE_KINDS
-    assert "fs_exp" not in calls and "log_todd_weights" not in calls
+    assert "_by_exp_rho" not in calls
 
 
 def test_a_warm_diagram_check_builds_nothing(monkeypatch):
     # every constant and image of the K- and H-routes is cached: a second
     # run on the same datum multiplies no graded elements, adds nothing to
-    # the store and rebuilds, divides or inverts nothing
+    # the store and rebuilds or divides nothing
     datum = build_root_datum(cartan_matrix("B", 2))
     assert check_diagram(datum, order=4).status == "pass"
     stored = set(datum._memo)
     called = []
-    for module, name in ((graded_hecke, "gh_mul"), (graded_hecke, "todd_eB"),
-                         (graded_hecke, "log_todd_weights"), (lusztig, "unit_factor"),
-                         (formal_series, "fs_exp"), (formal_series, "fs_inv"),
+    for module, name in ((graded_hecke, "gh_mul"), (lusztig, "unit_factor"),
                          (formal_series, "fs_div_linear")):
         original = getattr(module, name)
 
@@ -348,7 +346,7 @@ def test_a_warm_diagram_check_builds_nothing(monkeypatch):
                 monkeypatch.setattr(mod, name, counted)
     assert check_diagram(datum, order=4).status == "pass"
     assert called == [] and set(datum._memo) == stored
-    # the counters see a cold run, which builds neither G, S nor e_B
+    # the counters see a cold run
     assert check_diagram(build_root_datum(cartan_matrix("B", 2)), order=4).status == "pass"
     assert set(called) == {"gh_mul", "unit_factor"}
 

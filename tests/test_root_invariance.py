@@ -3,15 +3,15 @@
 Both suites decide s_i(S) = S, S = e_B exp(-rho.), on the positive roots
 alone (``verify._invariance_failure``): each s_i must keep alpha_i among
 them and permute the others.  The reference here is the series form,
-S = exp(G - rho.) from the log-Todd sum G, fixed by each ``fs_weyl(s_i)``
-up to the order.  Both must give the same verdict and the same witness, on
+S = e_B exp(-rho.) with e_B the product over the roots of naive Bernoulli
+sums (:mod:`linear_series`), fixed by each ``fs_weyl(s_i)`` up to the
+order.  Both must give the same verdict and the same witness, on
 clean data and on faults planted in the datum's construction.
 """
 
 import pytest
 
-from heckeverify.formal_series import diff, fs_exp, fs_weyl
-from heckeverify.graded_hecke import log_todd
+from heckeverify.formal_series import fs_weyl
 from heckeverify.root_datum import RootDatum, build_root_datum, cartan_matrix
 from heckeverify.verify import _invariance_failure
 
@@ -23,13 +23,13 @@ from datum_plants import (
     rows_as_simple_roots,
     without,
 )
-from linear_series import linear
+from linear_series import e_B, exp_linear
 
 
 def series_failure(datum, order):
-    """The witness of the series form: the first s_i that moves exp(G - rho.)
+    """The witness of the series form: the first s_i that moves e_B exp(-rho.)
     up to ``order``, or None."""
-    s = fs_exp(log_todd(datum, order) - linear(diff(datum.rho), order))
+    s = e_B(datum, order) * exp_linear(tuple(-a for a in datum.rho) + (0,), order)
     for i in range(datum.rank):
         if not fs_weyl(datum, datum.simple(i), s).eq(s, order):
             return "S = e_B exp(-rho.) is not invariant under s%d" % (i + 1)

@@ -48,6 +48,7 @@ from heckeverify.verify import (
 from construction_walk import walk_failure
 from datum_plants import moved_by, positive_roots_changed, without
 from linear_series import exp_linear
+from weyl_group import mul
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum(cartan_matrix("A", 2))
@@ -272,7 +273,7 @@ def test_flipped_display_weight_gives_its_golden_witness(guard):
 def test_rho_controls_give_the_witnesses_of_their_definitions(family, order):
     # _conjugate=False compares exp(-rho.) K exp(rho.) with the H-route, and
     # _flip_rho=True puts exp(2 rho.) X exp(-2 rho.) for X in the display;
-    # the exponentials here come from fs_exp, not the controls' fs_exp_sum
+    # the exponentials here are naive sums, not the controls' fs_exp_sum
     datum = build_root_datum(cartan_matrix(family, 2))
 
     def exp(c, r=0):
@@ -390,7 +391,7 @@ def _letter_times_prefix(self, w, order=None):
     img = self._images.get((w, order))
     if img is None and len(w.word) > 1:
         i = w.word[-1]
-        prefix = self.datum.mul(w, self.datum.simple(i))
+        prefix = mul(self.datum, w, self.datum.simple(i))
         img = self._images[(w, order)] = \
             self.image(self.datum.simple(i), order) * self.image(prefix, order)
     return img if img is not None else GeneratorImages.image(self, w, order)

@@ -2,6 +2,7 @@
 
 The library makes each element on first use and never lists W; the tests
 that need all of it search it here, by left multiplication, once per datum.
+Products and inverses are left multiplications along a word, too.
 """
 
 import weakref
@@ -23,3 +24,18 @@ def weyl_elements(datum):
                     found.append(u)
         elements = _ELEMENTS[datum] = tuple(sorted(found, key=lambda w: (w.length, w.word)))
     return elements
+
+
+def mul(datum, u, w):
+    """u * w, by left multiplication along the word of u."""
+    for i in reversed(u.word):
+        w = datum.left_mul(i, w)
+    return w
+
+
+def inverse(datum, w):
+    """w^-1, by left multiplication along the word of w."""
+    v = datum.identity
+    for i in w.word:
+        v = datum.left_mul(i, v)
+    return v
