@@ -265,21 +265,58 @@ def graded_relations(datum, order):
         None, GradedElement.one(datum, order), ("t_s^2 = 1", "commutation rule"), coefficients)
 
 
+def _determinant(rows):
+    """The determinant of a square int matrix, by Bareiss elimination (exact divisions)."""
+    m, sign, prev = [list(row) for row in rows], 1, 1
+    for k in range(len(m)):
+        p = next((p for p in range(k, len(m)) if m[p][k]), None)
+        if p is None:
+            return 0
+        m[k], m[p], sign = m[p], m[k], sign if p == k else -sign
+        for i in range(k + 1, len(m)):
+            m[i] = [(m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev for j in range(len(m))]
+        prev = m[k][k]
+    return sign * prev
+
+
+def _weights_failure(n):
+    """A witness unless :func:`_fundamental_weights` gives +-x_j for a basis x_1..x_n
+    of X = Z^n, as the arguments of ``morphisms`` and ``diagram`` need, or None."""
+    weights = [x for _, x in _fundamental_weights(n)]
+    plus = weights[0::2]
+    if len(weights) != 2 * n or weights[1::2] != [tuple(-a for a in x) for x in plus]:
+        return "the Bernstein weights are not +-x for %d weights x" % n
+    det = _determinant(plus)
+    return None if abs(det) == 1 else "the + Bernstein weights have determinant %d, not +-1" % det
+
+
 def _count_failure(datum, k_rels, g_rels):
     """A witness unless both relation lists hold every defining relation, or None.
 
     Each list has n quadratic and n(n-1)/2 braid relations, then per s the
     2n Bernstein relations at theta_{+-omega_j} (``k_rels``) or the n + 1
     commutation rules at y_j and r (``g_rels``); n is the size of the
-    Cartan matrix, not read from the lists.
+    Cartan matrix, not read from the lists.  The braid relation of (s_i,
+    s_j) must have as sides the alternating words of length m_ij from s_i
+    and from s_j, letters read off the supports, and the weights must be
+    +- a basis (:func:`_weights_failure`).
     """
     n = len(datum.cartan)
-    for algebra, (_, relations), per_s in (("Hecke", k_rels, 2 * n), ("graded", g_rels, n + 1)):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for algebra, (factors, relations), per_s in (
+            ("Hecke", k_rels, 2 * n), ("graded", g_rels, n + 1)):
         want = n + n * (n - 1) // 2 + n * per_s
         if len(relations) != want:
             return "the %s relation list has %d relations, not %d for rank %d" % (
                 algebra, len(relations), want, n)
-    return None
+        for (i, j), (label, lhs, rhs) in zip(pairs, relations[n:]):
+            m = datum.braid_order(i, j)
+            words = [[datum.simple(a if k % 2 == 0 else b) for k in range(m)]
+                     for a, b in ((i, j), (j, i))]
+            if [[w for name in p for w in factors[name].coeffs] for p in lhs + rhs] != words:
+                return "the %s %s is not the two alternating words of length %d" % (
+                    algebra, label, m)
+    return _weights_failure(n)
 
 
 def _relation_failure(relation_list, image, equal):
@@ -306,6 +343,43 @@ def _relation_failure(relation_list, image, equal):
         a, b = side(lhs), side(rhs)
         if not equal(a, b):
             return label, a - b
+    return None
+
+
+def _reversed(relation_list):
+    """``relation_list`` with every product read backwards, labels kept: the
+    relations that hold exactly when iota is an anti-automorphism."""
+    factors, relations = relation_list
+    return factors, [(label, [p[::-1] for p in lhs], [p[::-1] for p in rhs])
+                     for label, lhs, rhs in relations]
+
+
+def _iota(a):
+    """iota(sum_w f_w t_w) = sum_w t_{w^-1} f_w, for a graded ``a`` supported
+    on T_e and the T_s, which no suite leaves: f_e + t_s f_s."""
+    out = GradedElement(a.datum, a.order)
+    for w, f in a.coeffs.items():
+        if w.length > 1:
+            raise ValueError("iota is evaluated on T_e and the T_s, not on T(%r)" % (w,))
+        f = GradedElement.series(a.datum, f)
+        out = out + (GradedElement.ts(a.datum, w.word[0], a.order) * f if w.word else f)
+    return out
+
+
+def _iota_failure(ctx, order, k_rels, g_rels):
+    """A witness unless L_l = iota o L_r o iota modulo degree > order, or
+    None: iota(L_r(g)) = L_l(g) on :func:`hecke_generators`, and both
+    relation lists hold read backwards (:func:`check_morphisms`)."""
+    for label, g in hecke_generators(ctx.datum):
+        got, want = ctx.lusztig_l(g, order), _iota(ctx.lusztig_r(g, order))
+        if not got.eq(want, order):
+            return "L_l image of %s is not iota of its L_r image: L_l - iota(L_r) = %r" % (
+                label, (got - want).truncate(order))
+    for algebra, rels, equal in (("Hecke", k_rels, operator.eq),
+                                 ("graded", g_rels, lambda a, b: a.eq(b, order))):
+        if failed := _relation_failure(_reversed(rels), lambda h: h, equal):
+            return "reversed %s fails in the %s algebra: lhs - rhs = %r" % (
+                failed[0], algebra, failed[1])
     return None
 
 
@@ -406,10 +480,10 @@ def check_morphisms(datum, order=6, seed=0, guard=DEFAULT_GUARD, _unit_r_coeff=2
     """The maps of the diagram are algebra homomorphisms, proved from
     generators and relations, modulo degree > order for the Lusztig maps.
 
-    L_r, L_l, Koszul, duality, parity: every relation of :func:`k_relations`;
-    Fourier: every relation of :func:`graded_relations`.  A map given on
-    generators that satisfies the defining relations is a homomorphism, so
-    the verdict is complete, not sampled.  parity o duality o koszul must
+    L_r, Koszul, duality, parity: every relation of :func:`k_relations`;
+    Fourier: every relation of :func:`graded_relations`; L_l through L_r,
+    below.  A map given on generators that satisfies the defining relations
+    is a homomorphism, so the verdict is complete, not sampled.  parity o duality o koszul must
     equal Ad(theta_{-rho}) o m, m = :func:`twist`, on v, theta_{+-omega_j}
     and each T_s; so m's generator images satisfy the relations too, and
     the factorization holds everywhere.  The suites apply L_r, L_l, m and
@@ -426,10 +500,18 @@ def check_morphisms(datum, order=6, seed=0, guard=DEFAULT_GUARD, _unit_r_coeff=2
     map: by the twisted Leibniz rule
     Dem_s(theta_{x+y}) = Dem_s(theta_x) theta_y + theta_{sx} Dem_s(theta_y),
     the relation at x and at y gives it at x + y, and every weight is a sum
-    of +-omega_j.  It fails unless both lists hold every relation
-    (:func:`_count_failure`).  Only the unit factors of the Lusztig maps
-    are built at order + guard.  ``seed`` is accepted for callers that
-    pass one to every check (``benchmarks/child.py``) and is not used.
+    of +-omega_j.  L_l is proved through L_r: iota, the anti-involution
+    fixing v, theta_x, the series and each T_s (Lusztig, J. AMS 2, 1989),
+    is an anti-automorphism of an algebra exactly when the relations hold
+    there read backwards (:func:`_reversed`; those of the commutative part
+    are their own reversals).  Both reversed lists hold, so iota o L_r o
+    iota is a homomorphism modulo degree > order, as iota keeps degrees;
+    it agrees with L_l on the generators (:func:`_iota_failure`), so L_l's
+    relation list is never evaluated.  It fails unless both lists hold
+    every relation (:func:`_count_failure`).  Only the unit factors of the
+    Lusztig maps are built at order + guard.  ``seed`` is accepted for
+    callers that pass one to every check (``benchmarks/child.py``) and is
+    not used.
     """
     n = datum.rank
     work = order + guard
@@ -451,7 +533,7 @@ def check_morphisms(datum, order=6, seed=0, guard=DEFAULT_GUARD, _unit_r_coeff=2
             ctx.units.update({i: unit_factor(datum, i, work, _unit_r_coeff) for i in range(n)})
         one = GradedElement.one(datum, order)
         v_theta = GroupAlgebraElement.theta((1,) + (0,) * (n - 1), LS_V)
-        k_rels = k_relations(datum)
+        k_rels, g_rels = k_relations(datum), graded_relations(datum, order)
         # the quadratic relations go first, as (T_s + 1)(T_s - v^2) = 0
         l_rels = (k_rels[0], [rel for rel in k_rels[1] if not rel[0].startswith("quadratic")])
         for side, lmap in (("r", ctx.lusztig_r), ("l", ctx.lusztig_l)):
@@ -462,10 +544,12 @@ def check_morphisms(datum, order=6, seed=0, guard=DEFAULT_GUARD, _unit_r_coeff=2
                 if not resid.eq(GradedElement(datum, order), order):
                     return "L_%s image of quadratic relation nonzero for s%d: %r" % (
                         side, i + 1, resid.truncate(order))
-            failed = _relation_failure(l_rels, lambda h: lmap(h, order), g_equal)
-            if failed:
-                return "L_%s image of %s fails: lhs - rhs = %r" % (
-                    side, failed[0], failed[1].truncate(order))
+            if side == "l":
+                if failed := _iota_failure(ctx, order, k_rels, g_rels):
+                    return failed
+            elif failed := _relation_failure(l_rels, lambda h: lmap(h, order), g_equal):
+                return "L_r image of %s fails: lhs - rhs = %r" % (
+                    failed[0], failed[1].truncate(order))
             failed = _construction_failure(
                 datum, lambda h: lmap(h, order), k_term, v_theta, g_equal, one)
             if failed:
@@ -483,7 +567,6 @@ def check_morphisms(datum, order=6, seed=0, guard=DEFAULT_GUARD, _unit_r_coeff=2
         failed = _construction_failure(datum, m, k_term, v_theta, operator.eq)
         if failed:
             return "twist map m: %s" % failed
-        g_rels = graded_relations(datum, order)
         failed = _relation_failure(g_rels, fourier_map, g_equal)
         if failed:
             return "fourier image of %s fails: lhs - rhs = %r" % (
@@ -532,12 +615,13 @@ def check_diagram(datum, order=6, seed=0, guard=DEFAULT_GUARD, _conjugate=True):
     with a ``morphisms`` pass on the same datum and order, which proves
     those maps homomorphisms and the Koszul chain equal to
     Ad(theta_{-rho}) o m.  It fails unless it compared the 1 + 3n
-    generators, n the size of the Cartan matrix.  ``seed`` is accepted for
-    callers that pass one to every check (``benchmarks/child.py``) and is
-    not used.  A limit: the Todd series reaches the run only through that
-    argument, so no even weight of log F and no central (W-invariant)
-    factor of e_B, such as exp(r), is seen by this suite or by
-    ``display``; only the closed-form oracles of the tests guard e_B.
+    generators, n the size of the Cartan matrix, with weights +- a basis
+    (:func:`_weights_failure`).  ``seed`` is accepted for callers that pass
+    one to every check (``benchmarks/child.py``) and is not used.  A limit:
+    the Todd series reaches the run only through that argument, so no even
+    weight of log F and no central (W-invariant) factor of e_B, such as
+    exp(r), is seen by this suite or by ``display``; only the closed-form
+    oracles of the tests guard e_B.
     """
     if not _conjugate:
         # a private copy whose K-route is exp(-rho.) K exp(rho.): e_B is dropped
@@ -560,7 +644,7 @@ def check_diagram(datum, order=6, seed=0, guard=DEFAULT_GUARD, _conjugate=True):
         if len(gens) != 1 + 3 * n:
             return "diagram compared %d generators, not 1 + 3n = %d for rank %d" % (
                 len(gens), 1 + 3 * n, n)
-        return None
+        return _weights_failure(n)
 
     return _run("diagram", body)
 

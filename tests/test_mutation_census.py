@@ -8,7 +8,7 @@ pass could hide is a suite that covers less than it claims.
 
 import pytest
 
-from heckeverify import formal_series, normal_form, root_datum
+from heckeverify import formal_series, lusztig, normal_form, root_datum, verify
 from heckeverify.formal_series import _unpack
 from heckeverify.root_datum import build_root_datum, cartan_matrix
 from heckeverify.verify import (
@@ -53,6 +53,34 @@ def _merged_into_first(act):
     return merged
 
 
+def _right_product_for_both(ts_image):
+    """lusztig._ts_image with u on the right of t_s + 1 under L_l too, so
+    L_l = L_r, which is still a homomorphism."""
+    return lambda datum, i, order, side, u: ts_image(datum, i, order, "r", u)
+
+
+def _plus_minus_rho(n):
+    """_fundamental_weights with +-rho = +-(1, ..., 1) for every j: the
+    relation and generator counts hold, but the weights are no basis of X."""
+    return [(label, (sign,) * n) for j in range(n)
+            for label, sign in (("th(+w%d)" % (j + 1), 1), ("th(-w%d)" % (j + 1), -1))]
+
+
+def _braid_sides_one_word(relations):
+    """verify._relations with the left side of each braid relation on both
+    sides: the relation holds and says nothing."""
+    def planted(*args):
+        factors, rels = relations(*args)
+        return factors, [(label, lhs, lhs if label.startswith("braid") else rhs)
+                         for label, lhs, rhs in rels]
+    return planted
+
+
+def _braid_witness(datum, order):
+    return ("the Hecke braid relation for (s1,s2) is not the two alternating words"
+            " of length %d" % datum.braid_order(0, 1))
+
+
 # (fault, module the plant patches, name patched in it, replacement, the
 # suite that catches it, its witness on the clean datum and the order).
 # s_i permutes the positive roots other than alpha_i, and so fixes
@@ -63,6 +91,9 @@ def _merged_into_first(act):
 # -2 before those at r = 2; diagram evaluates v^-1 in the K-route before v
 # in the H-route; morphisms evaluates 1 after v^2; and L_l(T_s) has the
 # coefficients u(alpha) and u(alpha) - 1, which merged into one give 0.
+# L_l = L_r is a homomorphism, so only the check iota(L_r(g)) = L_l(g)
+# sees the wrong side; +-rho for every weight and a braid relation with
+# one word on both sides satisfy every relation and every count.
 CENSUS = [
     ("positive-roots-miss-the-last", root_datum, "RootDatum._compute_positive_roots",
      positive_roots_changed(lambda roots: roots[:-1]), check_diagram,
@@ -84,6 +115,16 @@ CENSUS = [
     ("act-merges-unequal-coefficients", normal_form, "Rule.act",
      _merged_into_first(normal_form.Rule.act), check_modules,
      lambda datum, order: "L_l(T(s1)).1 is (O(%d)).1, not -1" % (order + 1)),
+    ("l-map-with-u-on-the-right", lusztig, "_ts_image", _right_product_for_both(lusztig._ts_image),
+     check_morphisms, lambda datum, order: "L_l image of T(s1) is not iota of its L_r image:"),
+    ("weights-plus-minus-rho-morphisms", verify, "_fundamental_weights", _plus_minus_rho,
+     check_morphisms, lambda datum, order: "the + Bernstein weights have determinant 0, not +-1"),
+    ("weights-plus-minus-rho-diagram", verify, "_fundamental_weights", _plus_minus_rho,
+     check_diagram, lambda datum, order: "the + Bernstein weights have determinant 0, not +-1"),
+    ("braid-sides-one-word-presentation", verify, "_relations",
+     _braid_sides_one_word(verify._relations), check_presentation, _braid_witness),
+    ("braid-sides-one-word-morphisms", verify, "_relations",
+     _braid_sides_one_word(verify._relations), check_morphisms, _braid_witness),
 ]
 
 

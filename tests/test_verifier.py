@@ -1,5 +1,7 @@
 import functools
+import itertools
 import json
+import math
 import operator
 import pathlib
 import random
@@ -694,6 +696,42 @@ def test_relation_list_missing_a_relation_fails(monkeypatch, family):
             for check in (check_presentation, check_morphisms):
                 rep = check(datum, order=3)
                 assert (rep.status, rep.witness) == ("fail", "the %s for rank 2" % want)
+
+
+def _leibniz_determinant(rows):
+    """sum over permutations p of sign(p) prod_k rows[k][p(k)]."""
+    n, total = len(rows), 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total += (-1) ** inversions * math.prod(rows[k][perm[k]] for k in range(n))
+    return total
+
+
+def test_the_determinant_is_the_leibniz_sum():
+    rng = random.Random(0)
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        assert verify._determinant(rows) == _leibniz_determinant(rows), rows
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_bernstein_weights_are_plus_minus_a_basis(n):
+    assert verify._weights_failure(n) is None
+
+
+@pytest.mark.parametrize("weights, witness", [
+    ([("a", (1, 0)), ("-a", (-1, 0)), ("b", (1, 1)), ("-b", (-1, -1))], None),
+    ([("a", (2, 0)), ("-a", (-2, 0)), ("b", (0, 1)), ("-b", (0, -1))],
+     "the + Bernstein weights have determinant 2, not +-1"),
+    ([("a", (1, 0)), ("-a", (1, 0)), ("b", (0, 1)), ("-b", (0, -1))],
+     "the Bernstein weights are not +-x for 2 weights x"),
+    ([("a", (1, 0)), ("-a", (-1, 0))], "the Bernstein weights are not +-x for 2 weights x"),
+])
+def test_weights_that_are_not_plus_minus_a_basis_fail(monkeypatch, weights, witness):
+    # a unimodular basis other than the omega_j passes
+    monkeypatch.setattr(verify, "_fundamental_weights", lambda n: weights)
+    assert verify._weights_failure(2) == witness
 
 
 def test_negative_controls_fail_on_rank_two_as_well():
